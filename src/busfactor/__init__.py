@@ -31,7 +31,6 @@ from .estimator import BusFactorEstimator
 from .eventlog import read_event_log, write_event_log
 from .gitvcs import (
     emit_vcs_events,
-    ingest_repository,
     snapshot_branch,
     traverse_branch,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "filter_meetings",
     "filter_reviews",
     "format_instant",
-    "ingest_repository",
     "load_predictions",
     "load_truth",
     "merge_identities",

@@ -7,17 +7,13 @@ events against the head-live files of those commits.
 """
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import InputDataError
 from .gitvcs import CommitKnowledge
 from .identity import IdentityIndex, RawActor
-from .model import MS_PER_DAY, ContributionEvent, EventKind
-
-log = logging.getLogger(__name__)
+from .inputs import field, load_json, warn
+from .model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind
 
 
 @dataclass(frozen=True)
@@ -38,36 +34,11 @@ class MeetingRecord:
     title: str
 
 
-def _warn(sink: list[str] | None, message: str) -> None:
-    log.warning("%s", message)
-    if sink is not None:
-        sink.append(message)
-
-
 def _load_array(source, what: str) -> list:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputDataError(f"cannot read {what} file {source}: {exc.strerror}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{what} file is not valid JSON: {exc}") from exc
+    data = load_json(source, what)
     if not isinstance(data, list):
         raise InputDataError(f"{what} file must contain a top-level JSON array")
     return data
-
-
-def _field(obj: dict, name: str, types, where: str):
-    if name not in obj:
-        raise InputDataError(f"{where}: missing field {name!r}")
-    value = obj[name]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise InputDataError(f"{where}: field {name!r} has invalid type")
-    return value
 
 
 def _parse_actor(obj, where: str) -> RawActor:
@@ -93,19 +64,19 @@ def parse_reviews(source) -> list[ReviewRecord]:
         where = f"review #{i}"
         if not isinstance(obj, dict):
             raise InputDataError(f"{where}: entries must be objects")
-        reviewers = _field(obj, "reviewers", list, where)
-        commit_ids = _field(obj, "commit_ids", list, where)
+        reviewers = field(obj, "reviewers", list, where)
+        commit_ids = field(obj, "commit_ids", list, where)
         if not all(isinstance(c, str) for c in commit_ids):
             raise InputDataError(f"{where}: field 'commit_ids' must hold strings")
         records.append(
             ReviewRecord(
-                id=_field(obj, "id", str, where),
+                id=field(obj, "id", str, where),
                 reviewers=tuple(
                     _parse_actor(r, f"{where} reviewer #{j}") for j, r in enumerate(reviewers)
                 ),
                 commit_ids=tuple(commit_ids),
-                completed_at_ms=_field(obj, "completed_at", int, where),
-                state=_field(obj, "state", str, where),
+                completed_at_ms=field(obj, "completed_at", int, where),
+                state=field(obj, "state", str, where),
             )
         )
     return records
@@ -118,20 +89,20 @@ def parse_meetings(source) -> list[MeetingRecord]:
         where = f"meeting #{i}"
         if not isinstance(obj, dict):
             raise InputDataError(f"{where}: entries must be objects")
-        participants = _field(obj, "participants", list, where)
-        duration = _field(obj, "duration_minutes", (int, float), where)
+        participants = field(obj, "participants", list, where)
+        duration = field(obj, "duration_minutes", (int, float), where)
         if duration <= 0:
             raise InputDataError(f"{where}: field 'duration_minutes' must be positive")
         records.append(
             MeetingRecord(
-                id=_field(obj, "id", str, where),
+                id=field(obj, "id", str, where),
                 participants=tuple(
                     _parse_actor(p, f"{where} participant #{j}")
                     for j, p in enumerate(participants)
                 ),
-                start_ms=_field(obj, "start", int, where),
+                start_ms=field(obj, "start", int, where),
                 duration_minutes=float(duration),
-                title=_field(obj, "title", str, where),
+                title=field(obj, "title", str, where),
             )
         )
     return records
@@ -143,7 +114,8 @@ def filter_reviews(reviews: list[ReviewRecord]) -> list[ReviewRecord]:
 
 
 def filter_meetings(
-    meetings: list[MeetingRecord], exclude_keywords=("seminar", "reading", "random")
+    meetings: list[MeetingRecord],
+    exclude_keywords=AlgorithmParams.meeting_exclude_keywords,
 ) -> list[MeetingRecord]:
     """Drop meetings whose title contains any excluded keyword."""
     keywords = [k.lower() for k in exclude_keywords]
@@ -174,11 +146,11 @@ def _resolve_actor(
         return engineer
     if actor.email:
         engineer = identity.resolve_or_create(actor.name, actor.email)
-        _warn(warnings, f"{where}: <{actor.email}> missing from identity map; "
+        warn(warnings, f"{where}: <{actor.email}> missing from identity map; "
                         f"attributed to new engineer '{engineer}'")
         return engineer
     if actor.profile_ref:
-        _warn(warnings, f"{where}: profile {actor.profile_ref!r} missing from "
+        warn(warnings, f"{where}: profile {actor.profile_ref!r} missing from "
                         f"identity map; using it as the engineer id")
         return actor.profile_ref
     return None
@@ -208,7 +180,7 @@ def emit_review_events(
         for commit_id in dict.fromkeys(review.commit_ids):
             knowledge = commit_index.get(commit_id)
             if knowledge is None:
-                _warn(
+                warn(
                     warnings,
                     f"review {review.id!r} references commit {commit_id} "
                     f"not on the analyzed branch; skipped",
@@ -235,7 +207,7 @@ def emit_meeting_events(
     commit_index: dict[str, CommitKnowledge],
     identity: IdentityIndex,
     *,
-    window_days: float = 7,
+    window_days: int = AlgorithmParams.meeting_window_days,
     warnings: list[str] | None = None,
 ) -> list[ContributionEvent]:
     """Meeting contributions for commits authored by attendees near in time.

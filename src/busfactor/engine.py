@@ -12,11 +12,11 @@ The baseline is the classic commit-count regression, kept for comparison:
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
-from .errors import ClockSkewError, InputDataError
+from .errors import ClockSkewError, ConfigError, InputDataError
+from .inputs import warn
 from .model import (
     AlgorithmParams,
     ContributionEvent,
@@ -25,12 +25,20 @@ from .model import (
     decay,
 )
 
-log = logging.getLogger(__name__)
-
 BASELINE_INTERCEPT = 3.293
 BASELINE_FA_WEIGHT = 1.098
 BASELINE_DL_WEIGHT = 0.164
 BASELINE_AC_WEIGHT = 0.321
+
+ALGORITHMS = ("multimodal", "baseline")
+
+
+def check_algorithm(name: str) -> str:
+    if name not in ALGORITHMS:
+        raise ConfigError(
+            f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHMS)}"
+        )
+    return name
 
 
 @dataclass
@@ -135,27 +143,7 @@ def doa_multimodal(
     An engineer with no events on the file scores exactly 0.0: every own
     term vanishes and the crowd terms cancel.
     """
-    own_dl = _decayed_sum(ledger.commits.get(engineer_id, ()), as_of_ms, params.decay_days)
-    own_rv = _decayed_sum(ledger.reviews.get(engineer_id, ()), as_of_ms, params.decay_days)
-    dl_total = own_dl
-    rv_total = own_rv
-    for e in ledger.participants():
-        if e == engineer_id:
-            continue
-        dl_total += _decayed_sum(ledger.commits.get(e, ()), as_of_ms, params.decay_days)
-        rv_total += _decayed_sum(ledger.reviews.get(e, ()), as_of_ms, params.decay_days)
-    fa = 0.0
-    if ledger.first_authorship is not None and ledger.first_authorship[1] == engineer_id:
-        fa = decay(age_days(ledger.first_authorship[0], as_of_ms), params.decay_days)
-    meetings = _meeting_exposure(ledger.meetings.get(engineer_id, {}), as_of_ms, params)
-    return (
-        params.fa_weight * fa
-        + params.dl_weight * own_dl
-        + params.rv_weight * own_rv
-        + meetings
-        + params.log_dl_weight * (math.log1p(dl_total) - math.log1p(dl_total - own_dl))
-        + params.log_rv_weight * (math.log1p(rv_total) - math.log1p(rv_total - own_rv))
-    )
+    return _score_file_multimodal(ledger, as_of_ms, params).get(engineer_id, 0.0)
 
 
 def doa_baseline(ledger: FileLedger, engineer_id: str) -> float:
@@ -203,8 +191,7 @@ def score_table(
     params: AlgorithmParams,
     algorithm: str = "multimodal",
 ) -> DoaTable:
-    if algorithm not in ("multimodal", "baseline"):
-        raise InputDataError(f"unknown algorithm {algorithm!r}")
+    check_algorithm(algorithm)
     raw: dict[tuple[str, str], float] = {}
     file_max: dict[str, float] = {}
     file_engineers: dict[str, tuple[str, ...]] = {}
@@ -390,10 +377,7 @@ def analyze(
                 f"the event timestamps"
             )
     if not events:
-        message = "event log is empty; every score is 0 and the bus factor is 0"
-        log.warning("%s", message)
-        if warnings is not None:
-            warnings.append(message)
+        warn(warnings, "event log is empty; every score is 0 and the bus factor is 0")
 
     ledgers = build_ledgers(events)
     table = score_table(ledgers, as_of_ms, params, algorithm)

@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import inspect
 
-from .engine import analyze
+from .engine import analyze, check_algorithm
 from .errors import InputDataError
-from .model import AlgorithmParams, parse_instant
-from .validation import check_algorithm, check_events
+from .eventlog import events_from_records
+from .model import AlgorithmParams, ContributionEvent, parse_instant
+
+
+def check_events(X) -> list[ContributionEvent]:
+    """Normalize an event collection: ready-made events or mapping records.
+
+    Mapping records go through the event-log schema, so they need all six
+    ``eventlog.FIELDS``; errors name the record as ``X[i]``.
+    """
+    if X is None:
+        raise InputDataError("expected a collection of contribution events, got None")
+    return events_from_records((f"X[{i}]", item) for i, item in enumerate(X))
 
 
 class BusFactorEstimator:
@@ -31,18 +42,18 @@ class BusFactorEstimator:
     def __init__(
         self,
         algorithm: str = "multimodal",
-        decay_days: float = 220.0,
-        mte_minutes: float = 240.0,
-        fa_weight: float = 3.0,
-        dl_weight: float = 1.0,
-        rv_weight: float = 0.5,
-        log_dl_weight: float = 2.4,
-        log_rv_weight: float = 1.2,
-        doa_threshold: float = 1.0,
-        norm_threshold: float = 0.75,
-        coverage_threshold: float = 0.5,
-        meeting_window_days: float = 7,
-        meeting_exclude_keywords=("seminar", "reading", "random"),
+        decay_days: float = AlgorithmParams.decay_days,
+        mte_minutes: float = AlgorithmParams.mte_minutes,
+        fa_weight: float = AlgorithmParams.fa_weight,
+        dl_weight: float = AlgorithmParams.dl_weight,
+        rv_weight: float = AlgorithmParams.rv_weight,
+        log_dl_weight: float = AlgorithmParams.log_dl_weight,
+        log_rv_weight: float = AlgorithmParams.log_rv_weight,
+        doa_threshold: float = AlgorithmParams.doa_threshold,
+        norm_threshold: float = AlgorithmParams.norm_threshold,
+        coverage_threshold: float = AlgorithmParams.coverage_threshold,
+        meeting_window_days: int = AlgorithmParams.meeting_window_days,
+        meeting_exclude_keywords=AlgorithmParams.meeting_exclude_keywords,
         as_of=None,
     ):
         self.algorithm = algorithm
@@ -80,20 +91,7 @@ class BusFactorEstimator:
         return self
 
     def _algorithm_params(self) -> AlgorithmParams:
-        return AlgorithmParams(
-            decay_days=self.decay_days,
-            mte_minutes=self.mte_minutes,
-            fa_weight=self.fa_weight,
-            dl_weight=self.dl_weight,
-            rv_weight=self.rv_weight,
-            log_dl_weight=self.log_dl_weight,
-            log_rv_weight=self.log_rv_weight,
-            doa_threshold=self.doa_threshold,
-            norm_threshold=self.norm_threshold,
-            coverage_threshold=self.coverage_threshold,
-            meeting_window_days=self.meeting_window_days,
-            meeting_exclude_keywords=self.meeting_exclude_keywords,
-        )
+        return AlgorithmParams(**{n: getattr(self, n) for n in AlgorithmParams.field_names()})
 
     def _resolve_as_of(self, events) -> int | None:
         if self.as_of is None:

@@ -8,14 +8,10 @@ decisions pooled across all projects.
 """
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import InputDataError
-
-log = logging.getLogger(__name__)
+from .inputs import load_json, warn
 
 
 @dataclass(frozen=True)
@@ -37,17 +33,7 @@ class ProjectTruth:
 
 
 def _load_projects(source, what: str) -> list[dict]:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputDataError(f"cannot read {what} file {source}: {exc.strerror}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{what} file is not valid JSON: {exc}") from exc
+    data = load_json(source, what)
     if not isinstance(data, dict) or not isinstance(data.get("projects"), list):
         raise InputDataError(f"{what} file must be an object with a 'projects' array")
     for i, entry in enumerate(data["projects"]):
@@ -135,23 +121,18 @@ def evaluate_predictions(
     engineer) decision across projects; truth projects that name no key
     engineers are left out of that pooling.
     """
-    def warn(message: str) -> None:
-        log.warning("%s", message)
-        if warnings is not None:
-            warnings.append(message)
-
     truth_by_name = {_norm(t.name): t for t in truth}
     matched: list[tuple[ProjectPrediction, ProjectTruth]] = []
     for prediction in predictions:
         ground = truth_by_name.get(_norm(prediction.name))
         if ground is None:
-            warn(f"project {prediction.name!r} has no ground truth; excluded")
+            warn(warnings, f"project {prediction.name!r} has no ground truth; excluded")
             continue
         matched.append((prediction, ground))
     predicted_names = {_norm(p.name) for p in predictions}
     for ground in truth:
         if _norm(ground.name) not in predicted_names:
-            warn(f"ground-truth project {ground.name!r} has no prediction; excluded")
+            warn(warnings, f"ground-truth project {ground.name!r} has no prediction; excluded")
     if not matched:
         raise InputDataError("predictions and ground truth share no projects")
 
@@ -171,6 +152,7 @@ def evaluate_predictions(
         )
         if not ground.key_engineers:
             warn(
+                warnings,
                 f"ground-truth project {ground.name!r} names no key engineers; "
                 f"excluded from precision/recall pooling"
             )

@@ -8,10 +8,12 @@ file without a live repository.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import InputDataError
+from .inputs import field
 from .model import ContributionEvent, EventKind
 
 FIELDS = ("kind", "engineer_id", "file_path", "timestamp_ms", "magnitude", "commit_ref")
@@ -39,13 +41,63 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
         sink.write("\n")
 
 
-def _field(record: dict, name: str, types, line_no: int):
-    if name not in record:
-        raise InputDataError(f"event log line {line_no}: missing field '{name}'")
-    value = record[name]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise InputDataError(f"event log line {line_no}: field '{name}' has wrong type")
-    return value
+def event_from_record(record, where: str) -> ContributionEvent:
+    """Validate one record with all six ``FIELDS``; errors name ``where``."""
+    if not isinstance(record, Mapping):
+        raise InputDataError(f"{where}: record must be an object")
+    kind_raw = field(record, "kind", str, where)
+    try:
+        kind = EventKind(kind_raw)
+    except ValueError:
+        raise InputDataError(f"{where}: field 'kind' has unknown value {kind_raw!r}") from None
+    try:
+        return ContributionEvent(
+            kind=kind,
+            engineer_id=field(record, "engineer_id", str, where),
+            file_path=field(record, "file_path", str, where),
+            timestamp_ms=field(record, "timestamp_ms", int, where),
+            magnitude=float(field(record, "magnitude", (int, float), where)),
+            commit_ref=field(record, "commit_ref", str, where),
+        )
+    except ValueError as exc:
+        raise InputDataError(f"{where}: field 'magnitude' invalid: {exc}") from None
+
+
+def events_from_records(records: Iterable[tuple[str, object]]) -> list[ContributionEvent]:
+    """Events from ``(where, record)`` pairs, in order.
+
+    A record that is already a ``ContributionEvent`` is taken as is. A second
+    first-authorship event for the same file is rejected.
+    """
+    events: list[ContributionEvent] = []
+    first_authored: set[str] = set()
+    for where, record in records:
+        if isinstance(record, ContributionEvent):
+            event = record
+        else:
+            event = event_from_record(record, where)
+        if event.kind is EventKind.FIRST_AUTHORSHIP:
+            if event.file_path in first_authored:
+                raise InputDataError(
+                    f"{where}: field 'kind' duplicates first authorship "
+                    f"for file {event.file_path!r}"
+                )
+            first_authored.add(event.file_path)
+        events.append(event)
+    return events
+
+
+def _log_records(lines: Iterable[str]):
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"event log line {line_no}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"{where}: invalid JSON ({exc.msg})") from None
+        yield where, record
 
 
 def read_event_log(source: IO[str] | str | Path) -> list[ContributionEvent]:
@@ -53,49 +105,4 @@ def read_event_log(source: IO[str] | str | Path) -> list[ContributionEvent]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return read_event_log(fh)
-
-    events: list[ContributionEvent] = []
-    first_authored: set[str] = set()
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputDataError(f"event log line {line_no}: invalid JSON ({exc.msg})") from None
-        if not isinstance(record, dict):
-            raise InputDataError(f"event log line {line_no}: record must be an object")
-
-        kind_raw = _field(record, "kind", str, line_no)
-        try:
-            kind = EventKind(kind_raw)
-        except ValueError:
-            raise InputDataError(
-                f"event log line {line_no}: field 'kind' has unknown value {kind_raw!r}"
-            ) from None
-        engineer = _field(record, "engineer_id", str, line_no)
-        path = _field(record, "file_path", str, line_no)
-        timestamp = _field(record, "timestamp_ms", int, line_no)
-        magnitude = float(_field(record, "magnitude", (int, float), line_no))
-        commit_ref = _field(record, "commit_ref", str, line_no)
-        try:
-            event = ContributionEvent(
-                kind=kind,
-                engineer_id=engineer,
-                file_path=path,
-                timestamp_ms=timestamp,
-                magnitude=magnitude,
-                commit_ref=commit_ref,
-            )
-        except ValueError as exc:
-            raise InputDataError(f"event log line {line_no}: field 'magnitude' invalid: {exc}") from None
-        if kind is EventKind.FIRST_AUTHORSHIP:
-            if path in first_authored:
-                raise InputDataError(
-                    f"event log line {line_no}: field 'kind' duplicates first authorship "
-                    f"for file {path!r}"
-                )
-            first_authored.add(path)
-        events.append(event)
-    return events
+    return events_from_records(_log_records(source))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import RepositoryError
 from .identity import IdentityIndex
+from .inputs import warn
 from .model import ContributionEvent, EventKind, FileKey, canonical_order
 
 log = logging.getLogger(__name__)
@@ -374,12 +375,6 @@ class _FileState:
     commits: list[tuple[str, int, str]] = field(default_factory=list)  # (engineer, ts, commit)
 
 
-def _warn(sink: list[str] | None, message: str) -> None:
-    log.warning("%s", message)
-    if sink is not None:
-        sink.append(message)
-
-
 def emit_vcs_events(
     commits: list[CommitRecord],
     identity: IdentityIndex,
@@ -406,7 +401,7 @@ def emit_vcs_events(
             engineer = identity.resolve_or_create(commit.author_name, commit.author_email)
             if commit.author_email not in unknown_warned:
                 unknown_warned.add(commit.author_email)
-                _warn(
+                warn(
                     warnings,
                     f"author <{commit.author_email}> missing from identity map; "
                     f"attributed to new engineer '{engineer}'",
@@ -450,7 +445,7 @@ def emit_vcs_events(
         entry = state.get(path)
         if entry is None:
             files[path] = FileKey(head_path=path, rename_chain=(path,))
-            _warn(warnings, f"file {path!r} present at head but absent from history")
+            warn(warnings, f"file {path!r} present at head but absent from history")
             continue
         files[path] = FileKey(head_path=path, rename_chain=tuple(entry.chain))
         final_path[id(entry)] = path
@@ -500,23 +495,3 @@ def emit_vcs_events(
         files=files,
         commit_index=commit_index,
     )
-
-
-def ingest_repository(
-    repo_path,
-    branch: str | None = None,
-    identity: IdentityIndex | None = None,
-    *,
-    warnings: list[str] | None = None,
-) -> tuple[VcsIngestion, BranchSnapshot, list[CommitRecord]]:
-    """Convenience wrapper: traverse, snapshot, and emit events in one call."""
-    branch = branch or default_branch(repo_path)
-    commits = traverse_branch(repo_path, branch)
-    snapshot = snapshot_branch(repo_path, branch)
-    if identity is None:
-        from .identity import RawActor, merge_identities
-
-        actors = [RawActor(name=c.author_name, email=c.author_email) for c in commits]
-        identity = IdentityIndex(merge_identities(actors))
-    ingestion = emit_vcs_events(commits, identity, snapshot, warnings=warnings)
-    return ingestion, snapshot, commits

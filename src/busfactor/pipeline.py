@@ -19,14 +19,13 @@ from .collab import (
     parse_meetings,
     parse_reviews,
 )
-from .engine import analyze
+from .engine import ALGORITHMS, analyze
 from .errors import ConfigError
-from .eventlog import write_event_log
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
 from .model import AlgorithmParams, ContributionEvent, canonical_order, format_instant
 
-ALGORITHM_CHOICES = ("multimodal", "baseline", "both")
+ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
 
 @dataclass
@@ -149,18 +148,11 @@ def run_analysis(
             "branch": branch_name,
             "as_of": format_instant(as_of_ms),
             "algorithm": "both",
-            "results": {
-                "multimodal": single("multimodal"),
-                "baseline": single("baseline"),
-            },
+            "results": {name: single(name) for name in ALGORITHMS},
         }
     else:
         report = single(algorithm)
     return AnalysisRun(report=report, events=events)
-
-
-def dump_events(run: AnalysisRun, sink) -> None:
-    write_event_log(run.events, sink)
 
 
 def to_json(document: dict) -> str:
@@ -187,7 +179,7 @@ def render_text(document: dict) -> str:
         f"as of:          {document['as_of']}",
     ]
     if document["algorithm"] == "both":
-        for name in ("multimodal", "baseline"):
+        for name in ALGORITHMS:
             lines.append("")
             _render_single(document["results"][name], lines)
     else:

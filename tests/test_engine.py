@@ -16,7 +16,7 @@ from busfactor.engine import (
     doa_multimodal,
     score_table,
 )
-from busfactor.errors import ClockSkewError, InputDataError
+from busfactor.errors import ClockSkewError, ConfigError, InputDataError
 from busfactor.model import AlgorithmParams, ContributionEvent, EventKind
 
 from conftest import day_ms
@@ -228,6 +228,15 @@ def test_shifting_all_timestamps_changes_nothing(led, delta_days):
         assert math.isclose(original, moved, rel_tol=1e-12, abs_tol=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(ledger_strategy)
+def test_single_engineer_score_is_the_table_score(led):
+    table = score_table({"f": led}, AS_OF, PARAMS)
+    for engineer in led.participants():
+        assert doa_multimodal(led, engineer, AS_OF, PARAMS) == table.raw[(engineer, "f")]
+    assert doa_multimodal(led, "nobody", AS_OF, PARAMS) == 0.0
+
+
 class TestTableAndAuthorship:
     def test_normalized_bounds_and_argmax(self):
         table = make_table({("a", "f"): 4.0, ("b", "f"): 3.1})
@@ -268,6 +277,11 @@ class TestTableAndAuthorship:
         table = score_table({"f": led}, AS_OF, PARAMS)
         assert table.raw_score("nobody", "f") == 0.0
         assert table.engineers == ("a",)
+
+    def test_unknown_algorithm_is_config_error(self):
+        led = ledger(commits={"a": [AS_OF]})
+        with pytest.raises(ConfigError, match="nonsense"):
+            score_table({"f": led}, AS_OF, PARAMS, algorithm="nonsense")
 
 
 class TestGreedyWalk:

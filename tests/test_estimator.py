@@ -1,10 +1,11 @@
+import inspect
 import math
 
 import pytest
 
 from busfactor import BusFactorEstimator
 from busfactor.errors import ClockSkewError, ConfigError, InputDataError
-from busfactor.model import ContributionEvent, EventKind
+from busfactor.model import AlgorithmParams, ContributionEvent, EventKind
 
 from conftest import day_ms
 
@@ -68,6 +69,27 @@ class TestFit:
         records = [{"kind": "commit", "engineer_id": "x"}]
         with pytest.raises(InputDataError, match=r"\[0\]"):
             BusFactorEstimator().fit(records)
+
+    @pytest.mark.parametrize(
+        "kind, override",
+        [
+            ("commit", {"magnitude": True}),
+            ("commit", {"commit_ref": None}),
+            ("meeting", {"magnitude": "45"}),
+        ],
+    )
+    def test_mapping_records_follow_the_event_log_schema(self, kind, override):
+        record = {
+            "kind": kind,
+            "engineer_id": "ann",
+            "file_path": "a.py",
+            "timestamp_ms": day_ms(0),
+            "magnitude": 1.0,
+            "commit_ref": "c1",
+            **override,
+        }
+        with pytest.raises(InputDataError, match=r"X\[0\]"):
+            BusFactorEstimator().fit([record])
 
     def test_baseline_algorithm(self):
         est = BusFactorEstimator(algorithm="baseline").fit(quarter_events())
@@ -150,6 +172,12 @@ class TestParamsProtocol:
         assert params["algorithm"] == "baseline"
         clone = BusFactorEstimator(**params)
         assert clone.get_params() == params
+
+    def test_constructor_mirrors_algorithm_params(self):
+        parameters = inspect.signature(BusFactorEstimator).parameters
+        assert set(parameters) == {"algorithm", "as_of", *AlgorithmParams.field_names()}
+        for name in AlgorithmParams.field_names():
+            assert parameters[name].default == getattr(AlgorithmParams, name)
 
     def test_set_params_chains_and_applies(self):
         est = BusFactorEstimator()

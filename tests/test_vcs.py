@@ -6,7 +6,6 @@ from busfactor.gitvcs import (
     default_branch,
     diff_commit,
     emit_vcs_events,
-    ingest_repository,
     merge_diff,
     snapshot_branch,
     traverse_branch,
@@ -17,8 +16,16 @@ from busfactor.model import EventKind
 from conftest import ALICE, BOB, CAROL, day_ms
 
 
+def ingest(repo_path, branch="main"):
+    commits = traverse_branch(repo_path, branch)
+    snapshot = snapshot_branch(repo_path, branch)
+    actors = [RawActor(name=c.author_name, email=c.author_email) for c in commits]
+    identity = IdentityIndex(merge_identities(actors))
+    return emit_vcs_events(commits, identity, snapshot), snapshot, commits
+
+
 def events_of(repo, branch="main"):
-    ingestion, _, _ = ingest_repository(repo.path, branch)
+    ingestion, _, _ = ingest(repo.path, branch)
     return ingestion.events
 
 
@@ -109,7 +116,7 @@ class TestRenames:
         assert not change.content_changed
 
     def test_rename_extends_identity_without_new_knowledge(self, rename_only_repo):
-        ingestion, _, _ = ingest_repository(rename_only_repo.path, "main")
+        ingestion, _, _ = ingest(rename_only_repo.path, "main")
         assert ingestion.files["moved.txt"].rename_chain == ("keep.txt", "moved.txt")
         kinds = [(e.kind, e.engineer_id) for e in ingestion.events]
         assert kinds == [
@@ -130,7 +137,7 @@ class TestRenames:
         change = commits[1].changed_files[0]
         assert change.kind is ChangeKind.RENAMED
         assert change.rename_similarity < 100
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         bob_commits = [
             e for e in ingestion.events
             if e.kind is EventKind.COMMIT and e.engineer_id == "bob@example.com"
@@ -142,7 +149,7 @@ class TestRenames:
         repo.commit("first life", {"f.txt": "v1\n"}, author=ALICE, day=0)
         repo.commit("gone", None, author=ALICE, day=1, delete=["f.txt"])
         repo.commit("second life", {"f.txt": "v2\n"}, author=BOB, day=2)
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         fa = [e for e in ingestion.events if e.kind is EventKind.FIRST_AUTHORSHIP]
         assert len(fa) == 1
         assert fa[0].engineer_id == "bob@example.com"
@@ -153,7 +160,7 @@ class TestRenames:
         repo = mkrepo()
         repo.commit("both", {"keep.txt": "k\n", "temp.txt": "t\n"}, author=ALICE, day=0)
         repo.commit("drop temp", None, author=BOB, day=1, delete=["temp.txt"])
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         assert {e.file_path for e in ingestion.events} == {"keep.txt"}
         assert set(ingestion.files) == {"keep.txt"}
 
@@ -178,7 +185,7 @@ class TestMerges:
         merge = commits[-1]
         assert merge.is_merge
         assert merge.changed_files == ()
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         assert "carol@example.com" not in {e.engineer_id for e in ingestion.events}
 
     def test_octopus_merge_intersects_all_parents(self, mkrepo):
@@ -231,7 +238,7 @@ class TestMerges:
         assert merge.is_merge
         changed = {c.path: c.kind for c in merge.changed_files}
         assert changed == {"f.txt": ChangeKind.MODIFIED, "hotfix.txt": ChangeKind.ADDED}
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         fa = [
             e for e in ingestion.events
             if e.kind is EventKind.FIRST_AUTHORSHIP and e.file_path == "hotfix.txt"
@@ -243,7 +250,7 @@ class TestEmission:
     def test_single_commit_produces_first_authorship_plus_commit(self, mkrepo):
         repo = mkrepo()
         sha = repo.commit("seed", {"a.txt": "1\n"}, author=ALICE, day=0)
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         assert [(e.kind, e.engineer_id, e.file_path, e.timestamp_ms, e.commit_ref) for e in ingestion.events] == [
             (EventKind.FIRST_AUTHORSHIP, "alice@example.com", "a.txt", day_ms(0), sha),
             (EventKind.COMMIT, "alice@example.com", "a.txt", day_ms(0), sha),
@@ -260,14 +267,14 @@ class TestEmission:
         repo.write("f.txt", "settled\n")
         repo.git("add", "-A")
         repo.git("commit", "-q", "-m", "merge", author=ALICE, day=4)
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         fa = [e for e in ingestion.events if e.kind is EventKind.FIRST_AUTHORSHIP and e.file_path == "f.txt"]
         assert len(fa) == 1
         assert fa[0].engineer_id == "bob@example.com"
         assert fa[0].timestamp_ms == day_ms(1)
 
     def test_events_filtered_to_head_live_files(self, single_owner_repo):
-        ingestion, snapshot, _ = ingest_repository(single_owner_repo.path, "main")
+        ingestion, snapshot, _ = ingest(single_owner_repo.path, "main")
         assert {e.file_path for e in ingestion.events} <= snapshot.live_files
         assert len(snapshot.live_files) == 10
 
@@ -275,7 +282,7 @@ class TestEmission:
         repo = mkrepo()
         first = repo.commit("one", {"a.txt": "1\n"}, author=ALICE, day=0)
         second = repo.commit("two", {"a.txt": "2\n", "b.txt": "1\n"}, author=BOB, day=1)
-        ingestion, _, _ = ingest_repository(repo.path, "main")
+        ingestion, _, _ = ingest(repo.path, "main")
         assert ingestion.commit_index[first].author_id == "alice@example.com"
         assert ingestion.commit_index[first].file_paths == ("a.txt",)
         assert ingestion.commit_index[second].file_paths == ("a.txt", "b.txt")
