@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--as-of", dest="as_of", metavar="ISO8601",
-        help="analysis instant (default: head commit timestamp)",
+        help="analysis instant (default: newest commit timestamp)",
     )
     analyze.add_argument(
         "--format", choices=("json", "text"), default="json",
@@ -94,15 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_param_overrides(pairs: list[str]) -> dict:
-    valid = set(AlgorithmParams.field_names())
     overrides = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"--param expects KEY=VALUE, got {pair!r}")
-        if key not in valid:
-            raise ConfigError(f"unknown parameter {key!r} in --param")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -127,12 +124,6 @@ def load_config(config_path, overrides: dict | None = None) -> AlgorithmParams:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
-        valid = set(AlgorithmParams.field_names())
-        unknown = set(data) - valid
-        if unknown:
-            raise ConfigError(
-                f"unknown parameter(s) in config file: {', '.join(sorted(unknown))}"
-            )
         merged.update(data)
     if overrides:
         merged.update(overrides)

@@ -12,7 +12,6 @@ import logging
 import subprocess
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from .errors import RepositoryError
 from .identity import IdentityIndex
@@ -61,8 +60,6 @@ class CommitRecord:
 
 @dataclass(frozen=True)
 class BranchSnapshot:
-    branch_name: str
-    head_commit: str
     live_files: frozenset[str]
 
 
@@ -82,59 +79,56 @@ class VcsIngestion:
     commit_index: dict[str, CommitKnowledge]
 
 
-def _git(repo_path, *args: str, check: bool = True) -> str:
-    cmd = ["git", "-c", "core.quotepath=false", *args]
+def _git(repo_path, *args: str, allowed: tuple[int, ...] = ()) -> tuple[int, str]:
+    """Run one git command in the repository: its exit status and stdout.
+
+    Exit statuses other than 0 and ``allowed`` raise RepositoryError, and so
+    does output that is not UTF-8.
+    """
+    command = f"git {' '.join(args[:2])}"
     try:
         proc = subprocess.run(
-            cmd, cwd=str(repo_path), capture_output=True, text=True, encoding="utf-8",
+            ["git", "-c", "core.quotepath=false", *args],
+            cwd=str(repo_path), capture_output=True,
         )
-    except (FileNotFoundError, NotADirectoryError):
+    except FileNotFoundError:
         raise RepositoryError(f"repository path does not exist: {repo_path}") from None
-    if check and proc.returncode != 0:
-        detail = proc.stderr.strip().splitlines()
+    except NotADirectoryError:
+        raise RepositoryError(f"not a git repository: {repo_path}") from None
+    if proc.returncode not in (0, *allowed):
+        detail = proc.stderr.decode("utf-8", "replace").strip().splitlines()
         raise RepositoryError(
-            f"git {' '.join(args[:2])} failed in {repo_path}: "
-            f"{detail[0] if detail else 'unknown error'}"
+            f"{command} failed in {repo_path}: {detail[0] if detail else 'unknown error'}"
         )
-    return proc.stdout
+    try:
+        return proc.returncode, proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        near = proc.stdout[max(exc.start - 16, 0) : exc.end + 16]
+        raise RepositoryError(
+            f"{command} in {repo_path} printed bytes that are not UTF-8 near {near!r}; "
+            "file and author names must be UTF-8"
+        ) from None
 
 
-def _ensure_repo(repo_path) -> None:
-    if not Path(repo_path).exists():
-        raise RepositoryError(f"repository path does not exist: {repo_path}")
-    proc = subprocess.run(
-        ["git", "rev-parse", "--git-dir"],
-        cwd=str(repo_path), capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
+def _query(repo_path, *args: str) -> str | None:
+    """Answer of a git query, or None when git says no (exit status 1)."""
+    code, out = _git(repo_path, *args, allowed=(1, 128))
+    if code == 128:
         raise RepositoryError(f"not a git repository: {repo_path}")
+    return out.strip() if code == 0 else None
 
 
 def default_branch(repo_path) -> str:
     """The branch HEAD points at, or 'HEAD' when detached."""
-    _ensure_repo(repo_path)
-    proc = subprocess.run(
-        ["git", "symbolic-ref", "--short", "-q", "HEAD"],
-        cwd=str(repo_path), capture_output=True, text=True,
-    )
-    name = proc.stdout.strip()
-    return name if proc.returncode == 0 and name else "HEAD"
+    return _query(repo_path, "symbolic-ref", "--short", "-q", "HEAD") or "HEAD"
 
 
 def _resolve_head(repo_path, branch: str) -> str | None:
     """Head commit of the branch, or None for an unborn (empty) branch."""
-    _ensure_repo(repo_path)
-    proc = subprocess.run(
-        ["git", "rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}"],
-        cwd=str(repo_path), capture_output=True, text=True,
-    )
-    if proc.returncode == 0:
-        return proc.stdout.strip()
-    sym = subprocess.run(
-        ["git", "symbolic-ref", "-q", "HEAD"],
-        cwd=str(repo_path), capture_output=True, text=True,
-    ).stdout.strip()
-    if sym in (f"refs/heads/{branch}", branch):
+    head = _query(repo_path, "rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}")
+    if head is not None:
+        return head
+    if _query(repo_path, "symbolic-ref", "-q", "HEAD") in (f"refs/heads/{branch}", branch):
         return None
     raise RepositoryError(f"branch {branch!r} not found in {repo_path}")
 
@@ -178,14 +172,6 @@ def _parse_raw_line(line: str) -> FileChange | None:
     return None
 
 
-def _split_chunks(output: str) -> list[list[str]]:
-    chunks = []
-    for blob in output.split("\x01"):
-        if blob.strip():
-            chunks.append(blob.splitlines())
-    return chunks
-
-
 def _dfs_topological(head: str, parents_of: dict[str, tuple[str, ...]]) -> list[str]:
     """Depth-first order in which every commit follows all of its parents."""
     order: list[str] = []
@@ -206,166 +192,89 @@ def _dfs_topological(head: str, parents_of: dict[str, tuple[str, ...]]) -> list[
     return order
 
 
-def _read_metadata(repo_path, head: str) -> dict[str, CommitRecord]:
-    out = _git(
-        repo_path, "log", head,
-        "--format=%x01%H%x00%P%x00%ae%x00%an%x00%at",
-    )
-    records: dict[str, CommitRecord] = {}
-    for chunk in _split_chunks(out):
-        commit_id, parents, email, name, epoch = chunk[0].split("\x00")
-        records[commit_id] = CommitRecord(
-            id=commit_id,
-            author_email=email,
-            author_name=name,
-            timestamp_ms=int(epoch) * 1000,
-            parent_ids=tuple(parents.split()) if parents else (),
-        )
-    return records
-
-
-def _collect_plain_diffs(repo_path, head: str) -> dict[str, list[FileChange]]:
-    out = _git(
-        repo_path, "log", head, "--no-merges", "--raw", "--root",
-        f"--find-renames={RENAME_THRESHOLD}", "--format=%x01%H",
-    )
-    diffs: dict[str, list[FileChange]] = {}
-    for chunk in _split_chunks(out):
-        commit_id = chunk[0].strip()
-        diffs[commit_id] = [
-            change for line in chunk[1:] if (change := _parse_raw_line(line))
-        ]
-    return diffs
-
-
-def _intersect_parent_diffs(per_parent: list[dict[str, str]], n_parents: int) -> list[FileChange]:
+def _intersect_parent_diffs(
+    per_parent: list[list[FileChange]], n_parents: int
+) -> list[FileChange]:
     """Paths changed relative to every parent; empty when any diff is empty.
 
-    ``per_parent`` holds path -> status-code maps, one per parent whose diff
-    was non-empty (git omits empty ones, which already forces an empty
-    intersection when fewer maps than parents arrive).
+    ``per_parent`` holds the non-empty diffs against the parents (git omits
+    empty ones, which already forces an empty intersection when fewer diffs
+    than parents arrive). A rename counts as deleting its old path and adding
+    its new one: without copy or break detection, git forms a rename from
+    exactly one deleted and one added path.
     """
-    if len(per_parent) < n_parents or not per_parent:
+    if len(per_parent) < n_parents:
         return []
-    shared = set(per_parent[0])
-    for diff in per_parent[1:]:
-        shared &= set(diff)
+    kind_of: list[dict[str, ChangeKind]] = []
+    for diff in per_parent:
+        kinds = {}
+        for change in diff:
+            if change.kind is ChangeKind.RENAMED:
+                kinds[change.from_path] = ChangeKind.DELETED
+                kinds[change.path] = ChangeKind.ADDED
+            else:
+                kinds[change.path] = change.kind
+        kind_of.append(kinds)
     changes = []
-    for path in sorted(shared):
-        codes = {diff[path] for diff in per_parent}
-        if codes == {"A"}:
-            kind = ChangeKind.ADDED
-        elif codes == {"D"}:
-            kind = ChangeKind.DELETED
-        else:
-            kind = ChangeKind.MODIFIED
-        changes.append(FileChange(path, kind))
+    for path in sorted(set(kind_of[0]).intersection(*kind_of[1:])):
+        kinds = {parent[path] for parent in kind_of}
+        changes.append(FileChange(path, kinds.pop() if len(kinds) == 1 else ChangeKind.MODIFIED))
     return changes
-
-
-def _collect_merge_diffs(
-    repo_path, head: str, records: dict[str, CommitRecord]
-) -> dict[str, list[FileChange]]:
-    out = _git(
-        repo_path, "log", head, "--merges", "--diff-merges=separate",
-        "--no-renames", "--raw", "--format=%x01%H",
-    )
-    grouped: dict[str, list[dict[str, str]]] = {}
-    for chunk in _split_chunks(out):
-        commit_id = chunk[0].strip()
-        diff: dict[str, str] = {}
-        for line in chunk[1:]:
-            change = _parse_raw_line(line)
-            if change is not None:
-                diff[change.path] = {
-                    ChangeKind.ADDED: "A",
-                    ChangeKind.MODIFIED: "M",
-                    ChangeKind.DELETED: "D",
-                }[change.kind]
-        grouped.setdefault(commit_id, []).append(diff)
-
-    merged: dict[str, list[FileChange]] = {}
-    for commit_id, record in records.items():
-        if record.is_merge:
-            merged[commit_id] = _intersect_parent_diffs(
-                grouped.get(commit_id, []), len(record.parent_ids)
-            )
-    return merged
 
 
 def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
     """All commits reachable from the branch head, parents before children.
 
-    The order is a deterministic depth-first topological order; each record
-    carries its changed files (intersection-over-parents for merges, rename
-    detection for ordinary commits).
+    The order is a deterministic depth-first topological order ending with
+    the head. Each record carries its changed files: rename detection for
+    ordinary commits, the intersection over parents for merges. One
+    ``git log`` lists every commit, a merge once per parent.
     """
-    branch = branch or default_branch(repo_path)
-    head = _resolve_head(repo_path, branch)
+    head = _resolve_head(repo_path, branch or default_branch(repo_path))
     if head is None:
         return []
-    records = _read_metadata(repo_path, head)
-    plain = _collect_plain_diffs(repo_path, head)
-    merges = _collect_merge_diffs(repo_path, head, records)
-    ordered = []
-    for commit_id in _dfs_topological(head, {c: r.parent_ids for c, r in records.items()}):
-        record = records[commit_id]
-        changes = merges[commit_id] if record.is_merge else plain.get(commit_id, [])
-        ordered.append(
-            CommitRecord(
-                id=record.id,
-                author_email=record.author_email,
-                author_name=record.author_name,
-                timestamp_ms=record.timestamp_ms,
-                parent_ids=record.parent_ids,
-                changed_files=tuple(changes),
-            )
-        )
-    return ordered
-
-
-def diff_commit(repo_path, commit: CommitRecord | str) -> list[FileChange]:
-    """Changed files of a non-merge commit (root commits diff the empty tree)."""
-    commit_id = commit if isinstance(commit, str) else commit.id
-    if not isinstance(commit, str) and commit.is_merge:
-        raise ValueError("diff_commit handles commits with at most one parent; use merge_diff")
-    out = _git(
-        repo_path, "diff-tree", "-r", "--root", f"--find-renames={RENAME_THRESHOLD}",
-        "--no-commit-id", commit_id,
+    _, out = _git(
+        repo_path, "log", head, "--raw", "--root", "--diff-merges=separate",
+        f"--find-renames={RENAME_THRESHOLD}", "--format=%x01%H%x00%P%x00%ae%x00%an%x00%at",
     )
-    return [change for line in out.splitlines() if (change := _parse_raw_line(line))]
+    # commit id -> (header fields, its non-empty diffs: one per parent for merges)
+    listed: dict[str, tuple[list[str], list[list[FileChange]]]] = {}
+    for blob in out.split("\x01")[1:]:
+        header, *lines = blob.split("\n")
+        commit_id, *fields = header.split("\x00")
+        diffs = listed.setdefault(commit_id, (fields, []))[1]
+        changes = [change for line in lines if (change := _parse_raw_line(line))]
+        if changes:
+            diffs.append(changes)
+    records: dict[str, CommitRecord] = {}
+    for commit_id, ((parents, email, name, epoch), diffs) in listed.items():
+        parent_ids = tuple(parents.split())
+        if len(parent_ids) >= 2:
+            changes = _intersect_parent_diffs(diffs, len(parent_ids))
+        else:
+            changes = diffs[0] if diffs else []
+        records[commit_id] = CommitRecord(
+            id=commit_id,
+            author_email=email,
+            author_name=name,
+            timestamp_ms=int(epoch) * 1000,
+            parent_ids=parent_ids,
+            changed_files=tuple(changes),
+        )
+    order = _dfs_topological(head, {c: r.parent_ids for c, r in records.items()})
+    return [records[commit_id] for commit_id in order]
 
 
-def merge_diff(repo_path, commit: CommitRecord) -> list[FileChange]:
-    """Paths a merge commit changed relative to every one of its parents."""
-    if not commit.is_merge:
-        raise ValueError("merge_diff requires a commit with at least two parents")
-    per_parent = []
-    for parent in commit.parent_ids:
-        out = _git(repo_path, "diff-tree", "-r", "--no-renames", parent, commit.id)
-        diff: dict[str, str] = {}
-        for line in out.splitlines():
-            change = _parse_raw_line(line)
-            if change is not None:
-                diff[change.path] = {
-                    ChangeKind.ADDED: "A",
-                    ChangeKind.MODIFIED: "M",
-                    ChangeKind.DELETED: "D",
-                }[change.kind]
-        if diff:
-            per_parent.append(diff)
-    return _intersect_parent_diffs(per_parent, len(commit.parent_ids))
+def snapshot_branch(repo_path, head: str | None) -> BranchSnapshot:
+    """The file paths present at ``head``; none when the branch is unborn (None).
 
-
-def snapshot_branch(repo_path, branch: str | None = None) -> BranchSnapshot:
-    """The set of file paths present at the branch head."""
-    branch = branch or default_branch(repo_path)
-    head = _resolve_head(repo_path, branch)
+    ``head`` is the commit ``traverse_branch`` ended with, so the snapshot
+    and the history read the same commit.
+    """
     if head is None:
-        return BranchSnapshot(branch_name=branch, head_commit="", live_files=frozenset())
-    out = _git(repo_path, "ls-tree", "-r", "-z", "--name-only", head)
-    paths = frozenset(p for p in out.split("\x00") if p)
-    return BranchSnapshot(branch_name=branch, head_commit=head, live_files=paths)
+        return BranchSnapshot(live_files=frozenset())
+    _, out = _git(repo_path, "ls-tree", "-r", "-z", "--name-only", head)
+    return BranchSnapshot(live_files=frozenset(p for p in out.split("\x00") if p))
 
 
 @dataclass

@@ -79,9 +79,12 @@ def run_analysis(
 ) -> AnalysisRun:
     """Ingest every requested channel, score, and assemble the report.
 
-    ``as_of_ms`` defaults to the branch head commit's timestamp so repeated
-    runs on an unchanged repository agree byte for byte. In ``both`` mode the
-    two embedded result documents match what single-algorithm runs emit.
+    The branch head is resolved once: the snapshot lists the tree of the
+    commit the traversal ended with. ``as_of_ms`` defaults to the newest
+    commit timestamp in the history (not the head's, which a rebase or
+    cherry-pick can leave older than an ancestor), so repeated runs on an
+    unchanged repository agree byte for byte. In ``both`` mode the two
+    embedded result documents match what single-algorithm runs emit.
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise ConfigError(
@@ -93,7 +96,7 @@ def run_analysis(
     ingest_warnings: list[str] = []
     branch_name = branch or default_branch(repo_path)
     commits = traverse_branch(repo_path, branch_name)
-    snapshot = snapshot_branch(repo_path, branch_name)
+    snapshot = snapshot_branch(repo_path, commits[-1].id if commits else None)
 
     reviews = []
     if reviews_path is not None:
@@ -125,7 +128,7 @@ def run_analysis(
     events = canonical_order(events)
 
     if as_of_ms is None:
-        as_of_ms = commits[-1].timestamp_ms if commits else 0
+        as_of_ms = max((c.timestamp_ms for c in commits), default=0)
     project = Path(repo_path).resolve().name
 
     def single(algo: str) -> dict:

@@ -1,0 +1,39 @@
+"""Per-commit reference reader of git history, for oracle tests.
+
+Asks git about one commit at a time: ``git diff-tree`` against the empty tree
+or the single parent, and for a merge one rename-free ``diff-tree`` per
+parent. ``traverse_branch`` reads the whole history in one ``git log`` with
+rename detection on for merges too; these answers must match it commit for
+commit. Intentionally simple and slow.
+"""
+from busfactor.gitvcs import (
+    RENAME_THRESHOLD,
+    CommitRecord,
+    FileChange,
+    _git,
+    _intersect_parent_diffs,
+    _parse_raw_line,
+)
+
+
+def _changes(repo_path, *args: str) -> list[FileChange]:
+    _, out = _git(repo_path, "diff-tree", "-r", *args)
+    return [change for line in out.splitlines() if (change := _parse_raw_line(line))]
+
+
+def diff_commit(repo_path, commit: CommitRecord | str) -> list[FileChange]:
+    """Changed files of a non-merge commit (root commits diff the empty tree)."""
+    commit_id = commit if isinstance(commit, str) else commit.id
+    if not isinstance(commit, str) and commit.is_merge:
+        raise ValueError("diff_commit handles commits with at most one parent; use merge_diff")
+    return _changes(
+        repo_path, "--root", f"--find-renames={RENAME_THRESHOLD}", "--no-commit-id", commit_id
+    )
+
+
+def merge_diff(repo_path, commit: CommitRecord) -> list[FileChange]:
+    """Paths a merge commit changed relative to every one of its parents."""
+    if not commit.is_merge:
+        raise ValueError("merge_diff requires a commit with at least two parents")
+    per_parent = [_changes(repo_path, "--no-renames", parent, commit.id) for parent in commit.parent_ids]
+    return _intersect_parent_diffs([diff for diff in per_parent if diff], len(commit.parent_ids))

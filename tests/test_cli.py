@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -140,6 +141,15 @@ class TestAsOf:
         assert code == 1
         assert "--as-of" in err
 
+    def test_default_instant_is_the_newest_commit(self, capsys, mkrepo):
+        # after a rebase or cherry-pick an ancestor can be newer than the head
+        repo = mkrepo("rebased")
+        repo.commit("newer ancestor", {"a.txt": "a\n"}, author=ALICE, day=4)
+        repo.commit("older head", {"b.txt": "b\n"}, author=BOB, day=0)
+        report = analyze_json(capsys, repo)
+        assert report["as_of"] == "2024-01-05T00:00:00Z"
+        assert report["file_count"] == 2
+
     def test_instant_before_events_is_input_error(self, capsys, single_owner_repo):
         code, _, err = run_cli(
             capsys,
@@ -243,6 +253,23 @@ class TestExitCodes:
     def test_missing_repository(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--repo", str(tmp_path / "nowhere"))
         assert code == 3
+
+    def test_file_as_repository(self, capsys, tmp_path):
+        path = tmp_path / "plain.txt"
+        path.write_text("x\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "analyze", "--repo", str(path))
+        assert code == 3
+        assert err == f"busfactor: error: not a git repository: {path}\n"
+
+    def test_non_utf8_path_is_a_repository_error(self, capsys, mkrepo):
+        repo = mkrepo("latin1")
+        (repo.path / os.fsdecode(b"caf\xe9.txt")).write_text("x\n", encoding="utf-8")
+        repo.commit("latin-1 file name", author=ALICE, day=0)
+        code, out, err = run_cli(capsys, "analyze", "--repo", str(repo.path))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "git log" in err and "UTF-8" in err
 
     def test_malformed_reviews_file(self, capsys, tmp_path, single_owner_repo):
         path = tmp_path / "reviews.json"

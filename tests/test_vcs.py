@@ -1,19 +1,20 @@
 import pytest
 
+from busfactor import gitvcs
 from busfactor.errors import RepositoryError
 from busfactor.gitvcs import (
     ChangeKind,
     default_branch,
-    diff_commit,
     emit_vcs_events,
-    merge_diff,
     snapshot_branch,
     traverse_branch,
 )
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
 from busfactor.model import EventKind
+from busfactor.pipeline import run_analysis
 
 from conftest import ALICE, BOB, CAROL, day_ms
+from git_reference import diff_commit, merge_diff
 
 
 def ingest(repo_path, branch="main"):
@@ -27,6 +28,68 @@ def ingest(repo_path, branch="main"):
 def events_of(repo, branch="main"):
     ingestion, _, _ = ingest(repo.path, branch)
     return ingestion.events
+
+
+@pytest.fixture
+def octopus_repo(mkrepo):
+    repo = mkrepo("octopus")
+    base = "top\n\nmid\n\nbot\n"
+    repo.commit("base", {"shared.txt": base}, author=ALICE, day=0)
+    for n, region in enumerate(("TOP\n\nmid\n\nbot\n", "top\n\nMID\n\nbot\n", "top\n\nmid\n\nBOT\n")):
+        repo.git("branch", f"b{n}")
+        repo.git("checkout", "-q", f"b{n}")
+        repo.commit(f"edit {n}", {"shared.txt": region}, author=BOB, day=1)
+        repo.git("checkout", "-q", "main")
+    repo.commit("main work", {"own.txt": "m\n"}, author=ALICE, day=1)
+    repo.merge("octopus", ["b0", "b1", "b2"], author=CAROL, day=2)
+    return repo
+
+
+@pytest.fixture
+def born_in_merge_repo(mkrepo):
+    repo = mkrepo("born")
+    repo.commit("base", {"f.txt": "base\n"}, author=ALICE, day=0)
+    repo.git("checkout", "-q", "-b", "side")
+    repo.commit("side", {"f.txt": "side\n"}, author=BOB, day=1)
+    repo.git("checkout", "-q", "main")
+    repo.commit("main", {"f.txt": "main\n"}, author=ALICE, day=1)
+    repo.git("merge", "side", "-m", "merge", author=CAROL, day=2, check=False)
+    repo.write("f.txt", "settled\n")
+    repo.write("hotfix.txt", "born in the merge\n")
+    repo.git("add", "-A")
+    repo.git("commit", "-q", "-m", "merge", author=CAROL, day=2)
+    return repo
+
+
+@pytest.fixture
+def side_rename_repo(mkrepo):
+    # the side branch renames doc.txt while main edits it, and the merge
+    # itself renames keep.txt: against the main parent the merge shows two
+    # renames, against the side parent an edit and one rename
+    repo = mkrepo("side-rename")
+    body = "".join(f"line {i}\n" for i in range(30))
+    repo.commit("base", {"doc.txt": body, "keep.txt": body.upper()}, author=ALICE, day=0)
+    repo.git("checkout", "-q", "-b", "side")
+    repo.git("mv", "doc.txt", "guide.txt")
+    repo.git("commit", "-q", "-m", "rename", author=BOB, day=1)
+    repo.git("checkout", "-q", "main")
+    repo.commit("edit", {"doc.txt": "LINE 0\n" + body[7:]}, author=ALICE, day=1)
+    repo.git("merge", "-q", "--no-ff", "--no-commit", "side")
+    repo.git("mv", "keep.txt", "kept.txt")
+    repo.git("commit", "-q", "-m", "merge side", author=CAROL, day=2)
+    return repo
+
+
+@pytest.fixture
+def empty_no_ff_repo(mkrepo):
+    # the merge tree equals both parents' trees: every per-parent diff is empty
+    repo = mkrepo("empty-merge")
+    repo.commit("base", {"a.txt": "a\n"}, author=ALICE, day=0)
+    repo.git("checkout", "-q", "-b", "side")
+    repo.commit("nothing", None, author=BOB, day=1)
+    repo.git("checkout", "-q", "main")
+    repo.merge("merge nothing", ["side"], author=CAROL, day=2)
+    return repo
 
 
 class TestTraversal:
@@ -57,9 +120,15 @@ class TestTraversal:
         again = traverse_branch(merge_conflict_repo.path, "main")
         assert once == again
 
-    def test_batched_diffs_match_per_commit_oracle(self, merge_conflict_repo):
-        repo = merge_conflict_repo
-        for commit in traverse_branch(repo.path, "main"):
+    @pytest.mark.parametrize(
+        "history",
+        ["merge_conflict", "octopus", "side_rename", "empty_no_ff", "born_in_merge"],
+    )
+    def test_batched_diffs_match_per_commit_oracle(self, request, history):
+        repo = request.getfixturevalue(f"{history}_repo")
+        commits = traverse_branch(repo.path, "main")
+        assert commits[-1].is_merge
+        for commit in commits:
             if commit.is_merge:
                 oracle = merge_diff(repo.path, commit)
             else:
@@ -76,7 +145,7 @@ class TestTraversal:
     def test_unborn_branch_is_empty(self, mkrepo):
         repo = mkrepo("fresh")
         assert traverse_branch(repo.path, "main") == []
-        snap = snapshot_branch(repo.path, "main")
+        snap = snapshot_branch(repo.path, None)
         assert snap.live_files == frozenset()
 
     def test_unknown_branch_is_an_error_naming_it(self, single_owner_repo):
@@ -188,17 +257,8 @@ class TestMerges:
         ingestion, _, _ = ingest(repo.path, "main")
         assert "carol@example.com" not in {e.engineer_id for e in ingestion.events}
 
-    def test_octopus_merge_intersects_all_parents(self, mkrepo):
-        repo = mkrepo()
-        base = "top\n\nmid\n\nbot\n"
-        repo.commit("base", {"shared.txt": base}, author=ALICE, day=0)
-        for n, region in enumerate(("TOP\n\nmid\n\nbot\n", "top\n\nMID\n\nbot\n", "top\n\nmid\n\nBOT\n")):
-            repo.git("branch", f"b{n}")
-            repo.git("checkout", "-q", f"b{n}")
-            repo.commit(f"edit {n}", {"shared.txt": region}, author=BOB, day=1)
-            repo.git("checkout", "-q", "main")
-        repo.commit("main work", {"own.txt": "m\n"}, author=ALICE, day=1)
-        repo.merge("octopus", ["b0", "b1", "b2"], author=CAROL, day=2)
+    def test_octopus_merge_intersects_all_parents(self, octopus_repo):
+        repo = octopus_repo
         commits = traverse_branch(repo.path, "main")
         merge = commits[-1]
         assert len(merge.parent_ids) == 4
@@ -222,18 +282,8 @@ class TestMerges:
         assert merge.changed_files == ()
         assert merge_diff(repo.path, merge) == []
 
-    def test_file_born_in_a_merge_is_added_vs_all_parents(self, mkrepo):
-        repo = mkrepo()
-        repo.commit("base", {"f.txt": "base\n"}, author=ALICE, day=0)
-        repo.git("checkout", "-q", "-b", "side")
-        repo.commit("side", {"f.txt": "side\n"}, author=BOB, day=1)
-        repo.git("checkout", "-q", "main")
-        repo.commit("main", {"f.txt": "main\n"}, author=ALICE, day=1)
-        repo.git("merge", "side", "-m", "merge", author=CAROL, day=2, check=False)
-        repo.write("f.txt", "settled\n")
-        repo.write("hotfix.txt", "born in the merge\n")
-        repo.git("add", "-A")
-        repo.git("commit", "-q", "-m", "merge", author=CAROL, day=2)
+    def test_file_born_in_a_merge_is_added_vs_all_parents(self, born_in_merge_repo):
+        repo = born_in_merge_repo
         merge = traverse_branch(repo.path, "main")[-1]
         assert merge.is_merge
         changed = {c.path: c.kind for c in merge.changed_files}
@@ -303,3 +353,27 @@ class TestEmission:
         first = events_of(merge_conflict_repo)
         second = events_of(merge_conflict_repo)
         assert first == second
+
+
+class TestHeadResolution:
+    @pytest.mark.parametrize("branch, budget", [(None, 4), ("main", 3)])
+    def test_git_call_budget(self, monkeypatch, single_owner_repo, branch, budget):
+        calls = []
+        real_run = gitvcs.subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            calls.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(gitvcs.subprocess, "run", counting_run)
+        run_analysis(single_owner_repo.path, branch=branch)
+        assert len(calls) <= budget, calls
+        assert sum("log" in cmd for cmd in calls) == 1, calls
+
+    def test_detached_head_analyzes_the_checked_out_commit(self, quarter_owners_repo):
+        on_main = run_analysis(quarter_owners_repo.path).report
+        quarter_owners_repo.git("checkout", "-q", "--detach")
+        detached = run_analysis(quarter_owners_repo.path).report
+        assert detached["branch"] == "HEAD"
+        assert detached["bus_factor"] == on_main["bus_factor"] == 3
+        assert detached["key_engineers"] == on_main["key_engineers"]
