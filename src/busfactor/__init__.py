@@ -12,12 +12,14 @@ from .engine import (
     BusFactorResult,
     DoaTable,
     FileLedger,
+    Ledgers,
     analyze,
     authorship,
     build_ledgers,
     bus_factor,
     doa_baseline,
     doa_multimodal,
+    prepare_ledgers,
     score_table,
 )
 from .errors import (
@@ -41,7 +43,9 @@ from .model import (
     ContributionEvent,
     EventKind,
     FileKey,
+    MeetingCredit,
     canonical_order,
+    credit_events,
     decay,
     format_instant,
     parse_instant,
@@ -66,6 +70,8 @@ __all__ = [
     "FileLedger",
     "IdentityIndex",
     "InputDataError",
+    "Ledgers",
+    "MeetingCredit",
     "RawActor",
     "RepositoryError",
     "analyze",
@@ -73,6 +79,7 @@ __all__ = [
     "build_ledgers",
     "bus_factor",
     "canonical_order",
+    "credit_events",
     "decay",
     "doa_baseline",
     "doa_multimodal",
@@ -89,6 +96,7 @@ __all__ = [
     "parse_instant",
     "parse_meetings",
     "parse_reviews",
+    "prepare_ledgers",
     "read_event_log",
     "run_analysis",
     "score_table",

@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--as-of", dest="as_of", metavar="ISO8601",
-        help="analysis instant (default: newest commit timestamp)",
+        help="analysis instant (default: the newest timestamp among the commits "
+        "and the review and meeting credit kept for them)",
     )
     analyze.add_argument(
         "--format", choices=("json", "text"), default="json",

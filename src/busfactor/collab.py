@@ -2,18 +2,20 @@
 
 Both channels arrive as JSON arrays and are joined to the commit history:
 reviews attach to the exact commits they approved, meetings attach to the
-commits their attendees authored nearby in time. Each produces contribution
-events against the head-live files of those commits.
+commits their attendees authored nearby in time. Reviews produce contribution
+events against the head-live files of those commits; meetings produce one
+credit per (attendee, commit) that stands for all of them.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import InputDataError
 from .gitvcs import CommitKnowledge
 from .identity import IdentityIndex, RawActor
 from .inputs import field, load_json, warn
-from .model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind
+from .model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind, MeetingCredit
 
 
 @dataclass(frozen=True)
@@ -209,15 +211,26 @@ def emit_meeting_events(
     *,
     window_days: int = AlgorithmParams.meeting_window_days,
     warnings: list[str] | None = None,
-) -> list[ContributionEvent]:
-    """Meeting contributions for commits authored by attendees near in time.
+) -> list[MeetingCredit]:
+    """Meeting credit for commits authored by attendees near in time.
 
     A commit relates to a meeting when its author attended and the meeting
     started within the window around the commit timestamp; every attendee is
-    then credited on the commit's live files with the meeting's duration.
+    then credited once for that commit with the meeting's duration, meeting
+    by meeting in input order. The credit stands for the commit's live files
+    (``engine.build_ledgers`` folds it in); a commit without live files
+    earns none.
     """
-    window_ms = window_days * MS_PER_DAY
-    events: list[ContributionEvent] = []
+    if not meetings:
+        return []  # nothing to join: skip sorting the history
+    window_ms = window_days * int(MS_PER_DAY)
+    timeline = sorted(
+        (k.timestamp_ms, commit_id, k.author_id)
+        for commit_id, k in commit_index.items()
+        if k.file_paths
+    )
+    stamps = [ts for ts, _, _ in timeline]
+    credit: list[MeetingCredit] = []
     for meeting in meetings:
         attendee_ids: list[str] = []
         for j, actor in enumerate(meeting.participants):
@@ -227,21 +240,12 @@ def emit_meeting_events(
             if engineer is not None and engineer not in attendee_ids:
                 attendee_ids.append(engineer)
         attendees = set(attendee_ids)
-        for commit_id, knowledge in commit_index.items():
-            if knowledge.author_id not in attendees:
-                continue
-            if abs(meeting.start_ms - knowledge.timestamp_ms) > window_ms:
-                continue
-            for engineer in attendee_ids:
-                for path in knowledge.file_paths:
-                    events.append(
-                        ContributionEvent(
-                            kind=EventKind.MEETING,
-                            engineer_id=engineer,
-                            file_path=path,
-                            timestamp_ms=meeting.start_ms,
-                            magnitude=meeting.duration_minutes,
-                            commit_ref=commit_id,
-                        )
-                    )
-    return events
+        lo = bisect_left(stamps, meeting.start_ms - window_ms)
+        hi = bisect_right(stamps, meeting.start_ms + window_ms)
+        for _, commit_id, author_id in timeline[lo:hi]:
+            if author_id in attendees:
+                credit.extend(
+                    MeetingCredit(engineer, commit_id, meeting.start_ms, meeting.duration_minutes)
+                    for engineer in attendee_ids
+                )
+    return credit

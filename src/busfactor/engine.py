@@ -13,7 +13,11 @@ The baseline is the classic commit-count regression, kept for comparison:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import attrgetter
 
 from .errors import ClockSkewError, ConfigError, InputDataError
 from .inputs import warn
@@ -21,7 +25,9 @@ from .model import (
     AlgorithmParams,
     ContributionEvent,
     EventKind,
+    MeetingCredit,
     age_days,
+    credit_events,
     decay,
 )
 
@@ -59,11 +65,21 @@ class FileLedger:
         return sorted(engineers)
 
 
-def build_ledgers(events: list[ContributionEvent]) -> dict[str, FileLedger]:
-    """Group events by file, rejecting duplicate first authorships."""
-    ledgers: dict[str, FileLedger] = {}
+def build_ledgers(
+    events: list[ContributionEvent],
+    credit: Iterable[MeetingCredit] = (),
+    commit_files: dict[str, tuple[str, ...]] | None = None,
+) -> dict[str, FileLedger]:
+    """Group events by file, rejecting duplicate first authorships.
+
+    Meeting ``credit`` is folded per (engineer, commit): one bucket, sorted
+    by start time with ties in credit order, is shared by every file in
+    ``commit_files[commit]``. That is the bucket each of those files would
+    collect from the credit's MEETING events in canonical order.
+    """
+    ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     for event in events:
-        ledger = ledgers.setdefault(event.file_path, FileLedger())
+        ledger = ledgers[event.file_path]
         if event.kind is EventKind.FIRST_AUTHORSHIP:
             if ledger.first_authorship is not None:
                 raise InputDataError(
@@ -79,7 +95,13 @@ def build_ledgers(events: list[ContributionEvent]) -> dict[str, FileLedger]:
             buckets.setdefault(event.commit_ref, []).append(
                 (event.timestamp_ms, event.magnitude)
             )
-    return ledgers
+    shared: defaultdict[tuple[str, str], list[tuple[int, float]]] = defaultdict(list)
+    for c in sorted(credit, key=attrgetter("timestamp_ms")):
+        shared[c.engineer_id, c.commit_ref].append((c.timestamp_ms, c.magnitude))
+    for (engineer, ref), bucket in shared.items():
+        for path in commit_files[ref]:
+            ledgers[path].meetings.setdefault(engineer, {})[ref] = bucket
+    return dict(ledgers)
 
 
 def _decayed_sum(stamps, as_of_ms: int, decay_days: float) -> float:
@@ -90,19 +112,37 @@ def _meeting_exposure(
     buckets: dict[str, list[tuple[int, float]]],
     as_of_ms: int,
     params: AlgorithmParams,
+    weighed: dict[str, list[tuple[int, float]]],
+    capped: dict[str, float],
 ) -> float:
+    """Sum of one engineer's per-commit meeting weights, each capped at one.
+
+    ``weighed`` and ``capped`` live for one scoring pass: the engineer's
+    bucket last weighed for each commit and its capped weight. A bucket
+    that every file of its commit shares is weighed once; a file-local
+    bucket of the same commit (from plain MEETING events) is another list
+    and is weighed afresh. Only floats are stored per bucket, so the pass
+    allocates no objects for the collector to track.
+    """
     total = 0.0
     for ref in sorted(buckets):
-        weight = sum(
-            minutes * decay(age_days(ts, as_of_ms), params.decay_days)
-            for ts, minutes in buckets[ref]
-        )
-        total += min(1.0, weight / params.mte_minutes)
+        bucket = buckets[ref]
+        if weighed.get(ref) is not bucket:
+            weight = sum(
+                minutes * decay(age_days(ts, as_of_ms), params.decay_days)
+                for ts, minutes in bucket
+            )
+            weighed[ref] = bucket
+            capped[ref] = min(1.0, weight / params.mte_minutes)
+        total += capped[ref]
     return total
 
 
 def _score_file_multimodal(
-    ledger: FileLedger, as_of_ms: int, params: AlgorithmParams
+    ledger: FileLedger,
+    as_of_ms: int,
+    params: AlgorithmParams,
+    memo: dict[str, tuple[dict, dict]],
 ) -> dict[str, float]:
     engineers = ledger.participants()
     dl = {
@@ -121,7 +161,11 @@ def _score_file_multimodal(
         fa = 0.0
         if ledger.first_authorship is not None and ledger.first_authorship[1] == e:
             fa = decay(age_days(ledger.first_authorship[0], as_of_ms), params.decay_days)
-        meetings = _meeting_exposure(ledger.meetings.get(e, {}), as_of_ms, params)
+        meetings = 0.0
+        buckets = ledger.meetings.get(e)
+        if buckets:
+            weighed, capped = memo.setdefault(e, ({}, {}))
+            meetings = _meeting_exposure(buckets, as_of_ms, params, weighed, capped)
         scores[e] = (
             params.fa_weight * fa
             + params.dl_weight * dl[e]
@@ -143,7 +187,7 @@ def doa_multimodal(
     An engineer with no events on the file scores exactly 0.0: every own
     term vanishes and the crowd terms cancel.
     """
-    return _score_file_multimodal(ledger, as_of_ms, params).get(engineer_id, 0.0)
+    return _score_file_multimodal(ledger, as_of_ms, params, {}).get(engineer_id, 0.0)
 
 
 def doa_baseline(ledger: FileLedger, engineer_id: str) -> float:
@@ -195,13 +239,14 @@ def score_table(
     raw: dict[tuple[str, str], float] = {}
     file_max: dict[str, float] = {}
     file_engineers: dict[str, tuple[str, ...]] = {}
+    memo: dict[str, tuple[dict, dict]] = {}  # engineer -> _meeting_exposure's memo
     for path in sorted(ledgers):
         ledger = ledgers[path]
         engineers = ledger.participants()
         if algorithm == "baseline":
             scores = {e: doa_baseline(ledger, e) for e in engineers}
         else:
-            scores = _score_file_multimodal(ledger, as_of_ms, params)
+            scores = _score_file_multimodal(ledger, as_of_ms, params, memo)
         for e in engineers:
             raw[(e, path)] = scores[e]
         file_max[path] = max(scores.values(), default=0.0)
@@ -337,24 +382,32 @@ def bus_factor(
     )
 
 
-def analyze(
+@dataclass(frozen=True)
+class Ledgers:
+    """Checked ledgers of one event set, with the files and the instant to score."""
+
+    files: dict[str, FileLedger]
+    live_files: tuple[str, ...]
+    as_of_ms: int
+
+
+def prepare_ledgers(
     events: list[ContributionEvent],
     live_files=None,
-    params: AlgorithmParams | None = None,
     as_of_ms: int | None = None,
-    algorithm: str = "multimodal",
     *,
-    warnings: list[str] | None = None,
-) -> tuple[DoaTable, BusFactorResult]:
-    """Full pipeline from an event log to scores and a bus factor.
+    credit: Sequence[MeetingCredit] = (),
+    commit_files: dict[str, tuple[str, ...]] | None = None,
+) -> Ledgers:
+    """Check events and meeting credit, then build their ledgers once.
 
     ``live_files`` is the set of files the project currently contains;
     events must only reference those. When omitted it is inferred from the
-    events themselves. ``as_of_ms`` defaults to the newest event timestamp;
-    events newer than it are a clock-skew error.
+    events themselves. ``as_of_ms`` defaults to the newest event or credit
+    timestamp. Anything newer than it is a clock-skew error naming one
+    event: the first late one in the order given, unless a credit's MEETING
+    event sorts before it in canonical order.
     """
-    if params is None:
-        params = AlgorithmParams()
     if live_files is None:
         live_files = sorted({e.file_path for e in events})
     else:
@@ -367,29 +420,64 @@ def analyze(
                     f"a live file of the analyzed branch"
                 )
     if as_of_ms is None:
-        as_of_ms = max((e.timestamp_ms for e in events), default=0)
-    for event in events:
-        if event.timestamp_ms > as_of_ms:
-            raise ClockSkewError(
-                f"event at {event.timestamp_ms} ({event.kind.value} by "
-                f"{event.engineer_id!r} on {event.file_path!r}) is newer than "
-                f"the analysis instant {as_of_ms}; pass a later --as-of or fix "
-                f"the event timestamps"
-            )
-    if not events:
+        as_of_ms = max(
+            chain((e.timestamp_ms for e in events), (c.timestamp_ms for c in credit)),
+            default=0,
+        )
+    late = [
+        *islice((e for e in events if e.timestamp_ms > as_of_ms), 1),
+        *credit_events((c for c in credit if c.timestamp_ms > as_of_ms), commit_files),
+    ]
+    if late:
+        event = min(late, key=ContributionEvent.sort_key)
+        raise ClockSkewError(
+            f"event at {event.timestamp_ms} ({event.kind.value} by "
+            f"{event.engineer_id!r} on {event.file_path!r}) is newer than "
+            f"the analysis instant {as_of_ms}; pass a later --as-of or fix "
+            f"the event timestamps"
+        )
+    return Ledgers(
+        files=build_ledgers(events, credit, commit_files),
+        live_files=tuple(live_files),
+        as_of_ms=as_of_ms,
+    )
+
+
+def analyze(
+    events: list[ContributionEvent] | Ledgers,
+    live_files=None,
+    params: AlgorithmParams | None = None,
+    as_of_ms: int | None = None,
+    algorithm: str = "multimodal",
+    *,
+    warnings: list[str] | None = None,
+) -> tuple[DoaTable, BusFactorResult]:
+    """Full pipeline from an event log to scores and a bus factor.
+
+    ``events`` go through ``prepare_ledgers(events, live_files, as_of_ms)``
+    first. ``Ledgers`` from ``prepare_ledgers`` are scored as they are,
+    with their own live files and instant, so several algorithms can score
+    one build.
+    """
+    if params is None:
+        params = AlgorithmParams()
+    if isinstance(events, Ledgers):
+        ledgers = events
+    else:
+        ledgers = prepare_ledgers(events, live_files, as_of_ms)
+    if not ledgers.files:
         warn(warnings, "event log is empty; every score is 0 and the bus factor is 0")
 
-    ledgers = build_ledgers(events)
-    table = score_table(ledgers, as_of_ms, params, algorithm)
+    table = score_table(ledgers.files, ledgers.as_of_ms, params, algorithm)
     table = DoaTable(
         algorithm=table.algorithm,
         raw=table.raw,
         file_max=table.file_max,
         file_engineers=table.file_engineers,
         engineers=table.engineers,
-        files=tuple(live_files),
+        files=ledgers.live_files,
     )
-    result = bus_factor(table, params, file_count=len(live_files))
+    result = bus_factor(table, params, file_count=len(ledgers.live_files))
     if warnings is not None:
         warnings.extend(result.warnings)
     return table, result

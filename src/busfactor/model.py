@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError
 
@@ -104,6 +106,33 @@ def canonical_order(events) -> list[ContributionEvent]:
     return sorted(events, key=ContributionEvent.sort_key)
 
 
+class MeetingCredit(NamedTuple):
+    """One attendee's minutes in one meeting, attached to one related commit.
+
+    It stands for a MEETING event on every live file of ``commit_ref``;
+    ``credit_events`` spells those events out.
+    """
+
+    engineer_id: str
+    commit_ref: str
+    timestamp_ms: int
+    magnitude: float
+
+
+def credit_events(credit, commit_files) -> Iterator[ContributionEvent]:
+    """The MEETING events of each credit, one per live file of its commit."""
+    for c in credit:
+        for path in commit_files[c.commit_ref]:
+            yield ContributionEvent(
+                kind=EventKind.MEETING,
+                engineer_id=c.engineer_id,
+                file_path=path,
+                timestamp_ms=c.timestamp_ms,
+                magnitude=c.magnitude,
+                commit_ref=c.commit_ref,
+            )
+
+
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")
 
 
@@ -140,11 +169,17 @@ class AlgorithmParams:
                 coerce(self, name, float(value))
             except (TypeError, ValueError):
                 raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        window = self.meeting_window_days
         try:
-            coerce(self, "meeting_window_days", int(self.meeting_window_days))
+            # int() would truncate 7.9 to 7 and read True as 1
+            if isinstance(window, bool) or (
+                isinstance(window, float) and not window.is_integer()
+            ):
+                raise ValueError
+            coerce(self, "meeting_window_days", int(window))
         except (TypeError, ValueError):
             raise ConfigError(
-                f"meeting_window_days must be an integer, got {self.meeting_window_days!r}"
+                f"meeting_window_days must be an integer, got {window!r}"
             ) from None
         keywords = self.meeting_exclude_keywords
         if isinstance(keywords, str):

@@ -6,8 +6,12 @@ inputs always produce identical bytes.
 """
 from __future__ import annotations
 
+import heapq
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .collab import (
@@ -19,11 +23,18 @@ from .collab import (
     parse_meetings,
     parse_reviews,
 )
-from .engine import ALGORITHMS, analyze
+from .engine import ALGORITHMS, analyze, prepare_ledgers
 from .errors import ConfigError
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
-from .model import AlgorithmParams, ContributionEvent, canonical_order, format_instant
+from .model import (
+    AlgorithmParams,
+    ContributionEvent,
+    MeetingCredit,
+    canonical_order,
+    credit_events,
+    format_instant,
+)
 
 ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
@@ -31,7 +42,24 @@ ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 @dataclass
 class AnalysisRun:
     report: dict
-    events: list[ContributionEvent]
+    sorted_events: list[ContributionEvent]  # VCS and review events, canonical order
+    meeting_credit: list[MeetingCredit]
+    commit_files: dict[str, tuple[str, ...]]
+
+    @property
+    def events(self) -> Iterator[ContributionEvent]:
+        """Every contribution event of the run in canonical order, built lazily.
+
+        Meeting events are spelled out one start time at a time and merged
+        into the sorted VCS and review events (which sort before a MEETING
+        event of the same instant), so the whole log is never held at once.
+        """
+        by_start = sorted(self.meeting_credit, key=attrgetter("timestamp_ms"))
+        meetings = chain.from_iterable(
+            canonical_order(credit_events(group, self.commit_files))
+            for _, group in groupby(by_start, key=attrgetter("timestamp_ms"))
+        )
+        return heapq.merge(self.sorted_events, meetings, key=ContributionEvent.sort_key)
 
 
 def _report_doc(
@@ -81,10 +109,13 @@ def run_analysis(
 
     The branch head is resolved once: the snapshot lists the tree of the
     commit the traversal ended with. ``as_of_ms`` defaults to the newest
-    commit timestamp in the history (not the head's, which a rebase or
-    cherry-pick can leave older than an ancestor), so repeated runs on an
-    unchanged repository agree byte for byte. In ``both`` mode the two
-    embedded result documents match what single-algorithm runs emit.
+    timestamp among the commits in the history (not the head's, which a
+    rebase or cherry-pick can leave older than an ancestor) and the review
+    and meeting credit kept for them, so repeated runs on unchanged inputs
+    agree byte for byte. Meeting credit is folded into the ledgers once per
+    (engineer, commit), and the ledgers are built once for every algorithm.
+    In ``both`` mode the two embedded result documents match what
+    single-algorithm runs emit.
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise ConfigError(
@@ -112,35 +143,36 @@ def run_analysis(
     identity = IdentityIndex(merge_identities(actors))
 
     vcs = emit_vcs_events(commits, identity, snapshot, warnings=ingest_warnings)
-    events = list(vcs.events)
-    events.extend(
-        emit_review_events(reviews, vcs.commit_index, identity, warnings=ingest_warnings)
+    reviewed = emit_review_events(
+        reviews, vcs.commit_index, identity, warnings=ingest_warnings
     )
-    events.extend(
-        emit_meeting_events(
-            meetings,
-            vcs.commit_index,
-            identity,
-            window_days=params.meeting_window_days,
-            warnings=ingest_warnings,
-        )
+    events = canonical_order([*vcs.events, *reviewed])
+    credit = emit_meeting_events(
+        meetings,
+        vcs.commit_index,
+        identity,
+        window_days=params.meeting_window_days,
+        warnings=ingest_warnings,
     )
-    events = canonical_order(events)
+    commit_files = {ref: k.file_paths for ref, k in vcs.commit_index.items()}
 
     if as_of_ms is None:
-        as_of_ms = max((c.timestamp_ms for c in commits), default=0)
+        as_of_ms = max(
+            chain(
+                (c.timestamp_ms for c in commits),
+                (e.timestamp_ms for e in reviewed),
+                (c.timestamp_ms for c in credit),
+            ),
+            default=0,
+        )
+    ledgers = prepare_ledgers(
+        events, snapshot.live_files, as_of_ms, credit=credit, commit_files=commit_files
+    )
     project = Path(repo_path).resolve().name
 
     def single(algo: str) -> dict:
         warnings = list(ingest_warnings)
-        table, result = analyze(
-            events,
-            snapshot.live_files,
-            params,
-            as_of_ms=as_of_ms,
-            algorithm=algo,
-            warnings=warnings,
-        )
+        table, result = analyze(ledgers, params=params, algorithm=algo, warnings=warnings)
         return _report_doc(
             project, branch_name, as_of_ms, algo, table, result, params, warnings
         )
@@ -155,7 +187,9 @@ def run_analysis(
         }
     else:
         report = single(algorithm)
-    return AnalysisRun(report=report, events=events)
+    return AnalysisRun(
+        report=report, sorted_events=events, meeting_credit=credit, commit_files=commit_files
+    )
 
 
 def to_json(document: dict) -> str:

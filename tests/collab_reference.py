@@ -1,0 +1,55 @@
+"""Per-file reference meeting join, for oracle tests.
+
+Scans every commit for every meeting and spells out one MEETING event per
+(meeting, attendee, commit, live file). ``collab.emit_meeting_events`` returns
+one credit per (meeting, attendee, commit) instead and ``engine.build_ledgers``
+folds it per (engineer, commit); expanded, the two must give the same events
+and the same scores. Intentionally simple and slow.
+"""
+from busfactor.collab import _resolve_actor
+from busfactor.model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind
+
+
+def emit_meeting_events(
+    meetings,
+    commit_index,
+    identity,
+    *,
+    window_days=AlgorithmParams.meeting_window_days,
+    warnings=None,
+):
+    """Meeting events for commits authored by attendees near in time.
+
+    A commit relates to a meeting when its author attended and the meeting
+    started within the window around the commit timestamp; every attendee is
+    then credited on the commit's live files with the meeting's duration.
+    """
+    window_ms = window_days * MS_PER_DAY
+    events = []
+    for meeting in meetings:
+        attendee_ids = []
+        for j, actor in enumerate(meeting.participants):
+            engineer = _resolve_actor(
+                actor, identity, warnings, f"meeting {meeting.id!r} participant #{j}"
+            )
+            if engineer is not None and engineer not in attendee_ids:
+                attendee_ids.append(engineer)
+        attendees = set(attendee_ids)
+        for commit_id, knowledge in commit_index.items():
+            if knowledge.author_id not in attendees:
+                continue
+            if abs(meeting.start_ms - knowledge.timestamp_ms) > window_ms:
+                continue
+            for engineer in attendee_ids:
+                for path in knowledge.file_paths:
+                    events.append(
+                        ContributionEvent(
+                            kind=EventKind.MEETING,
+                            engineer_id=engineer,
+                            file_path=path,
+                            timestamp_ms=meeting.start_ms,
+                            magnitude=meeting.duration_minutes,
+                            commit_ref=commit_id,
+                        )
+                    )
+    return events

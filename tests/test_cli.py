@@ -224,6 +224,20 @@ class TestParams:
         assert code == 1
         assert "coverage_threshold" in err
 
+    @pytest.mark.parametrize("value", ["7.9", "true", "0.5", "1e400"])
+    def test_meeting_window_days_must_be_integral(self, capsys, single_owner_repo, value):
+        code, out, err = run_cli(
+            capsys,
+            "analyze",
+            "--repo",
+            str(single_owner_repo.path),
+            "--param",
+            f"meeting_window_days={value}",
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert "meeting_window_days must be an integer" in err
+
     def test_unknown_config_key(self, capsys, tmp_path, single_owner_repo):
         config = write_json(tmp_path, "config.json", {"decay_dayz": 10})
         code, _, err = run_cli(
@@ -332,8 +346,12 @@ class TestCollaborationChannels:
             ],
         )
 
-    def test_review_after_head_commit_requires_as_of(self, capsys, tmp_path, reviewed_repo):
+    def test_review_after_newest_commit_sets_default_as_of(
+        self, capsys, tmp_path, reviewed_repo
+    ):
         reviews = self.review_file(tmp_path, reviewed_repo, completed_day=730)
+        report = analyze_json(capsys, reviewed_repo, "--reviews", reviews)
+        assert report["as_of"] == format_instant(day_ms(730))
         code, _, err = run_cli(
             capsys,
             "analyze",
@@ -341,9 +359,58 @@ class TestCollaborationChannels:
             str(reviewed_repo.path),
             "--reviews",
             reviews,
+            "--as-of",
+            format_instant(day_ms(0)),
         )
         assert code == 2
         assert "--as-of" in err
+
+    def meeting_file(self, tmp_path, start_day, emails):
+        return write_json(
+            tmp_path,
+            "meetings.json",
+            [
+                {
+                    "id": "m1",
+                    "participants": [{"email": email} for email in emails],
+                    "start": day_ms(start_day),
+                    "duration_minutes": 30,
+                    "title": "design sync",
+                }
+            ],
+        )
+
+    def test_meeting_after_newest_commit_sets_default_as_of(
+        self, capsys, tmp_path, reviewed_repo
+    ):
+        meetings = self.meeting_file(tmp_path, 1, ["alice@example.com", "bob@example.com"])
+        report = analyze_json(capsys, reviewed_repo, "--meetings", meetings)
+        assert report["as_of"] == format_instant(day_ms(1))
+        assert report["file_count"] == 3
+
+    def test_late_meeting_is_named_in_canonical_order(self, capsys, tmp_path, reviewed_repo):
+        # the meeting (day 1) precedes the review (day 2); of its six events
+        # the first in canonical order is alice's on src/a.py
+        meetings = self.meeting_file(tmp_path, 1, ["bob@example.com", "alice@example.com"])
+        reviews = self.review_file(tmp_path, reviewed_repo, completed_day=2)
+        code, out, err = run_cli(
+            capsys,
+            "analyze",
+            "--repo",
+            str(reviewed_repo.path),
+            "--reviews",
+            reviews,
+            "--meetings",
+            meetings,
+            "--as-of",
+            format_instant(day_ms(0)),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"busfactor: error: event at {day_ms(1)} (meeting by 'alice@example.com' "
+            f"on 'src/a.py') is newer than the analysis instant {day_ms(0)}; "
+            "pass a later --as-of or fix the event timestamps\n"
+        )
 
     def test_stale_author_loses_to_active_reviewer(self, capsys, tmp_path, reviewed_repo):
         reviews = self.review_file(tmp_path, reviewed_repo, completed_day=730)

@@ -17,7 +17,7 @@ from busfactor.collab import (
 from busfactor.errors import InputDataError
 from busfactor.gitvcs import CommitKnowledge
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import EventKind
+from busfactor.model import EventKind, MeetingCredit, credit_events
 
 from conftest import day_ms
 
@@ -204,15 +204,26 @@ class TestReviewEvents:
         assert {e.engineer_id for e in events} == {"bob@example.com"}
 
 
+def spelled_out(credit):
+    """The per-file MEETING events that meeting credit stands for."""
+    files = {ref: k.file_paths for ref, k in commit_index().items()}
+    return list(credit_events(credit, files))
+
+
 class TestMeetingEvents:
     def test_attendee_author_links_all_participants(self):
         meetings = parse_meetings(reviews_json(MEETING))
         index = make_index(
             RawActor(email="alice@example.com"), RawActor(email="carol@example.com")
         )
-        events = emit_meeting_events(meetings, commit_index(), index)
+        credit = emit_meeting_events(meetings, commit_index(), index)
         # alice authored c1 within the window and attended; both attendees
-        # are credited on both files of c1
+        # are credited once for c1, which stands for both of its files
+        assert credit == [
+            MeetingCredit("alice@example.com", "c1", day_ms(3), 45.0),
+            MeetingCredit("carol@example.com", "c1", day_ms(3), 45.0),
+        ]
+        events = spelled_out(credit)
         expected = {
             ("alice@example.com", "src/a.py"),
             ("alice@example.com", "src/b.py"),
@@ -235,13 +246,25 @@ class TestMeetingEvents:
         events = emit_meeting_events(meetings, commit_index(), index)
         assert all(e.commit_ref != "c2" for e in events)  # bob did not attend
 
+    def test_commit_without_live_files_earns_no_credit(self):
+        index_with_gone = dict(
+            commit_index(),
+            c0=CommitKnowledge(author_id="alice@example.com", timestamp_ms=day_ms(2), file_paths=()),
+        )
+        credit = emit_meeting_events(
+            parse_meetings(reviews_json(MEETING)),
+            index_with_gone,
+            make_index(RawActor(email="alice@example.com"), RawActor(email="carol@example.com")),
+        )
+        assert {c.commit_ref for c in credit} == {"c1"}
+
     def test_window_boundary_inclusive(self):
         on_edge = dict(MEETING, start=day_ms(7))  # exactly 7 days after c1
-        events = emit_meeting_events(
+        events = spelled_out(emit_meeting_events(
             parse_meetings(reviews_json(on_edge)),
             commit_index(),
             make_index(RawActor(email="alice@example.com"), RawActor(email="carol@example.com")),
-        )
+        ))
         assert len(events) == 4
 
     def test_outside_window_excluded(self):
@@ -255,19 +278,19 @@ class TestMeetingEvents:
 
     def test_window_is_symmetric(self):
         before = dict(MEETING, start=day_ms(-6))  # six days before the commit
-        events = emit_meeting_events(
+        events = spelled_out(emit_meeting_events(
             parse_meetings(reviews_json(before)),
             commit_index(),
             make_index(RawActor(email="alice@example.com"), RawActor(email="carol@example.com")),
-        )
+        ))
         assert len(events) == 4
 
     def test_window_days_parameter(self):
         far = dict(MEETING, start=day_ms(20))
-        events = emit_meeting_events(
+        events = spelled_out(emit_meeting_events(
             parse_meetings(reviews_json(far)),
             commit_index(),
             make_index(RawActor(email="alice@example.com"), RawActor(email="carol@example.com")),
             window_days=30,
-        )
+        ))
         assert len(events) == 4

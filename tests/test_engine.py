@@ -17,7 +17,7 @@ from busfactor.engine import (
     score_table,
 )
 from busfactor.errors import ClockSkewError, ConfigError, InputDataError
-from busfactor.model import AlgorithmParams, ContributionEvent, EventKind
+from busfactor.model import AlgorithmParams, ContributionEvent, EventKind, MeetingCredit
 
 from conftest import day_ms
 from greedy_reference import make_table, naive_walk
@@ -119,6 +119,27 @@ class TestMeetingTerm:
             meetings={"m": {"c1": [(AS_OF, 600.0)], "c2": [(AS_OF, 600.0)]}}
         )
         assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(2.0, abs=1e-12)
+
+    def test_credit_folds_into_one_bucket_per_engineer_and_commit(self):
+        credit = [
+            MeetingCredit("m", "c1", AS_OF, 45.0),
+            MeetingCredit("m", "c1", AS_OF - 5, 60.0),
+            MeetingCredit("m", "c1", AS_OF, 30.0),
+        ]
+        ledgers = build_ledgers([], credit, {"c1": ("a.txt", "b.txt")})
+        bucket = ledgers["a.txt"].meetings["m"]["c1"]
+        # by start time, equal starts in credit order
+        assert bucket == [(AS_OF - 5, 60.0), (AS_OF, 45.0), (AS_OF, 30.0)]
+        assert ledgers["b.txt"].meetings["m"]["c1"] is bucket
+
+    def test_file_local_buckets_of_one_commit_scored_apart(self):
+        events = [
+            ContributionEvent(EventKind.MEETING, "m", "a.txt", AS_OF, 600.0, "c1"),
+            ContributionEvent(EventKind.MEETING, "m", "b.txt", AS_OF - HALF_LIFE_MS, 240.0, "c1"),
+        ]
+        table = score_table(build_ledgers(events), AS_OF, PARAMS)
+        assert table.raw[("m", "a.txt")] == pytest.approx(1.0, abs=1e-12)
+        assert table.raw[("m", "b.txt")] == pytest.approx(0.5, abs=1e-9)
 
     @given(
         st.lists(

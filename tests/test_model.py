@@ -148,6 +148,15 @@ class TestAlgorithmParams:
         with pytest.raises(ConfigError):
             AlgorithmParams(**overrides)
 
+    @pytest.mark.parametrize("window", [7.9, 0.5, True, False, float("inf"), float("nan")])
+    def test_meeting_window_days_is_not_truncated(self, window):
+        with pytest.raises(ConfigError, match="meeting_window_days must be an integer"):
+            AlgorithmParams(meeting_window_days=window)
+
+    def test_integral_float_window_accepted(self):
+        p = AlgorithmParams(meeting_window_days=7.0)
+        assert p.meeting_window_days == 7 and type(p.meeting_window_days) is int
+
     def test_replace_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="no_such_knob"):
             AlgorithmParams().replace(no_such_knob=1)
