@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import InputDataError
 from .gitvcs import CommitKnowledge
@@ -216,16 +217,16 @@ def emit_meeting_events(
 
     A commit relates to a meeting when its author attended and the meeting
     started within the window around the commit timestamp; every attendee is
-    then credited once for that commit with the meeting's duration, meeting
-    by meeting in input order. The credit stands for the commit's live files
-    (``engine.build_ledgers`` folds it in); a commit without live files
-    earns none.
+    then credited once for that commit with the meeting's duration. Each
+    credit carries the commit's own ``file_paths`` tuple (a commit without
+    live files earns none). The credit comes back in start order, equal
+    starts in meeting-input order; attendees resolve in input order.
     """
     if not meetings:
         return []  # nothing to join: skip sorting the history
     window_ms = window_days * int(MS_PER_DAY)
-    timeline = sorted(
-        (k.timestamp_ms, commit_id, k.author_id)
+    timeline = sorted(  # commit ids are unique, so no two knowledges are compared
+        (k.timestamp_ms, commit_id, k)
         for commit_id, k in commit_index.items()
         if k.file_paths
     )
@@ -242,10 +243,14 @@ def emit_meeting_events(
         attendees = set(attendee_ids)
         lo = bisect_left(stamps, meeting.start_ms - window_ms)
         hi = bisect_right(stamps, meeting.start_ms + window_ms)
-        for _, commit_id, author_id in timeline[lo:hi]:
-            if author_id in attendees:
+        for _, commit_id, k in timeline[lo:hi]:
+            if k.author_id in attendees:
                 credit.extend(
-                    MeetingCredit(engineer, commit_id, meeting.start_ms, meeting.duration_minutes)
+                    MeetingCredit(
+                        engineer, commit_id, meeting.start_ms,
+                        meeting.duration_minutes, k.file_paths,
+                    )
                     for engineer in attendee_ids
                 )
+    credit.sort(key=attrgetter("timestamp_ms"))
     return credit

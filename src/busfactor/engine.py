@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
-from operator import attrgetter
 
 from .errors import ClockSkewError, ConfigError, InputDataError
 from .inputs import warn
@@ -66,16 +65,14 @@ class FileLedger:
 
 
 def build_ledgers(
-    events: list[ContributionEvent],
-    credit: Iterable[MeetingCredit] = (),
-    commit_files: dict[str, tuple[str, ...]] | None = None,
+    events: list[ContributionEvent], credit: Iterable[MeetingCredit] = ()
 ) -> dict[str, FileLedger]:
     """Group events by file, rejecting duplicate first authorships.
 
-    Meeting ``credit`` is folded per (engineer, commit): one bucket, sorted
-    by start time with ties in credit order, is shared by every file in
-    ``commit_files[commit]``. That is the bucket each of those files would
-    collect from the credit's MEETING events in canonical order.
+    Meeting ``credit``, in start order, is folded per (engineer, commit):
+    one bucket in credit order is shared by every file of the credit. That
+    is the bucket each of those files would collect from the credit's
+    MEETING events in canonical order.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     for event in events:
@@ -95,12 +92,14 @@ def build_ledgers(
             buckets.setdefault(event.commit_ref, []).append(
                 (event.timestamp_ms, event.magnitude)
             )
-    shared: defaultdict[tuple[str, str], list[tuple[int, float]]] = defaultdict(list)
-    for c in sorted(credit, key=attrgetter("timestamp_ms")):
-        shared[c.engineer_id, c.commit_ref].append((c.timestamp_ms, c.magnitude))
-    for (engineer, ref), bucket in shared.items():
-        for path in commit_files[ref]:
-            ledgers[path].meetings.setdefault(engineer, {})[ref] = bucket
+    shared: dict[tuple[str, str], list[tuple[int, float]]] = {}
+    for c in credit:
+        bucket = shared.get((c.engineer_id, c.commit_ref))
+        if bucket is None:
+            bucket = shared[c.engineer_id, c.commit_ref] = []
+            for path in c.file_paths:
+                ledgers[path].meetings.setdefault(c.engineer_id, {})[c.commit_ref] = bucket
+        bucket.append((c.timestamp_ms, c.magnitude))
     return dict(ledgers)
 
 
@@ -112,29 +111,26 @@ def _meeting_exposure(
     buckets: dict[str, list[tuple[int, float]]],
     as_of_ms: int,
     params: AlgorithmParams,
-    weighed: dict[str, list[tuple[int, float]]],
-    capped: dict[str, float],
+    capped: dict[int, float],
 ) -> float:
     """Sum of one engineer's per-commit meeting weights, each capped at one.
 
-    ``weighed`` and ``capped`` live for one scoring pass: the engineer's
-    bucket last weighed for each commit and its capped weight. A bucket
-    that every file of its commit shares is weighed once; a file-local
-    bucket of the same commit (from plain MEETING events) is another list
-    and is weighed afresh. Only floats are stored per bucket, so the pass
-    allocates no objects for the collector to track.
+    ``capped`` lives for one scoring pass, while every bucket it names is
+    held by the ledgers: it maps ``id(bucket)`` to the bucket's capped
+    weight, so a bucket that every file of its commit shares is weighed
+    once. It stores no objects for the collector to track.
     """
     total = 0.0
     for ref in sorted(buckets):
         bucket = buckets[ref]
-        if weighed.get(ref) is not bucket:
-            weight = sum(
+        weight = capped.get(id(bucket))
+        if weight is None:
+            exposure = sum(
                 minutes * decay(age_days(ts, as_of_ms), params.decay_days)
                 for ts, minutes in bucket
             )
-            weighed[ref] = bucket
-            capped[ref] = min(1.0, weight / params.mte_minutes)
-        total += capped[ref]
+            weight = capped[id(bucket)] = min(1.0, exposure / params.mte_minutes)
+        total += weight
     return total
 
 
@@ -142,7 +138,7 @@ def _score_file_multimodal(
     ledger: FileLedger,
     as_of_ms: int,
     params: AlgorithmParams,
-    memo: dict[str, tuple[dict, dict]],
+    capped: dict[int, float],
 ) -> dict[str, float]:
     engineers = ledger.participants()
     dl = {
@@ -164,8 +160,7 @@ def _score_file_multimodal(
         meetings = 0.0
         buckets = ledger.meetings.get(e)
         if buckets:
-            weighed, capped = memo.setdefault(e, ({}, {}))
-            meetings = _meeting_exposure(buckets, as_of_ms, params, weighed, capped)
+            meetings = _meeting_exposure(buckets, as_of_ms, params, capped)
         scores[e] = (
             params.fa_weight * fa
             + params.dl_weight * dl[e]
@@ -239,14 +234,14 @@ def score_table(
     raw: dict[tuple[str, str], float] = {}
     file_max: dict[str, float] = {}
     file_engineers: dict[str, tuple[str, ...]] = {}
-    memo: dict[str, tuple[dict, dict]] = {}  # engineer -> _meeting_exposure's memo
+    capped: dict[int, float] = {}  # _meeting_exposure's memo
     for path in sorted(ledgers):
         ledger = ledgers[path]
         engineers = ledger.participants()
         if algorithm == "baseline":
             scores = {e: doa_baseline(ledger, e) for e in engineers}
         else:
-            scores = _score_file_multimodal(ledger, as_of_ms, params, memo)
+            scores = _score_file_multimodal(ledger, as_of_ms, params, capped)
         for e in engineers:
             raw[(e, path)] = scores[e]
         file_max[path] = max(scores.values(), default=0.0)
@@ -316,7 +311,6 @@ def _removal_order(
 def bus_factor(
     table: DoaTable,
     params: AlgorithmParams,
-    file_count: int | None = None,
     *,
     authors: dict[str, tuple[str, ...]] | None = None,
 ) -> BusFactorResult:
@@ -330,8 +324,7 @@ def bus_factor(
     """
     if authors is None:
         authors = authorship(table, params)
-    if file_count is None:
-        file_count = len(table.files)
+    file_count = len(table.files)
     result_warnings: list[str] = []
     if file_count == 0:
         result_warnings.append("no files to analyze; bus factor is 0")
@@ -397,7 +390,6 @@ def prepare_ledgers(
     as_of_ms: int | None = None,
     *,
     credit: Sequence[MeetingCredit] = (),
-    commit_files: dict[str, tuple[str, ...]] | None = None,
 ) -> Ledgers:
     """Check events and meeting credit, then build their ledgers once.
 
@@ -426,7 +418,7 @@ def prepare_ledgers(
         )
     late = [
         *islice((e for e in events if e.timestamp_ms > as_of_ms), 1),
-        *credit_events((c for c in credit if c.timestamp_ms > as_of_ms), commit_files),
+        *credit_events(c for c in credit if c.timestamp_ms > as_of_ms),
     ]
     if late:
         event = min(late, key=ContributionEvent.sort_key)
@@ -437,47 +429,29 @@ def prepare_ledgers(
             f"the event timestamps"
         )
     return Ledgers(
-        files=build_ledgers(events, credit, commit_files),
+        files=build_ledgers(events, credit),
         live_files=tuple(live_files),
         as_of_ms=as_of_ms,
     )
 
 
 def analyze(
-    events: list[ContributionEvent] | Ledgers,
-    live_files=None,
-    params: AlgorithmParams | None = None,
-    as_of_ms: int | None = None,
+    ledgers: Ledgers,
+    params: AlgorithmParams = AlgorithmParams(),
     algorithm: str = "multimodal",
     *,
     warnings: list[str] | None = None,
 ) -> tuple[DoaTable, BusFactorResult]:
-    """Full pipeline from an event log to scores and a bus factor.
+    """Scores and a bus factor for ledgers from ``prepare_ledgers``.
 
-    ``events`` go through ``prepare_ledgers(events, live_files, as_of_ms)``
-    first. ``Ledgers`` from ``prepare_ledgers`` are scored as they are,
-    with their own live files and instant, so several algorithms can score
-    one build.
+    The ledgers carry their own live files and instant, so several
+    algorithms can score one build.
     """
-    if params is None:
-        params = AlgorithmParams()
-    if isinstance(events, Ledgers):
-        ledgers = events
-    else:
-        ledgers = prepare_ledgers(events, live_files, as_of_ms)
     if not ledgers.files:
         warn(warnings, "event log is empty; every score is 0 and the bus factor is 0")
-
     table = score_table(ledgers.files, ledgers.as_of_ms, params, algorithm)
-    table = DoaTable(
-        algorithm=table.algorithm,
-        raw=table.raw,
-        file_max=table.file_max,
-        file_engineers=table.file_engineers,
-        engineers=table.engineers,
-        files=ledgers.live_files,
-    )
-    result = bus_factor(table, params, file_count=len(ledgers.live_files))
+    table = replace(table, files=ledgers.live_files)
+    result = bus_factor(table, params)
     if warnings is not None:
         warnings.extend(result.warnings)
     return table, result

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import inspect
 
-from .engine import analyze, check_algorithm
+from .engine import analyze, check_algorithm, prepare_ledgers
 from .errors import InputDataError
 from .eventlog import events_from_records
 from .model import AlgorithmParams, ContributionEvent, parse_instant
@@ -114,13 +114,8 @@ class BusFactorEstimator:
         events = check_events(X)
         algorithm = check_algorithm(self.algorithm)
         params = self._algorithm_params()
-        table, result = analyze(
-            events,
-            live_files=live_files,
-            params=params,
-            as_of_ms=self._resolve_as_of(events),
-            algorithm=algorithm,
-        )
+        ledgers = prepare_ledgers(events, live_files, self._resolve_as_of(events))
+        table, result = analyze(ledgers, params, algorithm)
         self.params_ = params
         self.doa_ = table
         self.result_ = result

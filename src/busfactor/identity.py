@@ -6,13 +6,9 @@ normalized email or a platform profile ref, transitively.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .model import Engineer
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class RawActor:
@@ -156,5 +152,4 @@ class IdentityIndex:
         eng = merge_identities([RawActor(name=name, email=email)])[0]
         self._register(eng)
         self._auto[key] = eng.id
-        log.warning("unmapped commit author %r <%s>; created engineer %s", name, email, eng.id)
         return eng.id

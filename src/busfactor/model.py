@@ -109,20 +109,21 @@ def canonical_order(events) -> list[ContributionEvent]:
 class MeetingCredit(NamedTuple):
     """One attendee's minutes in one meeting, attached to one related commit.
 
-    It stands for a MEETING event on every live file of ``commit_ref``;
-    ``credit_events`` spells those events out.
+    It stands for a MEETING event on each of ``file_paths``, the live files
+    of ``commit_ref``; ``credit_events`` spells those events out.
     """
 
     engineer_id: str
     commit_ref: str
     timestamp_ms: int
     magnitude: float
+    file_paths: tuple[str, ...]
 
 
-def credit_events(credit, commit_files) -> Iterator[ContributionEvent]:
-    """The MEETING events of each credit, one per live file of its commit."""
+def credit_events(credit) -> Iterator[ContributionEvent]:
+    """The MEETING events of each credit, one per file it stands for."""
     for c in credit:
-        for path in commit_files[c.commit_ref]:
+        for path in c.file_paths:
             yield ContributionEvent(
                 kind=EventKind.MEETING,
                 engineer_id=c.engineer_id,
@@ -134,6 +135,28 @@ def credit_events(credit, commit_files) -> Iterator[ContributionEvent]:
 
 
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")
+_FLOAT_FIELDS = (
+    "decay_days", "mte_minutes", "doa_threshold", "norm_threshold",
+    "coverage_threshold", *_WEIGHT_FIELDS,
+)
+
+
+def _number(name: str, value, integral: bool = False):
+    """``value`` as a finite float, or an int when ``integral``.
+
+    float() and int() would read True as 1, accept NaN and infinity, and
+    int() would truncate 7.9 to 7; all of these are a ConfigError.
+    """
+    try:
+        number = float(value)
+        if isinstance(value, bool) or not math.isfinite(number):
+            raise ValueError
+        if integral and not number.is_integer():
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
+    return int(number) if integral else number
 
 
 @dataclass(frozen=True)
@@ -160,27 +183,10 @@ class AlgorithmParams:
 
     def __post_init__(self) -> None:
         coerce = object.__setattr__
-        for name in (
-            "decay_days", "mte_minutes", "doa_threshold", "norm_threshold",
-            "coverage_threshold", *_WEIGHT_FIELDS,
-        ):
-            value = getattr(self, name)
-            try:
-                coerce(self, name, float(value))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name} must be a number, got {value!r}") from None
-        window = self.meeting_window_days
-        try:
-            # int() would truncate 7.9 to 7 and read True as 1
-            if isinstance(window, bool) or (
-                isinstance(window, float) and not window.is_integer()
-            ):
-                raise ValueError
-            coerce(self, "meeting_window_days", int(window))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"meeting_window_days must be an integer, got {window!r}"
-            ) from None
+        for name in _FLOAT_FIELDS:
+            coerce(self, name, _number(name, getattr(self, name)))
+        window = _number("meeting_window_days", self.meeting_window_days, integral=True)
+        coerce(self, "meeting_window_days", window)
         keywords = self.meeting_exclude_keywords
         if isinstance(keywords, str):
             raise ConfigError("meeting_exclude_keywords must be a list of strings")

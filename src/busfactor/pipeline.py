@@ -43,8 +43,7 @@ ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 class AnalysisRun:
     report: dict
     sorted_events: list[ContributionEvent]  # VCS and review events, canonical order
-    meeting_credit: list[MeetingCredit]
-    commit_files: dict[str, tuple[str, ...]]
+    meeting_credit: list[MeetingCredit]  # in start order
 
     @property
     def events(self) -> Iterator[ContributionEvent]:
@@ -54,10 +53,9 @@ class AnalysisRun:
         into the sorted VCS and review events (which sort before a MEETING
         event of the same instant), so the whole log is never held at once.
         """
-        by_start = sorted(self.meeting_credit, key=attrgetter("timestamp_ms"))
         meetings = chain.from_iterable(
-            canonical_order(credit_events(group, self.commit_files))
-            for _, group in groupby(by_start, key=attrgetter("timestamp_ms"))
+            canonical_order(credit_events(group))
+            for _, group in groupby(self.meeting_credit, key=attrgetter("timestamp_ms"))
         )
         return heapq.merge(self.sorted_events, meetings, key=ContributionEvent.sort_key)
 
@@ -154,7 +152,6 @@ def run_analysis(
         window_days=params.meeting_window_days,
         warnings=ingest_warnings,
     )
-    commit_files = {ref: k.file_paths for ref, k in vcs.commit_index.items()}
 
     if as_of_ms is None:
         as_of_ms = max(
@@ -165,9 +162,7 @@ def run_analysis(
             ),
             default=0,
         )
-    ledgers = prepare_ledgers(
-        events, snapshot.live_files, as_of_ms, credit=credit, commit_files=commit_files
-    )
+    ledgers = prepare_ledgers(events, snapshot.live_files, as_of_ms, credit=credit)
     project = Path(repo_path).resolve().name
 
     def single(algo: str) -> dict:
@@ -187,9 +182,7 @@ def run_analysis(
         }
     else:
         report = single(algorithm)
-    return AnalysisRun(
-        report=report, sorted_events=events, meeting_credit=credit, commit_files=commit_files
-    )
+    return AnalysisRun(report=report, sorted_events=events, meeting_credit=credit)
 
 
 def to_json(document: dict) -> str:

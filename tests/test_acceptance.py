@@ -173,9 +173,7 @@ def test_criterion_4_greedy_matches_naive_reference():
                 authors[path] = owners
                 for e in owners:
                     raw[(e, path)] = round(rng.uniform(1.0, 8.0), 3)
-            result = bus_factor(
-                make_table(raw, files), PARAMS, file_count=len(files), authors=authors
-            )
+            result = bus_factor(make_table(raw, files), PARAMS, authors=authors)
             removed, trace = naive_walk(authors, raw, len(files), 0.5)
             assert list(result.key_engineers) == removed
             assert list(result.coverage_trace) == trace

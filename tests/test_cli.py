@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import busfactor
 from busfactor.cli import main
 from busfactor.eventlog import read_event_log
 from busfactor.model import format_instant
@@ -238,6 +242,17 @@ class TestParams:
         assert err.count("\n") == 1
         assert "meeting_window_days must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "pair", ["decay_days=true", "fa_weight=NaN", "doa_threshold=-Infinity"]
+    )
+    def test_bool_or_non_finite_param_is_a_config_error(self, capsys, single_owner_repo, pair):
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(single_owner_repo.path), "--param", pair
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert f"{pair.split('=')[0]} must be a finite number" in err
+
     def test_unknown_config_key(self, capsys, tmp_path, single_owner_repo):
         config = write_json(tmp_path, "config.json", {"decay_dayz": 10})
         code, _, err = run_cli(
@@ -284,6 +299,23 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "git log" in err and "UTF-8" in err
+
+    def test_unmapped_commit_author_warns_once(self, mkrepo):
+        repo = mkrepo("anonymous")
+        repo.commit("add", {"a.txt": "a\n"}, author=("Nobody", ""), day=0)
+        # in a fresh interpreter, so the warnings reach stderr through logging
+        src = str(Path(busfactor.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "busfactor", "analyze", "--repo", str(repo.path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "busfactor: WARNING: author <> missing from identity map; "
+            "attributed to new engineer 'Nobody'"
+        ]
 
     def test_malformed_reviews_file(self, capsys, tmp_path, single_owner_repo):
         path = tmp_path / "reviews.json"

@@ -206,8 +206,7 @@ class TestReviewEvents:
 
 def spelled_out(credit):
     """The per-file MEETING events that meeting credit stands for."""
-    files = {ref: k.file_paths for ref, k in commit_index().items()}
-    return list(credit_events(credit, files))
+    return list(credit_events(credit))
 
 
 class TestMeetingEvents:
@@ -219,9 +218,10 @@ class TestMeetingEvents:
         credit = emit_meeting_events(meetings, commit_index(), index)
         # alice authored c1 within the window and attended; both attendees
         # are credited once for c1, which stands for both of its files
+        files = ("src/a.py", "src/b.py")
         assert credit == [
-            MeetingCredit("alice@example.com", "c1", day_ms(3), 45.0),
-            MeetingCredit("carol@example.com", "c1", day_ms(3), 45.0),
+            MeetingCredit("alice@example.com", "c1", day_ms(3), 45.0, files),
+            MeetingCredit("carol@example.com", "c1", day_ms(3), 45.0, files),
         ]
         events = spelled_out(credit)
         expected = {
@@ -235,6 +235,29 @@ class TestMeetingEvents:
         assert all(e.magnitude == 45.0 for e in events)
         assert all(e.timestamp_ms == day_ms(3) for e in events)
         assert all(e.commit_ref == "c1" for e in events)
+
+    def test_credit_in_start_order_carries_the_commits_own_files(self):
+        # meeting input order: late, then two early ones that share a start
+        meetings = parse_meetings(reviews_json(
+            dict(MEETING, id="late", start=day_ms(5)),
+            dict(MEETING, id="early-1", start=day_ms(1), duration_minutes=10),
+            dict(MEETING, id="early-2", start=day_ms(1), duration_minutes=20,
+                 participants=[{"email": "carol@example.com"}, {"email": "alice@example.com"}]),
+        ))
+        index = commit_index()
+        identity = make_index(
+            RawActor(email="alice@example.com"), RawActor(email="carol@example.com")
+        )
+        credit = emit_meeting_events(meetings, index, identity)
+        assert [(c.timestamp_ms, c.magnitude, c.engineer_id) for c in credit] == [
+            (day_ms(1), 10.0, "alice@example.com"),
+            (day_ms(1), 10.0, "carol@example.com"),
+            (day_ms(1), 20.0, "carol@example.com"),
+            (day_ms(1), 20.0, "alice@example.com"),
+            (day_ms(5), 45.0, "alice@example.com"),
+            (day_ms(5), 45.0, "carol@example.com"),
+        ]
+        assert all(c.file_paths is index[c.commit_ref].file_paths for c in credit)
 
     def test_commit_by_absent_author_not_linked(self):
         meetings = parse_meetings(reviews_json(MEETING))

@@ -14,6 +14,7 @@ from busfactor.engine import (
     bus_factor,
     doa_baseline,
     doa_multimodal,
+    prepare_ledgers,
     score_table,
 )
 from busfactor.errors import ClockSkewError, ConfigError, InputDataError
@@ -121,14 +122,15 @@ class TestMeetingTerm:
         assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(2.0, abs=1e-12)
 
     def test_credit_folds_into_one_bucket_per_engineer_and_commit(self):
+        files = ("a.txt", "b.txt")
         credit = [
-            MeetingCredit("m", "c1", AS_OF, 45.0),
-            MeetingCredit("m", "c1", AS_OF - 5, 60.0),
-            MeetingCredit("m", "c1", AS_OF, 30.0),
+            MeetingCredit("m", "c1", AS_OF - 5, 60.0, files),
+            MeetingCredit("m", "c1", AS_OF, 45.0, files),
+            MeetingCredit("m", "c1", AS_OF, 30.0, files),
         ]
-        ledgers = build_ledgers([], credit, {"c1": ("a.txt", "b.txt")})
+        ledgers = build_ledgers([], credit)
         bucket = ledgers["a.txt"].meetings["m"]["c1"]
-        # by start time, equal starts in credit order
+        # in credit order, which emit_meeting_events gives in start order
         assert bucket == [(AS_OF - 5, 60.0), (AS_OF, 45.0), (AS_OF, 30.0)]
         assert ledgers["b.txt"].meetings["m"]["c1"] is bucket
 
@@ -405,9 +407,7 @@ class TestGreedyWalk:
                 authors[f] = owners
                 for e in owners:
                     raw[(e, f)] = round(rng.uniform(1.0, 8.0), 3)
-            result = bus_factor(
-                make_table(raw, files), PARAMS, file_count=len(files), authors=authors
-            )
+            result = bus_factor(make_table(raw, files), PARAMS, authors=authors)
             removed, trace = naive_walk(authors, raw, len(files), 0.5)
             assert list(result.key_engineers) == removed
             assert list(result.coverage_trace) == trace
@@ -418,7 +418,7 @@ class TestGreedyWalk:
 class TestAnalyze:
     def test_empty_event_log(self):
         warnings: list[str] = []
-        table, result = analyze([], live_files=["a.txt"], warnings=warnings)
+        table, result = analyze(prepare_ledgers([], ["a.txt"]), warnings=warnings)
         assert result.bus_factor == 0
         assert result.file_count == 1
         assert table.files == ("a.txt",)
@@ -427,19 +427,19 @@ class TestAnalyze:
     def test_event_for_dead_file_rejected(self):
         events = [ContributionEvent(EventKind.COMMIT, "a", "ghost.txt", day_ms(0))]
         with pytest.raises(InputDataError, match="ghost.txt"):
-            analyze(events, live_files=["real.txt"])
+            prepare_ledgers(events, ["real.txt"])
 
     def test_event_newer_than_as_of_is_clock_skew(self):
         events = [ContributionEvent(EventKind.COMMIT, "a", "f.txt", day_ms(10))]
         with pytest.raises(ClockSkewError, match="as-of|as_of|instant"):
-            analyze(events, live_files=["f.txt"], as_of_ms=day_ms(5))
+            prepare_ledgers(events, ["f.txt"], day_ms(5))
 
     def test_as_of_defaults_to_newest_event(self):
         events = [
             ContributionEvent(EventKind.FIRST_AUTHORSHIP, "a", "f.txt", day_ms(0)),
             ContributionEvent(EventKind.COMMIT, "a", "f.txt", day_ms(0)),
         ]
-        table, _ = analyze(events, live_files=["f.txt"])
+        table, _ = analyze(prepare_ledgers(events, ["f.txt"]))
         assert table.raw_score("a", "f.txt") == pytest.approx(4.0 + 2.4 * math.log(2), abs=1e-9)
 
     def test_duplicate_first_authorship_rejected(self):
@@ -448,14 +448,14 @@ class TestAnalyze:
             ContributionEvent(EventKind.FIRST_AUTHORSHIP, "b", "f.txt", day_ms(1)),
         ]
         with pytest.raises(InputDataError, match="first_authorship"):
-            analyze(events, live_files=["f.txt"])
+            prepare_ledgers(events, ["f.txt"])
 
     def test_live_files_without_events_count_in_denominator(self):
         events = [
             ContributionEvent(EventKind.FIRST_AUTHORSHIP, "a", "f.txt", day_ms(0)),
             ContributionEvent(EventKind.COMMIT, "a", "f.txt", day_ms(0)),
         ]
-        table, result = analyze(events, live_files=["f.txt", "silent.txt"])
+        table, result = analyze(prepare_ledgers(events, ["f.txt", "silent.txt"]))
         assert result.file_count == 2
         assert result.initially_uncovered == 1
         # initial coverage 0.5 meets the threshold, so the walk removes a

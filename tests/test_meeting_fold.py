@@ -106,18 +106,18 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
         records, commit_index, identity, window_days=window_days
     )
     credit = emit_meeting_events(records, commit_index, identity, window_days=window_days)
-    commit_files = {ref: k.file_paths for ref, k in commit_index.items()}
     plain = vcs_events(commit_index)
     everything = canonical_order(plain + reference)
 
-    run = AnalysisRun(report={}, sorted_events=plain, meeting_credit=credit, commit_files=commit_files)
+    run = AnalysisRun(report={}, sorted_events=plain, meeting_credit=credit)
     assert list(run.events) == everything
 
     as_of = None if as_of_step is None else instant(as_of_step)
-    expected = scored(lambda algo: analyze(everything, FILES, PARAMS, as_of, algo))
+    expected = scored(
+        lambda algo: analyze(prepare_ledgers(everything, FILES, as_of), PARAMS, algo)
+    )
+    folded = scored(
+        lambda algo: analyze(prepare_ledgers(plain, FILES, as_of, credit=credit), PARAMS, algo)
+    )
 
-    def folded(algo):
-        ledgers = prepare_ledgers(plain, FILES, as_of, credit=credit, commit_files=commit_files)
-        return analyze(ledgers, params=PARAMS, algorithm=algo)
-
-    assert scored(folded) == expected
+    assert folded == expected

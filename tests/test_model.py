@@ -153,6 +153,17 @@ class TestAlgorithmParams:
         with pytest.raises(ConfigError, match="meeting_window_days must be an integer"):
             AlgorithmParams(meeting_window_days=window)
 
+    # meeting_window_days takes the same values in the test above
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in AlgorithmParams.field_names()
+         if n not in ("meeting_window_days", "meeting_exclude_keywords")],
+    )
+    def test_float_fields_reject_bools_and_non_finite_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got "):
+            AlgorithmParams(**{name: value})
+
     def test_integral_float_window_accepted(self):
         p = AlgorithmParams(meeting_window_days=7.0)
         assert p.meeting_window_days == 7 and type(p.meeting_window_days) is int
