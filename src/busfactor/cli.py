@@ -156,7 +156,7 @@ def _run_analyze(args) -> int:
         as_of_ms=as_of_ms,
     )
     if args.dump_events:
-        write_event_log(run.events, args.dump_events)
+        write_event_log(run.rows, args.dump_events)
     if args.format == "text":
         _write_output(render_text(run.report), args.output)
     else:

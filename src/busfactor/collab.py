@@ -8,6 +8,7 @@ credit per (attendee, commit) that stands for all of them.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -94,8 +95,15 @@ def parse_meetings(source) -> list[MeetingRecord]:
             raise InputDataError(f"{where}: entries must be objects")
         participants = field(obj, "participants", list, where)
         duration = field(obj, "duration_minutes", (int, float), where)
-        if duration <= 0:
-            raise InputDataError(f"{where}: field 'duration_minutes' must be positive")
+        try:
+            minutes = float(duration)
+        except OverflowError:  # an int too large for a float
+            minutes = math.inf
+        # json reads NaN, Infinity and 1e999 as floats that are not finite
+        if not 0 < minutes < math.inf:
+            raise InputDataError(
+                f"{where}: field 'duration_minutes' must be a positive finite number"
+            )
         records.append(
             MeetingRecord(
                 id=field(obj, "id", str, where),
@@ -104,7 +112,7 @@ def parse_meetings(source) -> list[MeetingRecord]:
                     for j, p in enumerate(participants)
                 ),
                 start_ms=field(obj, "start", int, where),
-                duration_minutes=float(duration),
+                duration_minutes=minutes,
                 title=field(obj, "title", str, where),
             )
         )

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -19,26 +21,37 @@ from .model import ContributionEvent, EventKind
 FIELDS = ("kind", "engineer_id", "file_path", "timestamp_ms", "magnitude", "commit_ref")
 
 
-def event_to_record(event: ContributionEvent) -> dict:
-    return {
-        "kind": event.kind.value,
-        "engineer_id": event.engineer_id,
-        "file_path": event.file_path,
-        "timestamp_ms": event.timestamp_ms,
-        "magnitude": event.magnitude,
-        "commit_ref": event.commit_ref,
-    }
+class _Quoted(dict):
+    """JSON literals of the strings written so far; ids and paths repeat."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = encode_basestring_ascii(text)
+        return literal
 
 
-def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | Path) -> None:
-    """Write events one record per line, in the order given."""
+def write_event_log(
+    events: Iterable[ContributionEvent | tuple], sink: IO[str] | str | Path
+) -> None:
+    """Write events one record per line, in the order given.
+
+    Each item is a ``ContributionEvent`` or its ``row()``, as
+    ``AnalysisRun.rows`` yields them. A line has the bytes ``json.dumps``
+    gives the record with compact separators: strings ASCII-escaped, and
+    numbers as ``repr`` prints them, which is how json prints an int or a
+    finite float.
+    """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_event_log(events, fh)
         return
-    for event in events:
-        sink.write(json.dumps(event_to_record(event), separators=(",", ":")))
-        sink.write("\n")
+    q = _Quoted()
+    rows = (row if isinstance(row, tuple) else row.row() for row in events)
+    while chunk := list(islice(rows, 4096)):  # one write per few thousand lines
+        sink.write("".join([
+            f'{{"kind":{q[kind]},"engineer_id":{q[engineer]},"file_path":{q[path]},'
+            f'"timestamp_ms":{timestamp_ms!r},"magnitude":{magnitude!r},"commit_ref":{q[ref]}}}\n'
+            for timestamp_ms, _, engineer, path, ref, kind, magnitude in chunk
+        ]))
 
 
 def event_from_record(record, where: str) -> ContributionEvent:
@@ -59,7 +72,7 @@ def event_from_record(record, where: str) -> ContributionEvent:
             magnitude=float(field(record, "magnitude", (int, float), where)),
             commit_ref=field(record, "commit_ref", str, where),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputDataError(f"{where}: field 'magnitude' invalid: {exc}") from None
 
 

@@ -86,9 +86,8 @@ class ContributionEvent:
 
     def __post_init__(self) -> None:
         if self.kind is EventKind.MEETING:
-            if not self.magnitude > 0:
-                raise ValueError("magnitude must be > 0 for meeting events")
-        elif self.magnitude != 1.0:
+            _check_meeting_minutes(self.magnitude)
+        elif self.magnitude != 1.0 or isinstance(self.magnitude, bool):
             raise ValueError(f"magnitude must be 1.0 for {self.kind.value} events")
 
     def sort_key(self) -> tuple:
@@ -98,6 +97,25 @@ class ContributionEvent:
             self.engineer_id,
             self.file_path,
             self.commit_ref,
+        )
+
+    def row(self) -> tuple:
+        """The event as a plain tuple, its ``sort_key()`` first:
+        ``(timestamp_ms, kind rank, engineer_id, file_path, commit_ref, kind, magnitude)``.
+        """
+        return (*self.sort_key(), self.kind, self.magnitude)
+
+    @classmethod
+    def from_row(cls, row: tuple) -> "ContributionEvent":
+        timestamp_ms, _, engineer_id, file_path, commit_ref, kind, magnitude = row
+        return cls(kind, engineer_id, file_path, timestamp_ms, magnitude, commit_ref)
+
+
+def _check_meeting_minutes(minutes) -> None:
+    """Reject meeting minutes that are a bool or not a finite number > 0."""
+    if isinstance(minutes, bool) or not 0 < minutes < math.inf:
+        raise ValueError(
+            f"magnitude must be a finite number > 0 for meeting events, got {minutes!r}"
         )
 
 
@@ -110,7 +128,8 @@ class MeetingCredit(NamedTuple):
     """One attendee's minutes in one meeting, attached to one related commit.
 
     It stands for a MEETING event on each of ``file_paths``, the live files
-    of ``commit_ref``; ``credit_events`` spells those events out.
+    of ``commit_ref``; ``credit_rows`` and ``credit_events`` spell those
+    events out.
     """
 
     engineer_id: str
@@ -120,18 +139,21 @@ class MeetingCredit(NamedTuple):
     file_paths: tuple[str, ...]
 
 
+_MEETING_RANK = KIND_ORDER[EventKind.MEETING]
+
+
+def credit_rows(credit) -> Iterator[tuple]:
+    """The MEETING event ``row()`` of each credit, one per file it stands for."""
+    meeting, rank = EventKind.MEETING, _MEETING_RANK
+    for engineer, ref, timestamp_ms, minutes, paths in credit:
+        _check_meeting_minutes(minutes)
+        for path in paths:
+            yield (timestamp_ms, rank, engineer, path, ref, meeting, minutes)
+
+
 def credit_events(credit) -> Iterator[ContributionEvent]:
     """The MEETING events of each credit, one per file it stands for."""
-    for c in credit:
-        for path in c.file_paths:
-            yield ContributionEvent(
-                kind=EventKind.MEETING,
-                engineer_id=c.engineer_id,
-                file_path=path,
-                timestamp_ms=c.timestamp_ms,
-                magnitude=c.magnitude,
-                commit_ref=c.commit_ref,
-            )
+    return map(ContributionEvent.from_row, credit_rows(credit))
 
 
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")
@@ -188,9 +210,13 @@ class AlgorithmParams:
         window = _number("meeting_window_days", self.meeting_window_days, integral=True)
         coerce(self, "meeting_window_days", window)
         keywords = self.meeting_exclude_keywords
-        if isinstance(keywords, str):
-            raise ConfigError("meeting_exclude_keywords must be a list of strings")
-        coerce(self, "meeting_exclude_keywords", tuple(str(k).lower() for k in keywords))
+        if not isinstance(keywords, (list, tuple)) or not all(
+            isinstance(k, str) for k in keywords
+        ):
+            raise ConfigError(
+                f"meeting_exclude_keywords must be a list of strings, got {keywords!r}"
+            )
+        coerce(self, "meeting_exclude_keywords", tuple(k.lower() for k in keywords))
         self._validate()
 
     def _validate(self) -> None:

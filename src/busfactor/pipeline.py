@@ -11,7 +11,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .collab import (
@@ -32,11 +32,16 @@ from .model import (
     ContributionEvent,
     MeetingCredit,
     canonical_order,
-    credit_events,
+    credit_rows,
     format_instant,
 )
 
 ALGORITHM_CHOICES = (*ALGORITHMS, "both")
+
+
+# within one start time, canonical order is (engineer, file, commit): the key
+# stops there so that meetings tied on all of it keep their input order
+_WITHIN_START = itemgetter(2, 3, 4)
 
 
 @dataclass
@@ -46,18 +51,26 @@ class AnalysisRun:
     meeting_credit: list[MeetingCredit]  # in start order
 
     @property
-    def events(self) -> Iterator[ContributionEvent]:
-        """Every contribution event of the run in canonical order, built lazily.
+    def rows(self) -> Iterator[tuple]:
+        """Every contribution event of the run as its ``row()``, in canonical
+        order, built lazily.
 
-        Meeting events are spelled out one start time at a time and merged
-        into the sorted VCS and review events (which sort before a MEETING
-        event of the same instant), so the whole log is never held at once.
+        Meeting rows are spelled out one start time at a time and merged into
+        the rows of the sorted VCS and review events. A row starts with its
+        sort key, so the merge compares plain tuples; rows of different kinds
+        differ in their second field, so no comparison reaches past the key.
+        The whole log is never held at once.
         """
         meetings = chain.from_iterable(
-            canonical_order(credit_events(group))
+            sorted(credit_rows(group), key=_WITHIN_START)
             for _, group in groupby(self.meeting_credit, key=attrgetter("timestamp_ms"))
         )
-        return heapq.merge(self.sorted_events, meetings, key=ContributionEvent.sort_key)
+        return heapq.merge(map(ContributionEvent.row, self.sorted_events), meetings)
+
+    @property
+    def events(self) -> Iterator[ContributionEvent]:
+        """Every contribution event of the run in canonical order, built lazily."""
+        return map(ContributionEvent.from_row, self.rows)
 
 
 def _report_doc(

@@ -253,6 +253,23 @@ class TestParams:
         assert err.count("\n") == 1
         assert f"{pair.split('=')[0]} must be a finite number" in err
 
+    @pytest.mark.parametrize("value", ["5", "[1, null]"])
+    @pytest.mark.parametrize("via", ["--param", "--config"])
+    def test_keywords_must_be_a_list_of_strings(
+        self, capsys, tmp_path, single_owner_repo, via, value
+    ):
+        if via == "--param":
+            flag = f"meeting_exclude_keywords={value}"
+        else:
+            flag = str(tmp_path / "config.json")
+            Path(flag).write_text(f'{{"meeting_exclude_keywords": {value}}}', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(single_owner_repo.path), via, flag
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert "meeting_exclude_keywords must be a list of strings" in err
+
     def test_unknown_config_key(self, capsys, tmp_path, single_owner_repo):
         config = write_json(tmp_path, "config.json", {"decay_dayz": 10})
         code, _, err = run_cli(
@@ -410,6 +427,25 @@ class TestCollaborationChannels:
                     "title": "design sync",
                 }
             ],
+        )
+
+    @pytest.mark.parametrize("dump", [False, True])
+    @pytest.mark.parametrize("duration", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_meeting_duration_is_an_input_error(
+        self, capsys, tmp_path, reviewed_repo, duration, dump
+    ):
+        meetings = Path(self.meeting_file(tmp_path, 1, ["alice@example.com"]))
+        meetings.write_text(
+            meetings.read_text().replace('"duration_minutes": 30', f'"duration_minutes": {duration}')
+        )
+        extra = ["--dump-events", str(tmp_path / "events.jsonl")] if dump else []
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(reviewed_repo.path), "--meetings", str(meetings), *extra
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "busfactor: error: meeting #0: field 'duration_minutes' must be a positive "
+            "finite number\n"
         )
 
     def test_meeting_after_newest_commit_sets_default_as_of(

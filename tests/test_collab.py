@@ -96,6 +96,17 @@ class TestParsing:
         with pytest.raises(InputDataError, match="duration_minutes"):
             parse_meetings(reviews_json(broken))
 
+    # json reads the first three as floats that are not finite; the last is
+    # an int too large for a float
+    @pytest.mark.parametrize(
+        "duration", ["NaN", "Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "infinity", "overflow", "huge-int"],
+    )
+    def test_meeting_duration_must_be_finite(self, duration):
+        text = json.dumps([MEETING, dict(MEETING, duration_minutes="?")])
+        with pytest.raises(InputDataError, match=r"^meeting #1: .*'duration_minutes'.*finite"):
+            parse_meetings(io.StringIO(text.replace('"?"', duration)))
+
     def test_collect_actors_gathers_both_channels(self):
         reviews = parse_reviews(reviews_json(REVIEW))
         meetings = parse_meetings(reviews_json(MEETING))

@@ -2,10 +2,13 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import eventlog_reference
 from busfactor.errors import InputDataError
-from busfactor.eventlog import FIELDS, event_to_record, read_event_log, write_event_log
-from busfactor.model import ContributionEvent, EventKind
+from busfactor.eventlog import FIELDS, read_event_log, write_event_log
+from busfactor.model import ContributionEvent, EventKind, canonical_order
+from eventlog_reference import event_to_record
 
 from conftest import day_ms
 
@@ -89,6 +92,18 @@ class TestValidation:
         with pytest.raises(InputDataError, match="magnitude"):
             read_event_log(io.StringIO(json.dumps(record)))
 
+    # json reads the first three as floats that are not finite; the last is
+    # an int too large for a float
+    @pytest.mark.parametrize(
+        "magnitude", ["NaN", "Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "infinity", "overflow", "huge-int"],
+    )
+    def test_meeting_magnitude_must_be_finite(self, magnitude):
+        record = event_to_record(sample_events()[3])
+        text = json.dumps(record).replace('"magnitude": 45.0', f'"magnitude": {magnitude}')
+        with pytest.raises(InputDataError, match="line 1: field 'magnitude' invalid"):
+            read_event_log(io.StringIO(text))
+
     def test_second_first_authorship_for_same_file_rejected(self):
         first = event_to_record(sample_events()[0])
         text = json.dumps(first) + "\n" + json.dumps(first) + "\n"
@@ -100,3 +115,52 @@ class TestValidation:
         bad = '{"kind": "commit"}'
         with pytest.raises(InputDataError, match="line 3"):
             read_event_log(io.StringIO(f"{good}\n{good}\n{bad}\n"))
+
+
+# Characters json escapes (quote, backslash, controls), ASCII-escapes (non-ASCII,
+# astral as a surrogate pair, U+2028) or prints as is, and a few whole strings
+# drawn often enough that records tie on their whole sort key.
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", "\U0001f600", "\u2028", "/"])
+names = st.one_of(
+    st.sampled_from(["a@x.io", "src/a.py", "c1"]),
+    st.text(st.one_of(TRICKY, st.characters(codec="utf-8")), max_size=6),
+)
+minutes = st.one_of(
+    st.sampled_from([0.1, 1e-7, 1e16, 45.0, 45, 30.5]),
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    st.integers(min_value=1),
+)
+
+
+@st.composite
+def events_st(draw):
+    kind = draw(st.sampled_from(EventKind))
+    return ContributionEvent(
+        kind=kind,
+        engineer_id=draw(names),
+        file_path=draw(names),
+        timestamp_ms=draw(st.sampled_from([0, day_ms(0)]) | st.integers()),
+        magnitude=draw(minutes) if kind is EventKind.MEETING else 1.0,
+        commit_ref=draw(names),
+    )
+
+
+def tie(minutes_a, minutes_b):
+    return [
+        ContributionEvent(EventKind.MEETING, "a@x.io", "src/a.py", day_ms(1), minutes, "c1")
+        for minutes in (minutes_a, minutes_b)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(events_st(), max_size=12))
+@example(tie(45.0, 45) + tie(1e16, 1e-7))
+@example([ContributionEvent(EventKind.COMMIT, "\u2028\U0001f600", '"\\', -1, commit_ref="\x00é")])
+def test_writer_bytes_equal_the_reference(events):
+    events = canonical_order(events)
+    expected = io.StringIO()
+    eventlog_reference.write_event_log(events, expected)
+    for items in (events, [e.row() for e in events]):
+        sink = io.StringIO()
+        write_event_log(items, sink)
+        assert sink.getvalue() == expected.getvalue()

@@ -2,21 +2,34 @@
 
 ``collab.emit_meeting_events`` returns one credit per (meeting, attendee,
 commit) and ``engine.build_ledgers`` folds it per (engineer, commit). Spelled
-out, that must be exactly the reference's events, and scoring must give
-exactly the reference's floats, authors, walk and clock-skew message.
+out, that must be exactly the reference's events, written as the reference
+writer in eventlog_reference.py writes them, and scoring must give exactly
+the reference's floats, authors, walk and clock-skew message.
 """
-from hypothesis import given, settings, strategies as st
+import io
+import json
+
+from hypothesis import example, given, settings, strategies as st
 
 import collab_reference
-from busfactor.collab import MeetingRecord, emit_meeting_events
+import eventlog_reference
+from busfactor.cli import main
+from busfactor.collab import (
+    MeetingRecord,
+    collect_actors,
+    emit_meeting_events,
+    filter_meetings,
+    parse_meetings,
+)
 from busfactor.engine import ALGORITHMS, analyze, prepare_ledgers
 from busfactor.errors import ClockSkewError
-from busfactor.gitvcs import CommitKnowledge
+from busfactor.eventlog import write_event_log
+from busfactor.gitvcs import CommitKnowledge, emit_vcs_events, snapshot_branch, traverse_branch
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
 from busfactor.model import AlgorithmParams, ContributionEvent, EventKind, canonical_order
 from busfactor.pipeline import AnalysisRun
 
-from conftest import day_ms
+from conftest import ALICE, BOB, day_ms
 
 # the first two resolve to one engineer through their shared profile
 ACTORS = (
@@ -81,6 +94,12 @@ def scored(run):
         return str(exc)
 
 
+def reference_dump(events) -> str:
+    sink = io.StringIO()
+    eventlog_reference.write_event_log(events, sink)
+    return sink.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     commits_st,
@@ -88,6 +107,9 @@ def scored(run):
     st.sampled_from([0, 1, 2]),
     st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
 )
+# two meetings at one start, same attendee and commit, different minutes: tied
+# on the whole sort key, their events keep the meetings' input order
+@example([(ACTORS[2], 2, ["f0.txt", "f1.txt"])], [([ACTORS[2]], 2, 60.0), ([ACTORS[2]], 2, 15.0)], 0, None)
 def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_step):
     identity = IdentityIndex(merge_identities(ACTORS))
     commit_index = {
@@ -111,6 +133,9 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
 
     run = AnalysisRun(report={}, sorted_events=plain, meeting_credit=credit)
     assert list(run.events) == everything
+    dump = io.StringIO()
+    write_event_log(run.rows, dump)
+    assert dump.getvalue() == reference_dump(everything)
 
     as_of = None if as_of_step is None else instant(as_of_step)
     expected = scored(
@@ -121,3 +146,37 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
     )
 
     assert folded == expected
+
+
+def test_cli_dump_equals_reference_writer_over_reference_events(tmp_path, mkrepo):
+    repo = mkrepo()
+    repo.commit("a", {"a.txt": "a\n", "b.txt": "b\n"}, author=ALICE, day=0)
+    repo.commit("b", {"b.txt": "b2\n", "c.txt": "c\n"}, author=BOB, day=1)
+    repo.commit("d", {"d.txt": "d\n"}, author=ALICE, day=2)
+    people = [{"email": ALICE[1]}, {"email": BOB[1]}, {"email": "carol@example.com"}]
+    meetings_path = tmp_path / "meetings.json"
+    meetings_path.write_text(json.dumps([
+        # tied on the whole sort key of each of their events but the minutes
+        {"id": "m1", "participants": people[:2], "start": day_ms(1),
+         "duration_minutes": 30, "title": "sync"},
+        {"id": "m2", "participants": people[:2], "start": day_ms(1),
+         "duration_minutes": 45.5, "title": "sync"},
+        {"id": "m3", "participants": people[::-1], "start": day_ms(2),
+         "duration_minutes": 60, "title": "design"},
+        {"id": "m4", "participants": people, "start": day_ms(2),
+         "duration_minutes": 90, "title": "reading group"},
+    ]), encoding="utf-8")
+    dump = tmp_path / "events.jsonl"
+    argv = ["analyze", "--repo", str(repo.path), "--meetings", str(meetings_path),
+            "--algorithm", "both", "--dump-events", str(dump), "--output", str(tmp_path / "r")]
+    assert main(argv) == 0
+
+    commits = traverse_branch(repo.path, "main")
+    meetings = filter_meetings(parse_meetings(meetings_path))
+    actors = [RawActor(c.author_name, c.author_email) for c in commits]
+    identity = IdentityIndex(merge_identities(actors + collect_actors([], meetings)))
+    vcs = emit_vcs_events(commits, identity, snapshot_branch(repo.path, commits[-1].id))
+    reference = collab_reference.emit_meeting_events(meetings, vcs.commit_index, identity)
+    expected = canonical_order([*vcs.events, *reference])
+    assert [e.magnitude for e in expected if e.timestamp_ms == day_ms(1)][-4:] == [30, 45.5] * 2
+    assert dump.read_text(encoding="utf-8") == reference_dump(expected)

@@ -81,6 +81,16 @@ class TestContributionEvent:
         with pytest.raises(ValueError):
             ContributionEvent(EventKind.COMMIT, "a", "f", day_ms(0), magnitude=2.0)
 
+    @pytest.mark.parametrize("minutes", [float("inf"), float("nan"), True])
+    def test_meeting_magnitude_is_a_finite_number(self, minutes):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            ContributionEvent(EventKind.MEETING, "a", "f", day_ms(0), magnitude=minutes)
+
+    def test_row_starts_with_the_sort_key_and_round_trips(self):
+        event = ContributionEvent(EventKind.MEETING, "a", "f", day_ms(1), 30.5, "c1")
+        assert event.row() == (*event.sort_key(), EventKind.MEETING, 30.5)
+        assert ContributionEvent.from_row(event.row()) == event
+
     def test_canonical_order_is_time_kind_engineer_file(self):
         ts = day_ms(1)
         meeting = ContributionEvent(EventKind.MEETING, "a", "f", ts, magnitude=30)
@@ -142,6 +152,9 @@ class TestAlgorithmParams:
             {"meeting_window_days": -1},
             {"decay_days": "soon"},
             {"meeting_exclude_keywords": "standup"},
+            {"meeting_exclude_keywords": 5},
+            {"meeting_exclude_keywords": [1, None]},
+            {"meeting_exclude_keywords": {"standup"}},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
