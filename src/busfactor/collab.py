@@ -4,7 +4,7 @@ Both channels arrive as JSON arrays and are joined to the commit history:
 reviews attach to the exact commits they approved, meetings attach to the
 commits their attendees authored nearby in time. Reviews produce contribution
 events against the head-live files of those commits; meetings produce one
-credit per (attendee, commit) that stands for all of them.
+credit per (meeting, commit) match that stands for all of its events.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from operator import attrgetter
 from .errors import InputDataError
 from .gitvcs import CommitKnowledge
 from .identity import IdentityIndex, RawActor
-from .inputs import field, load_json, warn
+from .inputs import field, instant, load_json, warn
 from .model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind, MeetingCredit
 
 
@@ -79,7 +79,7 @@ def parse_reviews(source) -> list[ReviewRecord]:
                     _parse_actor(r, f"{where} reviewer #{j}") for j, r in enumerate(reviewers)
                 ),
                 commit_ids=tuple(commit_ids),
-                completed_at_ms=field(obj, "completed_at", int, where),
+                completed_at_ms=instant(obj, "completed_at", where),
                 state=field(obj, "state", str, where),
             )
         )
@@ -111,7 +111,7 @@ def parse_meetings(source) -> list[MeetingRecord]:
                     _parse_actor(p, f"{where} participant #{j}")
                     for j, p in enumerate(participants)
                 ),
-                start_ms=field(obj, "start", int, where),
+                start_ms=instant(obj, "start", where),
                 duration_minutes=minutes,
                 title=field(obj, "title", str, where),
             )
@@ -167,6 +167,12 @@ def _resolve_actor(
     return None
 
 
+def _resolve_ids(actors, identity: IdentityIndex, warnings, where: str) -> tuple[str, ...]:
+    """The engineer ids of ``actors``, deduplicated in input order."""
+    ids = (_resolve_actor(a, identity, warnings, f"{where} #{j}") for j, a in enumerate(actors))
+    return tuple(dict.fromkeys(e for e in ids if e is not None))
+
+
 def emit_review_events(
     reviews: list[ReviewRecord],
     commit_index: dict[str, CommitKnowledge],
@@ -181,13 +187,9 @@ def emit_review_events(
     """
     events: list[ContributionEvent] = []
     for review in reviews:
-        reviewer_ids: list[str] = []
-        for j, actor in enumerate(review.reviewers):
-            engineer = _resolve_actor(
-                actor, identity, warnings, f"review {review.id!r} reviewer #{j}"
-            )
-            if engineer is not None and engineer not in reviewer_ids:
-                reviewer_ids.append(engineer)
+        reviewer_ids = _resolve_ids(
+            review.reviewers, identity, warnings, f"review {review.id!r} reviewer"
+        )
         for commit_id in dict.fromkeys(review.commit_ids):
             knowledge = commit_index.get(commit_id)
             if knowledge is None:
@@ -224,11 +226,11 @@ def emit_meeting_events(
     """Meeting credit for commits authored by attendees near in time.
 
     A commit relates to a meeting when its author attended and the meeting
-    started within the window around the commit timestamp; every attendee is
-    then credited once for that commit with the meeting's duration. Each
-    credit carries the commit's own ``file_paths`` tuple (a commit without
-    live files earns none). The credit comes back in start order, equal
-    starts in meeting-input order; attendees resolve in input order.
+    started within the window around the commit timestamp; the match is one
+    credit of the meeting's duration to every attendee. Each credit carries
+    the meeting's deduplicated ``attendees`` in input order and the commit's
+    own ``file_paths`` tuple (a commit without live files earns none). The
+    credit comes back in start order, equal starts in meeting-input order.
     """
     if not meetings:
         return []  # nothing to join: skip sorting the history
@@ -241,24 +243,19 @@ def emit_meeting_events(
     stamps = [ts for ts, _, _ in timeline]
     credit: list[MeetingCredit] = []
     for meeting in meetings:
-        attendee_ids: list[str] = []
-        for j, actor in enumerate(meeting.participants):
-            engineer = _resolve_actor(
-                actor, identity, warnings, f"meeting {meeting.id!r} participant #{j}"
-            )
-            if engineer is not None and engineer not in attendee_ids:
-                attendee_ids.append(engineer)
-        attendees = set(attendee_ids)
+        attendees = _resolve_ids(
+            meeting.participants, identity, warnings, f"meeting {meeting.id!r} participant"
+        )
+        authors = set(attendees)
         lo = bisect_left(stamps, meeting.start_ms - window_ms)
         hi = bisect_right(stamps, meeting.start_ms + window_ms)
-        for _, commit_id, k in timeline[lo:hi]:
-            if k.author_id in attendees:
-                credit.extend(
-                    MeetingCredit(
-                        engineer, commit_id, meeting.start_ms,
-                        meeting.duration_minutes, k.file_paths,
-                    )
-                    for engineer in attendee_ids
-                )
+        credit.extend(
+            MeetingCredit(
+                attendees, commit_id, meeting.start_ms,
+                meeting.duration_minutes, k.file_paths,
+            )
+            for _, commit_id, k in timeline[lo:hi]
+            if k.author_id in authors
+        )
     credit.sort(key=attrgetter("timestamp_ms"))
     return credit

@@ -69,10 +69,10 @@ def build_ledgers(
 ) -> dict[str, FileLedger]:
     """Group events by file, rejecting duplicate first authorships.
 
-    Meeting ``credit``, in start order, is folded per (engineer, commit):
-    one bucket in credit order is shared by every file of the credit. That
-    is the bucket each of those files would collect from the credit's
-    MEETING events in canonical order.
+    Meeting ``credit``, in start order, is folded per (attendee, commit): the
+    attendees of a credit share its one ``(start, minutes)`` entry, and every
+    file of a commit shares its bucket, the bucket each of those files would
+    collect from the credit's MEETING events in canonical order.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     for event in events:
@@ -92,14 +92,16 @@ def build_ledgers(
             buckets.setdefault(event.commit_ref, []).append(
                 (event.timestamp_ms, event.magnitude)
             )
-    shared: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for c in credit:
-        bucket = shared.get((c.engineer_id, c.commit_ref))
-        if bucket is None:
-            bucket = shared[c.engineer_id, c.commit_ref] = []
-            for path in c.file_paths:
-                ledgers[path].meetings.setdefault(c.engineer_id, {})[c.commit_ref] = bucket
-        bucket.append((c.timestamp_ms, c.magnitude))
+    shared: defaultdict[str, dict[str, list]] = defaultdict(dict)  # commit -> engineer
+    for attendees, ref, timestamp_ms, minutes, paths in credit:
+        entry, buckets = (timestamp_ms, minutes), shared[ref]
+        for engineer in attendees:
+            bucket = buckets.get(engineer)
+            if bucket is None:
+                bucket = buckets[engineer] = []
+                for path in paths:
+                    ledgers[path].meetings.setdefault(engineer, {})[ref] = bucket
+            bucket.append(entry)
     return dict(ledgers)
 
 
@@ -107,38 +109,37 @@ def _decayed_sum(stamps, as_of_ms: int, decay_days: float) -> float:
     return sum(decay(age_days(ts, as_of_ms), decay_days) for ts in stamps)
 
 
-def _meeting_exposure(
-    buckets: dict[str, list[tuple[int, float]]],
-    as_of_ms: int,
-    params: AlgorithmParams,
-    capped: dict[int, float],
-) -> float:
-    """Sum of one engineer's per-commit meeting weights, each capped at one.
+class _MeetingWeights(dict):
+    """One scoring pass's memo of meeting starts -> ``decay`` of their age, so
+    ``decay`` and its clock-skew check run once per start. ``capped`` maps
+    ``id(bucket)`` of a bucket the ledgers hold to its capped weight, so a
+    bucket every file of its commit shares is weighed once. Neither stores
+    objects for the collector to track."""
 
-    ``capped`` lives for one scoring pass, while every bucket it names is
-    held by the ledgers: it maps ``id(bucket)`` to the bucket's capped
-    weight, so a bucket that every file of its commit shares is weighed
-    once. It stores no objects for the collector to track.
-    """
-    total = 0.0
-    for ref in sorted(buckets):
-        bucket = buckets[ref]
-        weight = capped.get(id(bucket))
-        if weight is None:
-            exposure = sum(
-                minutes * decay(age_days(ts, as_of_ms), params.decay_days)
-                for ts, minutes in bucket
-            )
-            weight = capped[id(bucket)] = min(1.0, exposure / params.mte_minutes)
-        total += weight
-    return total
+    def __init__(self, as_of_ms: int, params: AlgorithmParams) -> None:
+        self.as_of_ms, self.params, self.capped = as_of_ms, params, {}
+
+    def __missing__(self, ts: int) -> float:
+        return self.setdefault(ts, decay(age_days(ts, self.as_of_ms), self.params.decay_days))
+
+    def exposure(self, buckets: dict[str, list[tuple[int, float]]]) -> float:
+        """Sum of one engineer's per-commit meeting weights, each capped at one."""
+        total = 0.0
+        for ref in sorted(buckets):
+            bucket = buckets[ref]
+            weight = self.capped.get(id(bucket))
+            if weight is None:
+                exposure = sum(minutes * self[ts] for ts, minutes in bucket)
+                weight = self.capped[id(bucket)] = min(1.0, exposure / self.params.mte_minutes)
+            total += weight
+        return total
 
 
 def _score_file_multimodal(
     ledger: FileLedger,
     as_of_ms: int,
     params: AlgorithmParams,
-    capped: dict[int, float],
+    meeting_weights: _MeetingWeights,
 ) -> dict[str, float]:
     engineers = ledger.participants()
     dl = {
@@ -160,7 +161,7 @@ def _score_file_multimodal(
         meetings = 0.0
         buckets = ledger.meetings.get(e)
         if buckets:
-            meetings = _meeting_exposure(buckets, as_of_ms, params, capped)
+            meetings = meeting_weights.exposure(buckets)
         scores[e] = (
             params.fa_weight * fa
             + params.dl_weight * dl[e]
@@ -182,7 +183,8 @@ def doa_multimodal(
     An engineer with no events on the file scores exactly 0.0: every own
     term vanishes and the crowd terms cancel.
     """
-    return _score_file_multimodal(ledger, as_of_ms, params, {}).get(engineer_id, 0.0)
+    weights = _MeetingWeights(as_of_ms, params)
+    return _score_file_multimodal(ledger, as_of_ms, params, weights).get(engineer_id, 0.0)
 
 
 def doa_baseline(ledger: FileLedger, engineer_id: str) -> float:
@@ -234,14 +236,14 @@ def score_table(
     raw: dict[tuple[str, str], float] = {}
     file_max: dict[str, float] = {}
     file_engineers: dict[str, tuple[str, ...]] = {}
-    capped: dict[int, float] = {}  # _meeting_exposure's memo
+    meeting_weights = _MeetingWeights(as_of_ms, params)
     for path in sorted(ledgers):
         ledger = ledgers[path]
         engineers = ledger.participants()
         if algorithm == "baseline":
             scores = {e: doa_baseline(ledger, e) for e in engineers}
         else:
-            scores = _score_file_multimodal(ledger, as_of_ms, params, capped)
+            scores = _score_file_multimodal(ledger, as_of_ms, params, meeting_weights)
         for e in engineers:
             raw[(e, path)] = scores[e]
         file_max[path] = max(scores.values(), default=0.0)

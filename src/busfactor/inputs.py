@@ -11,6 +11,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .errors import InputDataError
+from .model import INSTANT_RANGE_MS
 
 log = logging.getLogger(__name__)
 
@@ -22,6 +23,14 @@ def field(obj: Mapping, name: str, types, where: str):
     value = obj[name]
     if not isinstance(value, types) or isinstance(value, bool):
         raise InputDataError(f"{where}: field {name!r} has wrong type")
+    return value
+
+
+def instant(obj: Mapping, name: str, where: str) -> int:
+    """The value of a required int field, an instant that a report can print."""
+    value = field(obj, name, int, where)
+    if value not in INSTANT_RANGE_MS:
+        raise InputDataError(f"{where}: field {name!r} must be an instant in the years 1-9999 UTC")
     return value
 
 

@@ -10,13 +10,15 @@ import dataclasses
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError
 
 MS_PER_DAY = 86_400_000.0
+#: Epoch milliseconds of the years 1-9999 UTC: the instants a report can print.
+INSTANT_RANGE_MS = range(-62_135_596_800_000, 253_402_300_800_000)
 
 
 class EventKind(str, Enum):
@@ -125,14 +127,14 @@ def canonical_order(events) -> list[ContributionEvent]:
 
 
 class MeetingCredit(NamedTuple):
-    """One attendee's minutes in one meeting, attached to one related commit.
+    """One meeting's minutes for its ``attendees``, attached to one related commit.
 
-    It stands for a MEETING event on each of ``file_paths``, the live files
-    of ``commit_ref``; ``credit_rows`` and ``credit_events`` spell those
-    events out.
+    It stands for a MEETING event of each attendee on each of ``file_paths``,
+    the live files of ``commit_ref``; ``credit_rows`` and ``credit_events``
+    spell those events out.
     """
 
-    engineer_id: str
+    attendees: tuple[str, ...]
     commit_ref: str
     timestamp_ms: int
     magnitude: float
@@ -143,16 +145,17 @@ _MEETING_RANK = KIND_ORDER[EventKind.MEETING]
 
 
 def credit_rows(credit) -> Iterator[tuple]:
-    """The MEETING event ``row()`` of each credit, one per file it stands for."""
+    """The MEETING event ``row()`` of each credit, one per attendee and file."""
     meeting, rank = EventKind.MEETING, _MEETING_RANK
-    for engineer, ref, timestamp_ms, minutes, paths in credit:
+    for attendees, ref, timestamp_ms, minutes, paths in credit:
         _check_meeting_minutes(minutes)
-        for path in paths:
-            yield (timestamp_ms, rank, engineer, path, ref, meeting, minutes)
+        for engineer in attendees:
+            for path in paths:
+                yield (timestamp_ms, rank, engineer, path, ref, meeting, minutes)
 
 
 def credit_events(credit) -> Iterator[ContributionEvent]:
-    """The MEETING events of each credit, one per file it stands for."""
+    """The MEETING events of each credit, one per attendee and file."""
     return map(ContributionEvent.from_row, credit_rows(credit))
 
 
@@ -216,6 +219,8 @@ class AlgorithmParams:
             raise ConfigError(
                 f"meeting_exclude_keywords must be a list of strings, got {keywords!r}"
             )
+        if "" in keywords:
+            raise ConfigError("meeting_exclude_keywords must not hold '', which every title contains")
         coerce(self, "meeting_exclude_keywords", tuple(k.lower() for k in keywords))
         self._validate()
 
@@ -279,12 +284,15 @@ def parse_instant(text: str) -> int:
         raise ValueError(f"not an ISO-8601 instant: {text!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return round(dt.timestamp() * 1000)
+    instant = round(dt.timestamp() * 1000)
+    if instant not in INSTANT_RANGE_MS:
+        raise ValueError(f"instant {text!r} is outside the years 1-9999 UTC")
+    return instant
 
 
 def format_instant(timestamp_ms: int) -> str:
     """Render epoch milliseconds as an ISO-8601 UTC instant."""
-    dt = datetime.fromtimestamp(timestamp_ms / 1000, tz=timezone.utc)
+    dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=timestamp_ms)
     if timestamp_ms % 1000:
         return dt.isoformat(timespec="milliseconds").replace("+00:00", "Z")
     return dt.isoformat(timespec="seconds").replace("+00:00", "Z")

@@ -124,7 +124,7 @@ def run_analysis(
     rebase or cherry-pick can leave older than an ancestor) and the review
     and meeting credit kept for them, so repeated runs on unchanged inputs
     agree byte for byte. Meeting credit is folded into the ledgers once per
-    (engineer, commit), and the ledgers are built once for every algorithm.
+    (attendee, commit), and the ledgers are built once for every algorithm.
     In ``both`` mode the two embedded result documents match what
     single-algorithm runs emit.
     """

@@ -2,8 +2,8 @@
 
 Scans every commit for every meeting and spells out one MEETING event per
 (meeting, attendee, commit, live file). ``collab.emit_meeting_events`` returns
-one credit per (meeting, attendee, commit) instead and ``engine.build_ledgers``
-folds it per (engineer, commit); expanded, the two must give the same events
+one credit per (meeting, commit) match instead and ``engine.build_ledgers``
+folds it per (attendee, commit); expanded, the two must give the same events
 and the same scores. Intentionally simple and slow.
 """
 from busfactor.collab import _resolve_actor

@@ -9,7 +9,7 @@ import pytest
 import busfactor
 from busfactor.cli import main
 from busfactor.eventlog import read_event_log
-from busfactor.model import format_instant
+from busfactor.model import AlgorithmParams, format_instant
 
 from conftest import ALICE, BOB, day_ms
 
@@ -44,6 +44,26 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def set_first(path, name, value):
+    """Set field ``name`` of the first record of a JSON array file."""
+    records = json.loads(Path(path).read_text(encoding="utf-8"))
+    records[0][name] = value
+    Path(path).write_text(json.dumps(records), encoding="utf-8")
+
+
+# every AlgorithmParams field with each value no field accepts
+BAD_CONFIG_VALUES = [
+    pytest.param(name, value, id=f"{name}={json.dumps(value)}")
+    for name in AlgorithmParams.field_names()
+    for value in (True, None, {}, "NaN", "inf", [1], [])
+    # an empty list is a valid keyword list: it excludes no meeting
+    if (name, value) != ("meeting_exclude_keywords", [])
+]
+
+FIRST_MS_OF_YEAR_1 = -62_135_596_800_000
+FIRST_MS_OF_YEAR_10000 = 253_402_300_800_000
 
 
 class TestAnalyzeReport:
@@ -166,6 +186,18 @@ class TestAsOf:
         assert code == 2
         assert "as-of" in err or "as_of" in err
 
+    @pytest.mark.parametrize("text", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+00:01"])
+    def test_instant_outside_years_1_to_9999_is_a_usage_error(
+        self, capsys, single_owner_repo, text
+    ):
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(single_owner_repo.path), "--as-of", text
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"busfactor: error: --as-of: instant {text!r} is outside the years 1-9999 UTC\n"
+        )
+
 
 class TestParams:
     def test_param_overrides_config_file(self, capsys, tmp_path, single_owner_repo):
@@ -269,6 +301,34 @@ class TestParams:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert "meeting_exclude_keywords must be a list of strings" in err
+
+    @pytest.mark.parametrize("via", ["--param", "--config"])
+    def test_empty_keyword_is_a_config_error(self, capsys, tmp_path, single_owner_repo, via):
+        # "" is in every title, so it would silently drop every meeting
+        if via == "--param":
+            flag = 'meeting_exclude_keywords=["standup", ""]'
+        else:
+            flag = write_json(tmp_path, "config.json", {"meeting_exclude_keywords": [""]})
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(single_owner_repo.path), via, flag
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "busfactor: error: meeting_exclude_keywords must not hold '', "
+            "which every title contains\n"
+        )
+
+    @pytest.mark.parametrize(("name", "value"), BAD_CONFIG_VALUES)
+    def test_bad_config_value_is_a_one_line_config_error(
+        self, capsys, tmp_path, single_owner_repo, name, value
+    ):
+        config = write_json(tmp_path, "config.json", {name: value})
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(single_owner_repo.path), "--config", config
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"busfactor: error: {name} ")
 
     def test_unknown_config_key(self, capsys, tmp_path, single_owner_repo):
         config = write_json(tmp_path, "config.json", {"decay_dayz": 10})
@@ -447,6 +507,39 @@ class TestCollaborationChannels:
             "busfactor: error: meeting #0: field 'duration_minutes' must be a positive "
             "finite number\n"
         )
+
+    @pytest.mark.parametrize(
+        "instant", [FIRST_MS_OF_YEAR_1 - 1, FIRST_MS_OF_YEAR_10000, 10**20]
+    )
+    @pytest.mark.parametrize("channel", ["review", "meeting"])
+    def test_instant_outside_years_1_to_9999_is_an_input_error(
+        self, capsys, tmp_path, reviewed_repo, channel, instant
+    ):
+        if channel == "review":
+            path, name = self.review_file(tmp_path, reviewed_repo, 0), "completed_at"
+        else:
+            path, name = self.meeting_file(tmp_path, 0, ["alice@example.com"]), "start"
+        set_first(path, name, instant)
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(reviewed_repo.path), f"--{channel}s", path
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"busfactor: error: {channel} #0: field {name!r} must be an instant "
+            "in the years 1-9999 UTC\n"
+        )
+
+    def test_instants_at_both_ends_of_the_range_are_kept(self, capsys, tmp_path, reviewed_repo):
+        reviews = self.review_file(tmp_path, reviewed_repo, 0)
+        set_first(reviews, "completed_at", FIRST_MS_OF_YEAR_10000 - 1)
+        meetings = self.meeting_file(tmp_path, 0, ["alice@example.com"])
+        set_first(meetings, "start", FIRST_MS_OF_YEAR_1)
+        report = analyze_json(
+            capsys, reviewed_repo, "--reviews", reviews, "--meetings", meetings
+        )
+        # the review is the newest instant; rendered to the millisecond
+        assert report["as_of"] == "9999-12-31T23:59:59.999Z"
+        assert report["file_count"] == 3
 
     def test_meeting_after_newest_commit_sets_default_as_of(
         self, capsys, tmp_path, reviewed_repo

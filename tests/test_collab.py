@@ -227,13 +227,11 @@ class TestMeetingEvents:
             RawActor(email="alice@example.com"), RawActor(email="carol@example.com")
         )
         credit = emit_meeting_events(meetings, commit_index(), index)
-        # alice authored c1 within the window and attended; both attendees
-        # are credited once for c1, which stands for both of its files
+        # alice authored c1 within the window and attended; the one match
+        # credits both attendees for c1, which stands for both of its files
         files = ("src/a.py", "src/b.py")
-        assert credit == [
-            MeetingCredit("alice@example.com", "c1", day_ms(3), 45.0, files),
-            MeetingCredit("carol@example.com", "c1", day_ms(3), 45.0, files),
-        ]
+        attendees = ("alice@example.com", "carol@example.com")
+        assert credit == [MeetingCredit(attendees, "c1", day_ms(3), 45.0, files)]
         events = spelled_out(credit)
         expected = {
             ("alice@example.com", "src/a.py"),
@@ -260,15 +258,25 @@ class TestMeetingEvents:
             RawActor(email="alice@example.com"), RawActor(email="carol@example.com")
         )
         credit = emit_meeting_events(meetings, index, identity)
-        assert [(c.timestamp_ms, c.magnitude, c.engineer_id) for c in credit] == [
-            (day_ms(1), 10.0, "alice@example.com"),
-            (day_ms(1), 10.0, "carol@example.com"),
-            (day_ms(1), 20.0, "carol@example.com"),
-            (day_ms(1), 20.0, "alice@example.com"),
-            (day_ms(5), 45.0, "alice@example.com"),
-            (day_ms(5), 45.0, "carol@example.com"),
+        assert [(c.timestamp_ms, c.magnitude, c.attendees) for c in credit] == [
+            (day_ms(1), 10.0, ("alice@example.com", "carol@example.com")),
+            (day_ms(1), 20.0, ("carol@example.com", "alice@example.com")),
+            (day_ms(5), 45.0, ("alice@example.com", "carol@example.com")),
         ]
         assert all(c.file_paths is index[c.commit_ref].file_paths for c in credit)
+
+    def test_one_match_is_one_credit_whatever_the_attendee_count(self):
+        people = [{"email": f"p{i}@example.com"} for i in range(6)]
+        meetings = parse_meetings(reviews_json(
+            dict(MEETING, participants=[{"email": "alice@example.com"}, *people, people[0]]),
+        ))
+        identity = make_index(RawActor(email="alice@example.com"))
+        credit = emit_meeting_events(meetings, commit_index(), identity)
+        assert len(credit) == 1  # one match: alice's c1
+        assert credit[0].attendees == (
+            "alice@example.com", *(p["email"] for p in people)
+        )  # deduplicated, in input order
+        assert len(spelled_out(credit)) == 7 * 2  # attendees x c1's files
 
     def test_commit_by_absent_author_not_linked(self):
         meetings = parse_meetings(reviews_json(MEETING))

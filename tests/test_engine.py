@@ -124,15 +124,35 @@ class TestMeetingTerm:
     def test_credit_folds_into_one_bucket_per_engineer_and_commit(self):
         files = ("a.txt", "b.txt")
         credit = [
-            MeetingCredit("m", "c1", AS_OF - 5, 60.0, files),
-            MeetingCredit("m", "c1", AS_OF, 45.0, files),
-            MeetingCredit("m", "c1", AS_OF, 30.0, files),
+            MeetingCredit(("m",), "c1", AS_OF - 5, 60.0, files),
+            MeetingCredit(("m",), "c1", AS_OF, 45.0, files),
+            MeetingCredit(("m",), "c1", AS_OF, 30.0, files),
         ]
         ledgers = build_ledgers([], credit)
         bucket = ledgers["a.txt"].meetings["m"]["c1"]
         # in credit order, which emit_meeting_events gives in start order
         assert bucket == [(AS_OF - 5, 60.0), (AS_OF, 45.0), (AS_OF, 30.0)]
         assert ledgers["b.txt"].meetings["m"]["c1"] is bucket
+
+    def test_attendees_of_one_credit_share_its_entry(self):
+        files = ("a.txt", "b.txt")
+        credit = [
+            MeetingCredit(("m", "n"), "c1", AS_OF - 5, 60.0, files),
+            MeetingCredit(("n",), "c1", AS_OF, 45.0, files),
+            MeetingCredit(("n", "m"), "c2", AS_OF, 30.0, ("b.txt",)),
+        ]
+        ledgers = build_ledgers([], credit)
+        m, n = ledgers["a.txt"].meetings["m"], ledgers["a.txt"].meetings["n"]
+        assert m == {"c1": [(AS_OF - 5, 60.0)]}
+        assert n == {"c1": [(AS_OF - 5, 60.0), (AS_OF, 45.0)]}
+        assert m["c1"][0] is n["c1"][0]
+        assert ledgers["b.txt"].meetings["m"] == {"c1": m["c1"], "c2": [(AS_OF, 30.0)]}
+        assert ledgers["b.txt"].meetings["n"]["c1"] is n["c1"]
+        assert ledgers["b.txt"].meetings["n"]["c2"] == [(AS_OF, 30.0)]
+        # each attendee scores as if credited alone
+        alone = build_ledgers([], [MeetingCredit(("n",), *c[1:]) for c in credit])
+        table = score_table(ledgers, AS_OF, PARAMS)
+        assert table.raw[("n", "b.txt")] == score_table(alone, AS_OF, PARAMS).raw[("n", "b.txt")]
 
     def test_file_local_buckets_of_one_commit_scored_apart(self):
         events = [
