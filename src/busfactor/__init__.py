@@ -42,7 +42,6 @@ from .model import (
     AlgorithmParams,
     ContributionEvent,
     EventKind,
-    FileKey,
     MeetingCredit,
     canonical_order,
     credit_events,
@@ -66,7 +65,6 @@ __all__ = [
     "DoaTable",
     "Engineer",
     "EventKind",
-    "FileKey",
     "FileLedger",
     "IdentityIndex",
     "InputDataError",

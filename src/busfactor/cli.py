@@ -11,11 +11,13 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConfigError, InputDataError, RepositoryError
 from .evaluate import evaluate_predictions, load_predictions, load_truth
 from .eventlog import write_event_log
+from .inputs import load_json
 from .model import AlgorithmParams, parse_instant
 from .pipeline import (
     ALGORITHM_CHOICES,
@@ -24,8 +26,6 @@ from .pipeline import (
     run_analysis,
     to_json,
 )
-
-log = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,13 +116,9 @@ def load_config(config_path, overrides: dict | None = None) -> AlgorithmParams:
     merged: dict = {}
     if config_path is not None:
         try:
-            text = Path(config_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc.strerror}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            data = load_json(config_path, "config")
+        except InputDataError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
         merged.update(data)
@@ -131,11 +127,21 @@ def load_config(config_path, overrides: dict | None = None) -> AlgorithmParams:
     return AlgorithmParams().replace(**merged)
 
 
+@contextmanager
+def _writing(path):
+    """Report a failed write to ``path`` as one usage-error line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_output(text: str, output_path) -> None:
     if output_path is None:
         sys.stdout.write(text)
     else:
-        Path(output_path).write_text(text, encoding="utf-8")
+        with _writing(output_path):
+            Path(output_path).write_text(text, encoding="utf-8")
 
 
 def _run_analyze(args) -> int:
@@ -156,7 +162,8 @@ def _run_analyze(args) -> int:
         as_of_ms=as_of_ms,
     )
     if args.dump_events:
-        write_event_log(run.rows, args.dump_events)
+        with _writing(args.dump_events):
+            write_event_log(run.rows, args.dump_events)
     if args.format == "text":
         _write_output(render_text(run.report), args.output)
     else:

@@ -105,16 +105,12 @@ def build_ledgers(
     return dict(ledgers)
 
 
-def _decayed_sum(stamps, as_of_ms: int, decay_days: float) -> float:
-    return sum(decay(age_days(ts, as_of_ms), decay_days) for ts in stamps)
-
-
-class _MeetingWeights(dict):
-    """One scoring pass's memo of meeting starts -> ``decay`` of their age, so
-    ``decay`` and its clock-skew check run once per start. ``capped`` maps
-    ``id(bucket)`` of a bucket the ledgers hold to its capped weight, so a
-    bucket every file of its commit shares is weighed once. Neither stores
-    objects for the collector to track."""
+class _DecayMemo(dict):
+    """One scoring pass's memo of timestamps -> ``decay`` of their age, so
+    ``decay`` and its clock-skew check run once per timestamp, whatever the
+    term. ``capped`` maps ``id(bucket)`` of a meeting bucket the ledgers hold
+    to its capped weight, so a bucket every file of its commit shares is
+    weighed once. Neither stores objects for the collector to track."""
 
     def __init__(self, as_of_ms: int, params: AlgorithmParams) -> None:
         self.as_of_ms, self.params, self.capped = as_of_ms, params, {}
@@ -137,19 +133,12 @@ class _MeetingWeights(dict):
 
 def _score_file_multimodal(
     ledger: FileLedger,
-    as_of_ms: int,
+    engineers: list[str],
     params: AlgorithmParams,
-    meeting_weights: _MeetingWeights,
+    decayed: _DecayMemo,
 ) -> dict[str, float]:
-    engineers = ledger.participants()
-    dl = {
-        e: _decayed_sum(ledger.commits.get(e, ()), as_of_ms, params.decay_days)
-        for e in engineers
-    }
-    rv = {
-        e: _decayed_sum(ledger.reviews.get(e, ()), as_of_ms, params.decay_days)
-        for e in engineers
-    }
+    dl = {e: sum(decayed[ts] for ts in ledger.commits.get(e, ())) for e in engineers}
+    rv = {e: sum(decayed[ts] for ts in ledger.reviews.get(e, ())) for e in engineers}
     dl_total = sum(dl[e] for e in engineers)
     rv_total = sum(rv[e] for e in engineers)
 
@@ -157,11 +146,11 @@ def _score_file_multimodal(
     for e in engineers:
         fa = 0.0
         if ledger.first_authorship is not None and ledger.first_authorship[1] == e:
-            fa = decay(age_days(ledger.first_authorship[0], as_of_ms), params.decay_days)
+            fa = decayed[ledger.first_authorship[0]]
         meetings = 0.0
         buckets = ledger.meetings.get(e)
         if buckets:
-            meetings = meeting_weights.exposure(buckets)
+            meetings = decayed.exposure(buckets)
         scores[e] = (
             params.fa_weight * fa
             + params.dl_weight * dl[e]
@@ -183,8 +172,9 @@ def doa_multimodal(
     An engineer with no events on the file scores exactly 0.0: every own
     term vanishes and the crowd terms cancel.
     """
-    weights = _MeetingWeights(as_of_ms, params)
-    return _score_file_multimodal(ledger, as_of_ms, params, weights).get(engineer_id, 0.0)
+    decayed = _DecayMemo(as_of_ms, params)
+    scores = _score_file_multimodal(ledger, ledger.participants(), params, decayed)
+    return scores.get(engineer_id, 0.0)
 
 
 def doa_baseline(ledger: FileLedger, engineer_id: str) -> float:
@@ -236,14 +226,14 @@ def score_table(
     raw: dict[tuple[str, str], float] = {}
     file_max: dict[str, float] = {}
     file_engineers: dict[str, tuple[str, ...]] = {}
-    meeting_weights = _MeetingWeights(as_of_ms, params)
+    decayed = _DecayMemo(as_of_ms, params)
     for path in sorted(ledgers):
         ledger = ledgers[path]
         engineers = ledger.participants()
         if algorithm == "baseline":
             scores = {e: doa_baseline(ledger, e) for e in engineers}
         else:
-            scores = _score_file_multimodal(ledger, as_of_ms, params, meeting_weights)
+            scores = _score_file_multimodal(ledger, engineers, params, decayed)
         for e in engineers:
             raw[(e, path)] = scores[e]
         file_max[path] = max(scores.values(), default=0.0)

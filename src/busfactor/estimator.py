@@ -93,7 +93,7 @@ class BusFactorEstimator:
     def _algorithm_params(self) -> AlgorithmParams:
         return AlgorithmParams(**{n: getattr(self, n) for n in AlgorithmParams.field_names()})
 
-    def _resolve_as_of(self, events) -> int | None:
+    def _resolve_as_of(self) -> int | None:
         if self.as_of is None:
             return None
         if isinstance(self.as_of, str):
@@ -114,7 +114,7 @@ class BusFactorEstimator:
         events = check_events(X)
         algorithm = check_algorithm(self.algorithm)
         params = self._algorithm_params()
-        ledgers = prepare_ledgers(events, live_files, self._resolve_as_of(events))
+        ledgers = prepare_ledgers(events, live_files, self._resolve_as_of())
         table, result = analyze(ledgers, params, algorithm)
         self.params_ = params
         self.doa_ = table

@@ -1,14 +1,13 @@
 """Git history ingestion.
 
 Reads a local repository through the ``git`` command-line tool and turns a
-branch into contribution events: first authorships, commit contributions,
-rename chains, and the head snapshot of live files. Merge commits contribute
-only the paths whose content differs from every parent (the conflict
-resolutions); pure renames contribute nothing but extend the file identity.
+branch into contribution events: first authorships and commit contributions
+for the files live at its head. Merge commits contribute only the paths whose
+content differs from every parent (the conflict resolutions); a rename moves
+a file's history to its new path, and a pure rename contributes nothing.
 """
 from __future__ import annotations
 
-import logging
 import subprocess
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,9 +15,7 @@ from enum import Enum
 from .errors import RepositoryError
 from .identity import IdentityIndex
 from .inputs import warn
-from .model import ContributionEvent, EventKind, FileKey, canonical_order
-
-log = logging.getLogger(__name__)
+from .model import ContributionEvent, EventKind, canonical_order
 
 RENAME_THRESHOLD = "60%"
 
@@ -75,7 +72,6 @@ class CommitKnowledge:
 @dataclass
 class VcsIngestion:
     events: list[ContributionEvent]
-    files: dict[str, FileKey]
     commit_index: dict[str, CommitKnowledge]
 
 
@@ -168,7 +164,7 @@ def _parse_raw_line(line: str) -> FileChange | None:
         )
     if code == "C":
         return FileChange(_unquote(paths[1]), ChangeKind.ADDED)
-    log.warning("ignoring unrecognized diff status %r", status)
+    warn(None, f"ignoring unrecognized diff status {status!r}")
     return None
 
 
@@ -279,7 +275,6 @@ def snapshot_branch(repo_path, head: str | None) -> BranchSnapshot:
 
 @dataclass
 class _FileState:
-    chain: list[str]
     adds: list[tuple[int, str, str]] = field(default_factory=list)  # (ts, commit, engineer)
     commits: list[tuple[str, int, str]] = field(default_factory=list)  # (engineer, ts, commit)
 
@@ -296,7 +291,7 @@ def emit_vcs_events(
     Every Added or content-changing entry yields a commit contribution for
     its author; the earliest add of a file identity (earliest timestamp,
     commit id breaking ties) additionally yields the first authorship.
-    Renames transfer accumulated history to the new path without adding
+    Renames move accumulated history to the new path without adding
     knowledge; files absent from the head snapshot are dropped.
     """
     state: dict[str, _FileState] = {}
@@ -320,11 +315,7 @@ def emit_vcs_events(
 
         for change in commit.changed_files:
             if change.kind is ChangeKind.RENAMED:
-                entry = state.pop(change.from_path, None)
-                if entry is None:
-                    entry = _FileState(chain=[change.from_path])
-                if entry.chain[-1] != change.path:
-                    entry.chain.append(change.path)
+                entry = state.pop(change.from_path, None) or _FileState()
                 state[change.path] = entry
                 if change.content_changed:
                     entry.commits.append((engineer, commit.timestamp_ms, commit.id))
@@ -332,8 +323,7 @@ def emit_vcs_events(
             elif change.kind is ChangeKind.ADDED:
                 entry = state.get(change.path)
                 if entry is None:
-                    entry = _FileState(chain=[change.path])
-                    state[change.path] = entry
+                    entry = state[change.path] = _FileState()
                 entry.adds.append((commit.timestamp_ms, commit.id, engineer))
                 entry.commits.append((engineer, commit.timestamp_ms, commit.id))
                 touched.append(entry)
@@ -341,23 +331,19 @@ def emit_vcs_events(
                 entry = state.get(change.path)
                 if entry is None:
                     # deleted on a sibling branch before this edit folded in
-                    entry = _FileState(chain=[change.path])
-                    state[change.path] = entry
+                    entry = state[change.path] = _FileState()
                 entry.commits.append((engineer, commit.timestamp_ms, commit.id))
                 touched.append(entry)
             elif change.kind is ChangeKind.DELETED:
                 state.pop(change.path, None)
 
-    files: dict[str, FileKey] = {}
     final_path: dict[int, str] = {}
     for path in sorted(snapshot.live_files):
         entry = state.get(path)
         if entry is None:
-            files[path] = FileKey(head_path=path, rename_chain=(path,))
             warn(warnings, f"file {path!r} present at head but absent from history")
-            continue
-        files[path] = FileKey(head_path=path, rename_chain=tuple(entry.chain))
-        final_path[id(entry)] = path
+        else:
+            final_path[id(entry)] = path
 
     events: list[ContributionEvent] = []
     for path in sorted(final_path.values()):
@@ -399,8 +385,4 @@ def emit_vcs_events(
             file_paths=tuple(paths),
         )
 
-    return VcsIngestion(
-        events=canonical_order(events),
-        files=files,
-        commit_index=commit_index,
-    )
+    return VcsIngestion(events=canonical_order(events), commit_index=commit_index)

@@ -112,7 +112,6 @@ class IdentityIndex:
     """
 
     def __init__(self, engineers) -> None:
-        self.engineers: dict[str, Engineer] = {}
         self._by_email: dict[str, str] = {}
         self._by_profile: dict[str, str] = {}
         self._auto: dict[tuple[str, str], str] = {}
@@ -120,7 +119,6 @@ class IdentityIndex:
             self._register(eng)
 
     def _register(self, eng: Engineer) -> None:
-        self.engineers[eng.id] = eng
         for email in eng.emails:
             self._by_email[email] = eng.id
         for ref in eng.profile_refs:

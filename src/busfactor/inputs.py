@@ -43,6 +43,10 @@ def load_json(source, what: str):
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
             raise InputDataError(f"cannot read {what} file {source}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputDataError(
+                f"{what} file {source} is not UTF-8: {exc.reason} at byte {exc.start}"
+            ) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Core domain types: engineers, files, contribution events, and knowledge decay.
+"""Core domain types: engineers, contribution events, and knowledge decay.
 
 Timestamps are UTC epoch milliseconds throughout; decay ages are fractional
 days derived from millisecond differences. All types are immutable value
@@ -49,25 +49,6 @@ class Engineer:
     emails: frozenset[str]
     names: frozenset[str] = frozenset()
     profile_refs: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class FileKey:
-    """Identity of a file at branch head plus its historical names.
-
-    ``rename_chain`` lists the paths the file has carried, oldest first;
-    the last entry equals ``head_path``.
-    """
-
-    head_path: str
-    rename_chain: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rename_chain or self.rename_chain[-1] != self.head_path:
-            raise ValueError("rename_chain must end with head_path")
-        for prev, cur in zip(self.rename_chain, self.rename_chain[1:]):
-            if prev == cur:
-                raise ValueError("consecutive rename_chain entries must differ")
 
 
 @dataclass(frozen=True)

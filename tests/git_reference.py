@@ -2,16 +2,16 @@
 
 Asks git about one commit at a time: ``git diff-tree`` against the empty tree
 or the single parent, and for a merge one rename-free ``diff-tree`` per
-parent. ``traverse_branch`` reads the whole history in one ``git log`` with
-rename detection on for merges too; these answers must match it commit for
-commit. Intentionally simple and slow.
+parent, intersected here with plain sets. ``traverse_branch`` reads the
+whole history in one ``git log`` with rename detection on for merges too;
+these answers must match it commit for commit. Intentionally simple and slow.
 """
 from busfactor.gitvcs import (
     RENAME_THRESHOLD,
+    ChangeKind,
     CommitRecord,
     FileChange,
     _git,
-    _intersect_parent_diffs,
     _parse_raw_line,
 )
 
@@ -32,8 +32,19 @@ def diff_commit(repo_path, commit: CommitRecord | str) -> list[FileChange]:
 
 
 def merge_diff(repo_path, commit: CommitRecord) -> list[FileChange]:
-    """Paths a merge commit changed relative to every one of its parents."""
+    """Paths a merge commit changed relative to every one of its parents, sorted.
+
+    A path keeps its kind when every parent's diff agrees on it, and is
+    MODIFIED otherwise.
+    """
     if not commit.is_merge:
         raise ValueError("merge_diff requires a commit with at least two parents")
-    per_parent = [_changes(repo_path, "--no-renames", parent, commit.id) for parent in commit.parent_ids]
-    return _intersect_parent_diffs([diff for diff in per_parent if diff], len(commit.parent_ids))
+    per_parent = [
+        {c.path: c.kind for c in _changes(repo_path, "--no-renames", parent, commit.id)}
+        for parent in commit.parent_ids
+    ]
+    changes = []
+    for path in sorted(set.intersection(*(set(kinds) for kinds in per_parent))):
+        kinds = {diff[path] for diff in per_parent}
+        changes.append(FileChange(path, kinds.pop() if len(kinds) == 1 else ChangeKind.MODIFIED))
+    return changes

@@ -408,6 +408,55 @@ class TestExitCodes:
         assert code == 2
         assert "reviews" in err
 
+    @pytest.mark.parametrize(
+        ("command", "flag", "expected"),
+        [
+            ("analyze", "--reviews", 2),
+            ("analyze", "--meetings", 2),
+            ("analyze", "--config", 1),
+            ("evaluate", "--predictions", 2),
+            ("evaluate", "--truth", 2),
+        ],
+    )
+    def test_non_utf8_input_file_is_one_line(
+        self, capsys, tmp_path, single_owner_repo, command, flag, expected
+    ):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'[{"title": "caf\xe9"}]')
+        if command == "analyze":
+            argv = ["--repo", str(single_owner_repo.path), flag, str(bad)]
+        else:
+            good = write_json(tmp_path, "good.json", {"projects": []})
+            files = {"--predictions": good, "--truth": good, flag: str(bad)}
+            argv = [part for pair in files.items() for part in pair]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == expected
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("busfactor: error: ")
+        assert f"{bad} is not UTF-8" in err
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    @pytest.mark.parametrize(
+        "flag", ["analyze --output", "analyze --dump-events", "evaluate --output"]
+    )
+    def test_unwritable_output_is_one_line(
+        self, capsys, tmp_path, single_owner_repo, flag, target
+    ):
+        path = tmp_path if target == "directory" else tmp_path / "absent" / "out.json"
+        command, option = flag.split()
+        if command == "analyze":
+            argv = ["analyze", "--repo", str(single_owner_repo.path)]
+        else:
+            project = {"name": "a", "bus_factor": 1, "estimates": [1], "key_engineers": ["x"]}
+            files = write_json(tmp_path, "both.json", {"projects": [project]})
+            argv = ["evaluate", "--predictions", files, "--truth", files]
+        code, out, err = run_cli(capsys, *argv, option, str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"busfactor: error: cannot write {path}: ")
+
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1

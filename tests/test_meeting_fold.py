@@ -1,10 +1,11 @@
 """The meeting fold against the per-file reference join in collab_reference.py.
 
-``collab.emit_meeting_events`` returns one credit per (meeting, attendee,
-commit) and ``engine.build_ledgers`` folds it per (engineer, commit). Spelled
-out, that must be exactly the reference's events, written as the reference
-writer in eventlog_reference.py writes them, and scoring must give exactly
-the reference's floats, authors, walk and clock-skew message.
+``collab.emit_meeting_events`` returns one credit per (meeting, commit)
+match, carrying the meeting's deduplicated attendees, and
+``engine.build_ledgers`` folds it per (engineer, commit). Spelled out, that
+must be exactly the reference's events, written as the reference writer in
+eventlog_reference.py writes them, and scoring must give exactly the
+reference's floats, authors, walk and clock-skew message.
 """
 import io
 import json

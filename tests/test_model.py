@@ -9,7 +9,6 @@ from busfactor.model import (
     AlgorithmParams,
     ContributionEvent,
     EventKind,
-    FileKey,
     age_days,
     canonical_order,
     decay,
@@ -106,20 +105,6 @@ class TestContributionEvent:
         b = ContributionEvent(EventKind.COMMIT, "b", "a.txt", day_ms(0))
         a2 = ContributionEvent(EventKind.COMMIT, "a", "b.txt", day_ms(0))
         assert canonical_order([b, a, a2]) == [a2, a, b]
-
-
-class TestFileKey:
-    def test_chain_must_end_at_head_path(self):
-        with pytest.raises(ValueError):
-            FileKey(head_path="new.txt", rename_chain=("old.txt",))
-
-    def test_consecutive_chain_entries_differ(self):
-        with pytest.raises(ValueError):
-            FileKey(head_path="a.txt", rename_chain=("a.txt", "a.txt"))
-
-    def test_valid_chain(self):
-        key = FileKey(head_path="c.txt", rename_chain=("a.txt", "b.txt", "c.txt"))
-        assert key.rename_chain[0] == "a.txt"
 
 
 class TestAlgorithmParams:
