@@ -105,6 +105,8 @@ def _parse_param_overrides(pairs: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw.strip()
+        except RecursionError:
+            raise ConfigError(f"--param {key}: value nests JSON too deeply to parse") from None
         if key == "meeting_exclude_keywords" and isinstance(value, str):
             value = [part.strip() for part in value.split(",") if part.strip()]
         overrides[key] = value

@@ -287,19 +287,6 @@ class BusFactorResult:
     warnings: tuple[str, ...] = ()
 
 
-def _removal_order(
-    authors: dict[str, tuple[str, ...]], table: DoaTable
-) -> list[str]:
-    authored: dict[str, list[str]] = {}
-    for path in sorted(authors):
-        for e in authors[path]:
-            authored.setdefault(e, []).append(path)
-    def key(e: str):
-        files = authored[e]
-        return (-len(files), -sum(table.raw[(e, f)] for f in files), e)
-    return sorted(authored, key=key)
-
-
 def bus_factor(
     table: DoaTable,
     params: AlgorithmParams,
@@ -312,39 +299,27 @@ def bus_factor(
     covering the most files first (total raw score, then id, break ties),
     for as long as at least half the files still have a present author.
     The result counts how many departures the project absorbed before
-    coverage fell through the threshold.
+    coverage fell through the threshold; with no files, none.
     """
     if authors is None:
         authors = authorship(table, params)
+    files_of: dict[str, list[str]] = {}
+    for path in sorted(authors):
+        for e in authors[path]:
+            files_of.setdefault(e, []).append(path)
+
+    def departure_key(e: str):
+        files = files_of[e]
+        return (-len(files), -sum(table.raw[(e, f)] for f in files), e)
+
     file_count = len(table.files)
-    result_warnings: list[str] = []
-    if file_count == 0:
-        result_warnings.append("no files to analyze; bus factor is 0")
-        return BusFactorResult(
-            algorithm=table.algorithm,
-            bus_factor=0,
-            key_engineers=(),
-            coverage_trace=(),
-            file_count=0,
-            initially_uncovered=0,
-            authors=dict(authors),
-            warnings=tuple(result_warnings),
-        )
-
-    order = _removal_order(authors, table)
-    files_of: dict[str, list[str]] = {e: [] for e in order}
-    live_authors: dict[str, int] = {}
-    for path, engineers in authors.items():
-        live_authors[path] = len(engineers)
-        for e in engineers:
-            files_of[e].append(path)
-
+    live_authors = {path: len(engineers) for path, engineers in authors.items()}
     covered = sum(1 for n in live_authors.values() if n > 0)
     initially_uncovered = file_count - covered
-    coverage = covered / file_count
+    coverage = covered / file_count if file_count else 0.0
     removed: list[str] = []
     trace: list[float] = []
-    for engineer in order:
+    for engineer in sorted(files_of, key=departure_key):
         if coverage < params.coverage_threshold:
             break
         for path in files_of[engineer]:
@@ -363,7 +338,7 @@ def bus_factor(
         file_count=file_count,
         initially_uncovered=initially_uncovered,
         authors=dict(authors),
-        warnings=tuple(result_warnings),
+        warnings=() if file_count else ("no files to analyze; bus factor is 0",),
     )
 
 

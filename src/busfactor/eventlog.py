@@ -107,15 +107,21 @@ def _log_records(lines: Iterable[str]):
             continue
         where = f"event log line {line_no}"
         try:
+            line.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate
+        except UnicodeEncodeError:
+            raise InputDataError(f"{where}: not UTF-8") from None
+        try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InputDataError(f"{where}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise InputDataError(f"{where}: invalid JSON (nested too deeply)") from None
         yield where, record
 
 
 def read_event_log(source: IO[str] | str | Path) -> list[ContributionEvent]:
     """Read and validate an event log; malformed lines fail with their number."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return read_event_log(fh)
     return events_from_records(_log_records(source))

@@ -84,7 +84,7 @@ def _git(repo_path, *args: str, allowed: tuple[int, ...] = ()) -> tuple[int, str
     command = f"git {' '.join(args[:2])}"
     try:
         proc = subprocess.run(
-            ["git", "-c", "core.quotepath=false", *args],
+            ["git", *args],
             cwd=str(repo_path), capture_output=True,
         )
     except FileNotFoundError:
@@ -129,43 +129,45 @@ def _resolve_head(repo_path, branch: str) -> str | None:
     raise RepositoryError(f"branch {branch!r} not found in {repo_path}")
 
 
-def _unquote(raw: str) -> str:
-    # git C-quotes paths containing control characters, quotes, or backslashes
-    if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
-        return (
-            raw[1:-1]
-            .encode("latin-1", "backslashreplace")
-            .decode("unicode_escape")
-            .encode("latin-1")
-            .decode("utf-8")
-        )
-    return raw
+_KIND_OF_STATUS = {
+    "A": ChangeKind.ADDED,
+    "C": ChangeKind.ADDED,
+    "M": ChangeKind.MODIFIED,
+    "T": ChangeKind.MODIFIED,
+    "D": ChangeKind.DELETED,
+    "R": ChangeKind.RENAMED,
+}
 
 
-def _parse_raw_line(line: str) -> FileChange | None:
-    # ':100644 100644 abc1234 def5678 M\tpath' / '... R095\told\tnew'
-    if not line.startswith(":") or "\t" not in line:
-        return None
-    meta, *paths = line.split("\t")
-    status = meta.split()[-1]
-    code, score = status[0], status[1:]
-    if code == "A":
-        return FileChange(_unquote(paths[0]), ChangeKind.ADDED)
-    if code in ("M", "T"):
-        return FileChange(_unquote(paths[0]), ChangeKind.MODIFIED)
-    if code == "D":
-        return FileChange(_unquote(paths[0]), ChangeKind.DELETED)
-    if code == "R":
-        return FileChange(
-            _unquote(paths[1]),
-            ChangeKind.RENAMED,
-            from_path=_unquote(paths[0]),
-            rename_similarity=int(score) if score else None,
-        )
-    if code == "C":
-        return FileChange(_unquote(paths[1]), ChangeKind.ADDED)
-    warn(None, f"ignoring unrecognized diff status {status!r}")
-    return None
+def _read_log(out: str) -> dict[str, tuple[list[str], list[list[FileChange]]]]:
+    """Commit id -> (header fields, one diff per header) from ``git log --raw -z``.
+
+    Every token ends in NUL. A header is ``\\x01`` and the commit id, then
+    four fields; a raw entry is a ``:meta`` token ending in its status, then
+    one path, or two (source, destination) for a rename or copy. Paths are
+    verbatim, so any UTF-8 file name reads back unchanged.
+    """
+    listed: dict[str, tuple[list[str], list[list[FileChange]]]] = {}
+    tokens = iter(out.split("\x00"))
+    for token in tokens:
+        token = token.lstrip("\n")
+        if token.startswith("\x01"):
+            fields = [next(tokens) for _ in range(4)]
+            listed.setdefault(token[1:], (fields, []))[1].append(diff := [])
+        elif token.startswith(":"):
+            status = token.rsplit(" ", 1)[-1]
+            code, score = status[0], status[1:]
+            path = next(tokens)
+            if code in "RC":
+                source, path = path, next(tokens)
+            kind = _KIND_OF_STATUS.get(code)
+            if kind is None:
+                warn(None, f"ignoring unrecognized diff status {status!r}")
+            elif kind is ChangeKind.RENAMED:
+                diff.append(FileChange(path, kind, source, int(score) if score else None))
+            else:
+                diff.append(FileChange(path, kind))
+    return listed
 
 
 def _dfs_topological(head: str, parents_of: dict[str, tuple[str, ...]]) -> list[str]:
@@ -193,11 +195,11 @@ def _intersect_parent_diffs(
 ) -> list[FileChange]:
     """Paths changed relative to every parent; empty when any diff is empty.
 
-    ``per_parent`` holds the non-empty diffs against the parents (git omits
-    empty ones, which already forces an empty intersection when fewer diffs
-    than parents arrive). A rename counts as deleting its old path and adding
-    its new one: without copy or break detection, git forms a rename from
-    exactly one deleted and one added path.
+    ``per_parent`` holds the diffs git printed against the parents. It may
+    omit empty ones, which already forces an empty intersection when fewer
+    diffs than parents arrive. A rename counts as deleting its old path and
+    adding its new one: without copy or break detection, git forms a rename
+    from exactly one deleted and one added path.
     """
     if len(per_parent) < n_parents:
         return []
@@ -230,25 +232,16 @@ def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
     if head is None:
         return []
     _, out = _git(
-        repo_path, "log", head, "--raw", "--root", "--diff-merges=separate",
+        repo_path, "log", head, "--raw", "-z", "--root", "--diff-merges=separate",
         f"--find-renames={RENAME_THRESHOLD}", "--format=%x01%H%x00%P%x00%ae%x00%an%x00%at",
     )
-    # commit id -> (header fields, its non-empty diffs: one per parent for merges)
-    listed: dict[str, tuple[list[str], list[list[FileChange]]]] = {}
-    for blob in out.split("\x01")[1:]:
-        header, *lines = blob.split("\n")
-        commit_id, *fields = header.split("\x00")
-        diffs = listed.setdefault(commit_id, (fields, []))[1]
-        changes = [change for line in lines if (change := _parse_raw_line(line))]
-        if changes:
-            diffs.append(changes)
     records: dict[str, CommitRecord] = {}
-    for commit_id, ((parents, email, name, epoch), diffs) in listed.items():
+    for commit_id, ((parents, email, name, epoch), diffs) in _read_log(out).items():
         parent_ids = tuple(parents.split())
         if len(parent_ids) >= 2:
             changes = _intersect_parent_diffs(diffs, len(parent_ids))
         else:
-            changes = diffs[0] if diffs else []
+            changes = diffs[0]
         records[commit_id] = CommitRecord(
             id=commit_id,
             author_email=email,
@@ -295,7 +288,6 @@ def emit_vcs_events(
     knowledge; files absent from the head snapshot are dropped.
     """
     state: dict[str, _FileState] = {}
-    commit_touch: dict[str, list[_FileState]] = {}
     authors: dict[str, str] = {}
     unknown_warned: set[str] = set()
 
@@ -311,43 +303,30 @@ def emit_vcs_events(
                     f"attributed to new engineer '{engineer}'",
                 )
         authors[commit.id] = engineer
-        touched = commit_touch.setdefault(commit.id, [])
 
         for change in commit.changed_files:
-            if change.kind is ChangeKind.RENAMED:
-                entry = state.pop(change.from_path, None) or _FileState()
-                state[change.path] = entry
-                if change.content_changed:
-                    entry.commits.append((engineer, commit.timestamp_ms, commit.id))
-                    touched.append(entry)
-            elif change.kind is ChangeKind.ADDED:
-                entry = state.get(change.path)
-                if entry is None:
-                    entry = state[change.path] = _FileState()
-                entry.adds.append((commit.timestamp_ms, commit.id, engineer))
-                entry.commits.append((engineer, commit.timestamp_ms, commit.id))
-                touched.append(entry)
-            elif change.kind is ChangeKind.MODIFIED:
-                entry = state.get(change.path)
-                if entry is None:
-                    # deleted on a sibling branch before this edit folded in
-                    entry = state[change.path] = _FileState()
-                entry.commits.append((engineer, commit.timestamp_ms, commit.id))
-                touched.append(entry)
-            elif change.kind is ChangeKind.DELETED:
+            if change.kind is ChangeKind.DELETED:
                 state.pop(change.path, None)
+                continue
+            if change.kind is ChangeKind.RENAMED:
+                entry = state[change.path] = state.pop(change.from_path, None) or _FileState()
+                if not change.content_changed:
+                    continue
+            else:
+                # an edit finds no state when a sibling branch deleted the path first
+                entry = state.get(change.path) or state.setdefault(change.path, _FileState())
+                if change.kind is ChangeKind.ADDED:
+                    entry.adds.append((commit.timestamp_ms, commit.id, engineer))
+            entry.commits.append((engineer, commit.timestamp_ms, commit.id))
 
-    final_path: dict[int, str] = {}
+    events: list[ContributionEvent] = []
+    # commit id -> the head paths it added or edited, in sorted order
+    touched: dict[str, dict[str, None]] = {}
     for path in sorted(snapshot.live_files):
         entry = state.get(path)
         if entry is None:
             warn(warnings, f"file {path!r} present at head but absent from history")
-        else:
-            final_path[id(entry)] = path
-
-    events: list[ContributionEvent] = []
-    for path in sorted(final_path.values()):
-        entry = state[path]
+            continue
         if entry.adds:
             ts, commit_id, engineer = min(entry.adds)
             events.append(
@@ -369,20 +348,14 @@ def emit_vcs_events(
                     commit_ref=commit_id,
                 )
             )
+            touched.setdefault(commit_id, {})[path] = None
 
-    commit_index: dict[str, CommitKnowledge] = {}
-    for commit in commits:
-        paths = sorted(
-            {
-                final_path[id(entry)]
-                for entry in commit_touch.get(commit.id, [])
-                if id(entry) in final_path
-            }
-        )
-        commit_index[commit.id] = CommitKnowledge(
+    commit_index = {
+        commit.id: CommitKnowledge(
             author_id=authors[commit.id],
             timestamp_ms=commit.timestamp_ms,
-            file_paths=tuple(paths),
+            file_paths=tuple(touched.get(commit.id, ())),
         )
-
+        for commit in commits
+    }
     return VcsIngestion(events=canonical_order(events), commit_index=commit_index)

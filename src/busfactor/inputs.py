@@ -51,6 +51,8 @@ def load_json(source, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputDataError(f"{what} file nests JSON too deeply to parse") from None
 
 
 def warn(sink: list[str] | None, message: str) -> None:

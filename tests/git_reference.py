@@ -2,23 +2,43 @@
 
 Asks git about one commit at a time: ``git diff-tree`` against the empty tree
 or the single parent, and for a merge one rename-free ``diff-tree`` per
-parent, intersected here with plain sets. ``traverse_branch`` reads the
-whole history in one ``git log`` with rename detection on for merges too;
-these answers must match it commit for commit. Intentionally simple and slow.
+parent, intersected here with plain sets. Each answer is read from
+``--name-status -z`` output by a parser of its own, so a fault in the
+program's raw-format tokenizer cannot hide here too. ``traverse_branch``
+reads the whole history in one ``git log`` with rename detection on for
+merges too; these answers must match it commit for commit. Intentionally
+simple and slow.
 """
-from busfactor.gitvcs import (
-    RENAME_THRESHOLD,
-    ChangeKind,
-    CommitRecord,
-    FileChange,
-    _git,
-    _parse_raw_line,
-)
+from busfactor.gitvcs import RENAME_THRESHOLD, ChangeKind, CommitRecord, FileChange, _git
+
+# a copy adds its destination; without copy detection git prints none
+KIND_OF_LETTER = {
+    "A": ChangeKind.ADDED,
+    "C": ChangeKind.ADDED,
+    "D": ChangeKind.DELETED,
+    "M": ChangeKind.MODIFIED,
+    "T": ChangeKind.MODIFIED,
+}
 
 
 def _changes(repo_path, *args: str) -> list[FileChange]:
-    _, out = _git(repo_path, "diff-tree", "-r", *args)
-    return [change for line in out.splitlines() if (change := _parse_raw_line(line))]
+    # NUL-separated: a status, then its path, or source and destination for R and C
+    _, out = _git(repo_path, "diff-tree", "-r", "-z", "--name-status", *args)
+    fields = out.split("\0")[:-1]
+    changes, i = [], 0
+    while i < len(fields):
+        status = fields[i]
+        if status[0] == "R":
+            old, new = fields[i + 1], fields[i + 2]
+            changes.append(FileChange(new, ChangeKind.RENAMED, old, int(status[1:])))
+            i += 3
+        elif status[0] == "C":
+            changes.append(FileChange(fields[i + 2], ChangeKind.ADDED))
+            i += 3
+        else:
+            changes.append(FileChange(fields[i + 1], KIND_OF_LETTER[status]))
+            i += 2
+    return changes
 
 
 def diff_commit(repo_path, commit: CommitRecord | str) -> list[FileChange]:

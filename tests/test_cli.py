@@ -46,6 +46,15 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+def input_file_argv(tmp_path, repo, command, flag, path):
+    """Arguments of a run that reads ``path`` as ``flag``, every other input valid."""
+    if command == "analyze":
+        return ["analyze", "--repo", str(repo.path), flag, str(path)]
+    good = write_json(tmp_path, "good.json", {"projects": []})
+    files = {"--predictions": good, "--truth": good, flag: str(path)}
+    return ["evaluate", *[part for pair in files.items() for part in pair]]
+
+
 def set_first(path, name, value):
     """Set field ``name`` of the first record of a JSON array file."""
     records = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -85,6 +94,17 @@ class TestAnalyzeReport:
             assert entry["top_doa"] == pytest.approx(5.663553233343869, abs=1e-9)
         assert report["params"]["decay_days"] == 220.0
         assert report["warnings"] == []
+
+    def test_empty_repository_report(self, capsys, mkrepo):
+        report = analyze_json(capsys, mkrepo("empty"))
+        assert report["bus_factor"] == 0
+        assert report["file_count"] == 0
+        assert report["coverage_trace"] == []
+        assert report["key_engineers"] == [] and report["files"] == []
+        assert report["warnings"] == [
+            "event log is empty; every score is 0 and the bus factor is 0",
+            "no files to analyze; bus factor is 0",
+        ]
 
     def test_runs_are_byte_identical(self, capsys, quarter_owners_repo):
         args = ["analyze", "--repo", str(quarter_owners_repo.path)]
@@ -423,18 +443,41 @@ class TestExitCodes:
     ):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'[{"title": "caf\xe9"}]')
-        if command == "analyze":
-            argv = ["--repo", str(single_owner_repo.path), flag, str(bad)]
-        else:
-            good = write_json(tmp_path, "good.json", {"projects": []})
-            files = {"--predictions": good, "--truth": good, flag: str(bad)}
-            argv = [part for pair in files.items() for part in pair]
-        code, out, err = run_cli(capsys, command, *argv)
+        argv = input_file_argv(tmp_path, single_owner_repo, command, flag, bad)
+        code, out, err = run_cli(capsys, *argv)
         assert code == expected
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("busfactor: error: ")
         assert f"{bad} is not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "expected"),
+        [
+            ("analyze", "--reviews", 2),
+            ("analyze", "--meetings", 2),
+            ("analyze", "--config", 1),
+            ("analyze", "--param", 1),
+            ("evaluate", "--predictions", 2),
+            ("evaluate", "--truth", 2),
+        ],
+    )
+    def test_deeply_nested_json_is_one_line(
+        self, capsys, tmp_path, single_owner_repo, command, flag, expected
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        if flag == "--param":
+            value = f"decay_days={'[' * 100_000}"
+            argv = ["analyze", "--repo", str(single_owner_repo.path), flag, value]
+        else:
+            argv = input_file_argv(tmp_path, single_owner_repo, command, flag, deep)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("busfactor: error: ")
+        assert "nests JSON too deeply to parse" in err
 
     @pytest.mark.parametrize("target", ["directory", "missing parent"])
     @pytest.mark.parametrize(

@@ -116,6 +116,17 @@ class TestValidation:
         with pytest.raises(InputDataError, match="line 3"):
             read_event_log(io.StringIO(f"{good}\n{good}\n{bad}\n"))
 
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        good = json.dumps(event_to_record(sample_events()[1])).encode()
+        path.write_bytes(good + b'\n{"kind": "caf\xe9"}\n')
+        with pytest.raises(InputDataError, match="^event log line 2: not UTF-8$"):
+            read_event_log(path)
+
+    def test_deeply_nested_line_is_named(self):
+        with pytest.raises(InputDataError, match="^event log line 1: invalid JSON"):
+            read_event_log(io.StringIO("[" * 100_000))
+
 
 # Characters json escapes (quote, backslash, controls), ASCII-escapes (non-ASCII,
 # astral as a surrogate pair, U+2028) or prints as is, and a few whole strings

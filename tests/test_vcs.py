@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from busfactor import gitvcs
+from busfactor.cli import main
 from busfactor.errors import RepositoryError
 from busfactor.gitvcs import (
     ChangeKind,
@@ -173,6 +176,39 @@ class TestTraversal:
         assert paths == ['san josé.txt', 'we"ird.txt']
         snap = snapshot_branch(repo.path, "main")
         assert snap.live_files == {'san josé.txt', 'we"ird.txt'}
+
+    def test_awkward_names_through_rename_and_merge(self, capsys, mkrepo):
+        # git C-quotes every one of these names unless asked for NUL-separated output
+        body = "".join(f"line {i}\n" for i in range(30))
+        quoted, moved = 'naïve "quoted".txt', 'moved\\ "ü"\tname.txt'
+        back, tab, newline = "日本\\back.txt", "tab\there ü.txt", "new\nline é.txt"
+        repo = mkrepo()
+        repo.commit("base", {quoted: body, back: "x\n", tab: "t\n", newline: "n\n"},
+                    author=ALICE, day=0)
+        repo.git("checkout", "-q", "-b", "side")
+        repo.git("mv", quoted, moved)
+        repo.commit("rename and edit", {moved: body + "more\n", tab: "side\n"},
+                    author=BOB, day=1)
+        repo.git("checkout", "-q", "main")
+        repo.commit("edit", {back: "y\n", tab: "main\n"}, author=CAROL, day=1)
+        repo.merge("merge side", ["side"], author=ALICE, day=2, resolve={tab: "both\n"})
+
+        commits = traverse_branch(repo.path, "main")
+        assert [c.is_merge for c in commits] == [False, False, False, True]
+        for commit in commits:
+            reference = merge_diff if commit.is_merge else diff_commit
+            assert list(commit.changed_files) == reference(repo.path, commit), commit.id
+        renames = [c for c in commits[1].changed_files + commits[2].changed_files
+                   if c.kind is ChangeKind.RENAMED]
+        assert [(c.from_path, c.path) for c in renames] == [(quoted, moved)]
+        assert [c.path for c in commits[-1].changed_files] == [tab]
+
+        code = main(["analyze", "--repo", str(repo.path)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        report = json.loads(out)
+        assert sorted(f["path"] for f in report["files"]) == sorted([moved, back, tab, newline])
+        assert report["warnings"] == []
 
 
 class TestRenames:
