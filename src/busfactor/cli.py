@@ -165,7 +165,7 @@ def _run_analyze(args) -> int:
     )
     if args.dump_events:
         with _writing(args.dump_events):
-            write_event_log(run.rows, args.dump_events)
+            write_event_log(run.events, args.dump_events)
     if args.format == "text":
         _write_output(render_text(run.report), args.output)
     else:

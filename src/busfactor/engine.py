@@ -21,6 +21,7 @@ from itertools import chain, islice
 from .errors import ClockSkewError, ConfigError, InputDataError
 from .inputs import warn
 from .model import (
+    SORT_KEY,
     AlgorithmParams,
     ContributionEvent,
     EventKind,
@@ -100,7 +101,11 @@ def build_ledgers(
             if bucket is None:
                 bucket = buckets[engineer] = []
                 for path in paths:
-                    ledgers[path].meetings.setdefault(engineer, {})[ref] = bucket
+                    meetings = ledgers[path].meetings
+                    refs = meetings.get(engineer)
+                    if refs is None:
+                        refs = meetings[engineer] = {}
+                    refs[ref] = bucket
             bucket.append(entry)
     return dict(ledgers)
 
@@ -388,7 +393,7 @@ def prepare_ledgers(
         *credit_events(c for c in credit if c.timestamp_ms > as_of_ms),
     ]
     if late:
-        event = min(late, key=ContributionEvent.sort_key)
+        event = min(late, key=SORT_KEY)
         raise ClockSkewError(
             f"event at {event.timestamp_ms} ({event.kind.value} by "
             f"{event.engineer_id!r} on {event.file_path!r}) is newer than "
@@ -419,6 +424,6 @@ def analyze(
     table = score_table(ledgers.files, ledgers.as_of_ms, params, algorithm)
     table = replace(table, files=ledgers.live_files)
     result = bus_factor(table, params)
-    if warnings is not None:
-        warnings.extend(result.warnings)
+    for message in result.warnings:
+        warn(warnings, message)
     return table, result

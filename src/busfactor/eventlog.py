@@ -29,24 +29,22 @@ class _Quoted(dict):
         return literal
 
 
-def write_event_log(
-    events: Iterable[ContributionEvent | tuple], sink: IO[str] | str | Path
-) -> None:
+def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | Path) -> None:
     """Write events one record per line, in the order given.
 
-    Each item is a ``ContributionEvent`` or its ``row()``, as
-    ``AnalysisRun.rows`` yields them. A line has the bytes ``json.dumps``
-    gives the record with compact separators: strings ASCII-escaped, and
-    numbers as ``repr`` prints them, which is how json prints an int or a
-    finite float.
+    Each event is unpacked as the tuple it is, and a one-pass stream such
+    as ``AnalysisRun.events`` is written a chunk at a time, never held whole.
+    A line has the bytes ``json.dumps`` gives the record with compact
+    separators: strings ASCII-escaped, and numbers as ``repr`` prints them,
+    which is how json prints an int or a finite float.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_event_log(events, fh)
         return
     q = _Quoted()
-    rows = (row if isinstance(row, tuple) else row.row() for row in events)
-    while chunk := list(islice(rows, 4096)):  # one write per few thousand lines
+    events = iter(events)
+    while chunk := list(islice(events, 4096)):  # one write per few thousand lines
         sink.write("".join([
             f'{{"kind":{q[kind]},"engineer_id":{q[engineer]},"file_path":{q[path]},'
             f'"timestamp_ms":{timestamp_ms!r},"magnitude":{magnitude!r},"commit_ref":{q[ref]}}}\n'

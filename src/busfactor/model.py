@@ -2,7 +2,9 @@
 
 Timestamps are UTC epoch milliseconds throughout; decay ages are fractional
 days derived from millisecond differences. All types are immutable value
-objects, safe to share across workers.
+objects, safe to share across workers. A ``ContributionEvent`` is an
+immutable tuple that starts with its ``SORT_KEY``, so the engine, the canonical sort
+and the event dump all read the one form.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError
@@ -51,47 +54,50 @@ class Engineer:
     profile_refs: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class ContributionEvent:
+class _EventFields(NamedTuple):
+    timestamp_ms: int
+    kind_rank: int  # KIND_ORDER[kind]
+    engineer_id: str
+    file_path: str
+    commit_ref: str
+    kind: EventKind
+    magnitude: float
+
+
+#: The canonical order of events: (timestamp, kind, engineer, file, commit).
+SORT_KEY = itemgetter(0, 1, 2, 3, 4)
+
+
+class ContributionEvent(_EventFields):
     """One timestamped knowledge-bearing event bound to an engineer and a file.
 
     ``magnitude`` is meeting minutes for MEETING events and 1.0 otherwise.
     ``commit_ref`` names the commit the event attaches to; for MEETING events
     it is the commit the meeting was associated with.
+
+    An event is the immutable tuple ``(timestamp_ms, kind_rank, engineer_id,
+    file_path, commit_ref, kind, magnitude)``, its ``SORT_KEY`` first.
     """
 
-    kind: EventKind
-    engineer_id: str
-    file_path: str
-    timestamp_ms: int
-    magnitude: float = 1.0
-    commit_ref: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is EventKind.MEETING:
-            _check_meeting_minutes(self.magnitude)
-        elif self.magnitude != 1.0 or isinstance(self.magnitude, bool):
-            raise ValueError(f"magnitude must be 1.0 for {self.kind.value} events")
-
-    def sort_key(self) -> tuple:
-        return (
-            self.timestamp_ms,
-            KIND_ORDER[self.kind],
-            self.engineer_id,
-            self.file_path,
-            self.commit_ref,
+    def __new__(
+        cls, kind: EventKind, engineer_id: str, file_path: str, timestamp_ms: int,
+        magnitude: float = 1.0, commit_ref: str = "",
+    ) -> "ContributionEvent":
+        if kind is EventKind.MEETING:
+            _check_meeting_minutes(magnitude)
+        elif magnitude != 1.0 or isinstance(magnitude, bool):
+            raise ValueError(f"magnitude must be 1.0 for {kind.value} events")
+        rank = KIND_ORDER[kind]
+        return tuple.__new__(
+            cls, (timestamp_ms, rank, engineer_id, file_path, commit_ref, kind, magnitude)
         )
 
-    def row(self) -> tuple:
-        """The event as a plain tuple, its ``sort_key()`` first:
-        ``(timestamp_ms, kind rank, engineer_id, file_path, commit_ref, kind, magnitude)``.
-        """
-        return (*self.sort_key(), self.kind, self.magnitude)
-
-    @classmethod
-    def from_row(cls, row: tuple) -> "ContributionEvent":
-        timestamp_ms, _, engineer_id, file_path, commit_ref, kind, magnitude = row
-        return cls(kind, engineer_id, file_path, timestamp_ms, magnitude, commit_ref)
+    def __getnewargs__(self) -> tuple:
+        """The constructor arguments, so ``pickle`` and ``copy`` rebuild the event."""
+        return (self.kind, self.engineer_id, self.file_path, self.timestamp_ms,
+                self.magnitude, self.commit_ref)
 
 
 def _check_meeting_minutes(minutes) -> None:
@@ -103,16 +109,15 @@ def _check_meeting_minutes(minutes) -> None:
 
 
 def canonical_order(events) -> list[ContributionEvent]:
-    """Sort events by (timestamp, kind, engineer, file, commit)."""
-    return sorted(events, key=ContributionEvent.sort_key)
+    """Sort events by ``SORT_KEY``; events that tie on it keep their order."""
+    return sorted(events, key=SORT_KEY)
 
 
 class MeetingCredit(NamedTuple):
     """One meeting's minutes for its ``attendees``, attached to one related commit.
 
     It stands for a MEETING event of each attendee on each of ``file_paths``,
-    the live files of ``commit_ref``; ``credit_rows`` and ``credit_events``
-    spell those events out.
+    the live files of ``commit_ref``; ``credit_events`` spells those events out.
     """
 
     attendees: tuple[str, ...]
@@ -122,22 +127,15 @@ class MeetingCredit(NamedTuple):
     file_paths: tuple[str, ...]
 
 
-_MEETING_RANK = KIND_ORDER[EventKind.MEETING]
-
-
-def credit_rows(credit) -> Iterator[tuple]:
-    """The MEETING event ``row()`` of each credit, one per attendee and file."""
-    meeting, rank = EventKind.MEETING, _MEETING_RANK
+def credit_events(credit) -> Iterator[ContributionEvent]:
+    """The MEETING events of each credit, one per attendee and file."""
+    new, event, meeting = tuple.__new__, ContributionEvent, EventKind.MEETING
+    rank = KIND_ORDER[meeting]
     for attendees, ref, timestamp_ms, minutes, paths in credit:
         _check_meeting_minutes(minutes)
         for engineer in attendees:
             for path in paths:
-                yield (timestamp_ms, rank, engineer, path, ref, meeting, minutes)
-
-
-def credit_events(credit) -> Iterator[ContributionEvent]:
-    """The MEETING events of each credit, one per attendee and file."""
-    return map(ContributionEvent.from_row, credit_rows(credit))
+                yield new(event, (timestamp_ms, rank, engineer, path, ref, meeting, minutes))
 
 
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")

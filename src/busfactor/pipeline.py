@@ -11,7 +11,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 from .collab import (
@@ -28,49 +28,42 @@ from .errors import ConfigError
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
 from .model import (
+    SORT_KEY,
     AlgorithmParams,
     ContributionEvent,
     MeetingCredit,
     canonical_order,
-    credit_rows,
+    credit_events,
     format_instant,
 )
 
 ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
 
-# within one start time, canonical order is (engineer, file, commit): the key
-# stops there so that meetings tied on all of it keep their input order
-_WITHIN_START = itemgetter(2, 3, 4)
-
-
 @dataclass
 class AnalysisRun:
+    """One run's report, and the events it scored as ``events`` yields them."""
+
     report: dict
     sorted_events: list[ContributionEvent]  # VCS and review events, canonical order
     meeting_credit: list[MeetingCredit]  # in start order
 
     @property
-    def rows(self) -> Iterator[tuple]:
-        """Every contribution event of the run as its ``row()``, in canonical
-        order, built lazily.
+    def events(self) -> Iterator[ContributionEvent]:
+        """Every contribution event of the run in canonical order, built lazily.
 
-        Meeting rows are spelled out one start time at a time and merged into
-        the rows of the sorted VCS and review events. A row starts with its
-        sort key, so the merge compares plain tuples; rows of different kinds
-        differ in their second field, so no comparison reaches past the key.
-        The whole log is never held at once.
+        Meeting events are spelled out one start time at a time, sorted stably
+        (meetings tied on the key keep their input order), and merged into
+        the sorted VCS and review events. An event is a tuple that starts
+        with its sort key, and events of different kinds differ in their
+        second field, so the merge compares no further than the key. The
+        whole log is never held at once.
         """
         meetings = chain.from_iterable(
-            sorted(credit_rows(group), key=_WITHIN_START)
+            sorted(credit_events(group), key=SORT_KEY)
             for _, group in groupby(self.meeting_credit, key=attrgetter("timestamp_ms"))
         )
-        return heapq.merge(map(ContributionEvent.row, self.sorted_events), meetings)
-
-    @property
-    def events(self) -> Iterator[ContributionEvent]:
-        """Every contribution event of the run in canonical order, built lazily."""
-        return map(ContributionEvent.from_row, self.rows)
+        return heapq.merge(self.sorted_events, meetings)
 
 
 def _report_doc(

@@ -96,7 +96,8 @@ class TestAnalyzeReport:
         assert report["warnings"] == []
 
     def test_empty_repository_report(self, capsys, mkrepo):
-        report = analyze_json(capsys, mkrepo("empty"))
+        repo = mkrepo("empty")
+        report = analyze_json(capsys, repo)
         assert report["bus_factor"] == 0
         assert report["file_count"] == 0
         assert report["coverage_trace"] == []
@@ -104,6 +105,18 @@ class TestAnalyzeReport:
         assert report["warnings"] == [
             "event log is empty; every score is 0 and the bus factor is 0",
             "no files to analyze; bus factor is 0",
+        ]
+        # in a fresh interpreter, so the warnings reach stderr through logging
+        src = str(Path(busfactor.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "busfactor", "analyze", "--repo", str(repo.path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"busfactor: WARNING: {warning}" for warning in report["warnings"]
         ]
 
     def test_runs_are_byte_identical(self, capsys, quarter_owners_repo):

@@ -135,7 +135,7 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
     run = AnalysisRun(report={}, sorted_events=plain, meeting_credit=credit)
     assert list(run.events) == everything
     dump = io.StringIO()
-    write_event_log(run.rows, dump)
+    write_event_log(run.events, dump)
     assert dump.getvalue() == reference_dump(everything)
 
     as_of = None if as_of_step is None else instant(as_of_step)

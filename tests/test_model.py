@@ -1,11 +1,15 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from busfactor.errors import ClockSkewError, ConfigError
 from busfactor.model import (
+    KIND_ORDER,
     MS_PER_DAY,
+    SORT_KEY,
     AlgorithmParams,
     ContributionEvent,
     EventKind,
@@ -85,10 +89,27 @@ class TestContributionEvent:
         with pytest.raises(ValueError, match="finite number > 0"):
             ContributionEvent(EventKind.MEETING, "a", "f", day_ms(0), magnitude=minutes)
 
-    def test_row_starts_with_the_sort_key_and_round_trips(self):
+    def test_event_starts_with_the_sort_key_and_round_trips(self):
         event = ContributionEvent(EventKind.MEETING, "a", "f", day_ms(1), 30.5, "c1")
-        assert event.row() == (*event.sort_key(), EventKind.MEETING, 30.5)
-        assert ContributionEvent.from_row(event.row()) == event
+        key = (day_ms(1), KIND_ORDER[EventKind.MEETING], "a", "f", "c1")
+        assert SORT_KEY(event) == key
+        assert event == (*key, EventKind.MEETING, 30.5)
+        assert ContributionEvent(*event.__getnewargs__()) == event
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_event_survives_pickle_and_copy(self, kind):
+        magnitude = 42.5 if kind is EventKind.MEETING else 1.0
+        event = ContributionEvent(kind, "a@x.io", "src/\u00e9.py", day_ms(3), magnitude, "c1")
+        clones = [copy.copy(event), copy.deepcopy(event)]
+        clones += [
+            pickle.loads(pickle.dumps(event, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert clone == event and type(clone) is ContributionEvent
+            assert clone.kind is kind and clone.magnitude == magnitude
+            assert hash(clone) == hash(event)
+        assert len({event, *clones}) == 1
 
     def test_canonical_order_is_time_kind_engineer_file(self):
         ts = day_ms(1)
@@ -97,8 +118,10 @@ class TestContributionEvent:
         commit = ContributionEvent(EventKind.COMMIT, "z", "f", ts)
         fa = ContributionEvent(EventKind.FIRST_AUTHORSHIP, "z", "f", ts)
         earlier = ContributionEvent(EventKind.MEETING, "z", "f", day_ms(0), magnitude=5)
-        ordered = canonical_order([meeting, review, commit, fa, earlier])
-        assert ordered == [earlier, fa, commit, review, meeting]
+        # ties with ``meeting`` on the whole key: the two keep their input order
+        shorter = ContributionEvent(EventKind.MEETING, "a", "f", ts, magnitude=15)
+        ordered = canonical_order([meeting, review, commit, fa, earlier, shorter])
+        assert ordered == [earlier, fa, commit, review, meeting, shorter]
 
     def test_canonical_order_breaks_ties_by_engineer_then_file(self):
         a = ContributionEvent(EventKind.COMMIT, "a", "z.txt", day_ms(0))

@@ -63,3 +63,5 @@ def test_traced_run_counts_both_engines_and_the_meeting_join(monkeypatch, tmp_pa
     assert 0 < metrics["collab.meeting_match_ratio"] <= 1
     assert metrics["collab.meeting_events"] > 0
     assert metrics["engine.ledger_s"] > 0 and metrics["engine.score_s"] > 0
+    # 5 VCS events (2 first authorships, 3 commits); the one review is a self-review
+    assert metrics["model.sort_s"] > 0 and metrics["model.events"] == 5
