@@ -125,15 +125,14 @@ class _DecayMemo(dict):
 
     def exposure(self, buckets: dict[str, list[tuple[int, float]]]) -> float:
         """Sum of one engineer's per-commit meeting weights, each capped at one."""
-        total = 0.0
-        for ref in sorted(buckets):
-            bucket = buckets[ref]
-            weight = self.capped.get(id(bucket))
-            if weight is None:
-                exposure = sum(minutes * self[ts] for ts, minutes in bucket)
-                weight = self.capped[id(bucket)] = min(1.0, exposure / self.params.mte_minutes)
-            total += weight
-        return total
+        return math.fsum(self._capped(bucket) for bucket in buckets.values())
+
+    def _capped(self, bucket: list[tuple[int, float]]) -> float:
+        weight = self.capped.get(id(bucket))
+        if weight is None:
+            exposure = math.fsum(minutes * self[ts] for ts, minutes in bucket)
+            weight = self.capped[id(bucket)] = min(1.0, exposure / self.params.mte_minutes)
+        return weight
 
 
 def _score_file_multimodal(
@@ -142,10 +141,10 @@ def _score_file_multimodal(
     params: AlgorithmParams,
     decayed: _DecayMemo,
 ) -> dict[str, float]:
-    dl = {e: sum(decayed[ts] for ts in ledger.commits.get(e, ())) for e in engineers}
-    rv = {e: sum(decayed[ts] for ts in ledger.reviews.get(e, ())) for e in engineers}
-    dl_total = sum(dl[e] for e in engineers)
-    rv_total = sum(rv[e] for e in engineers)
+    dl = {e: math.fsum(decayed[ts] for ts in ledger.commits.get(e, ())) for e in engineers}
+    rv = {e: math.fsum(decayed[ts] for ts in ledger.reviews.get(e, ())) for e in engineers}
+    dl_total = math.fsum(dl.values())
+    rv_total = math.fsum(rv.values())
 
     scores: dict[str, float] = {}
     for e in engineers:
@@ -156,16 +155,14 @@ def _score_file_multimodal(
         buckets = ledger.meetings.get(e)
         if buckets:
             meetings = decayed.exposure(buckets)
-        scores[e] = (
-            params.fa_weight * fa
-            + params.dl_weight * dl[e]
-            + params.rv_weight * rv[e]
-            + meetings
-            + params.log_dl_weight
-            * (math.log1p(dl_total) - math.log1p(dl_total - dl[e]))
-            + params.log_rv_weight
-            * (math.log1p(rv_total) - math.log1p(rv_total - rv[e]))
-        )
+        scores[e] = math.fsum((
+            params.fa_weight * fa,
+            params.dl_weight * dl[e],
+            params.rv_weight * rv[e],
+            meetings,
+            params.log_dl_weight * (math.log1p(dl_total) - math.log1p(dl_total - dl[e])),
+            params.log_rv_weight * (math.log1p(rv_total) - math.log1p(rv_total - rv[e])),
+        ))
     return scores
 
 
@@ -315,7 +312,7 @@ def bus_factor(
 
     def departure_key(e: str):
         files = files_of[e]
-        return (-len(files), -sum(table.raw[(e, f)] for f in files), e)
+        return (-len(files), -math.fsum(table.raw[(e, f)] for f in files), e)
 
     file_count = len(table.files)
     live_authors = {path: len(engineers) for path, engineers in authors.items()}

@@ -8,6 +8,7 @@ decisions pooled across all projects.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputDataError
@@ -29,7 +30,7 @@ class ProjectTruth:
 
     @property
     def mean_estimate(self) -> float:
-        return sum(self.estimates) / len(self.estimates)
+        return math.fsum(self.estimates) / len(self.estimates)
 
 
 def _load_projects(source, what: str) -> list[dict]:
@@ -137,11 +138,11 @@ def evaluate_predictions(
         raise InputDataError("predictions and ground truth share no projects")
 
     rows = []
-    error_sum = 0.0
+    errors = []
     true_positives = predicted_positives = actual_positives = 0
     for prediction, ground in matched:
         error = abs(prediction.bus_factor - ground.mean_estimate)
-        error_sum += error
+        errors.append(error)
         rows.append(
             {
                 "name": prediction.name,
@@ -172,7 +173,7 @@ def evaluate_predictions(
     )
     return {
         "project_count": len(matched),
-        "mae": error_sum / len(matched),
+        "mae": math.fsum(errors) / len(matched),
         "precision": precision,
         "recall": recall,
         "f1": f1,

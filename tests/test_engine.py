@@ -22,6 +22,7 @@ from busfactor.model import AlgorithmParams, ContributionEvent, EventKind, Meeti
 
 from conftest import day_ms
 from greedy_reference import make_table, naive_walk
+from score_reference import doa_reference
 
 PARAMS = AlgorithmParams()
 AS_OF = day_ms(1000)
@@ -278,6 +279,31 @@ def test_single_engineer_score_is_the_table_score(led):
     for engineer in led.participants():
         assert doa_multimodal(led, engineer, AS_OF, PARAMS) == table.raw[(engineer, "f")]
     assert doa_multimodal(led, "nobody", AS_OF, PARAMS) == 0.0
+
+
+# Weights and decays many orders of magnitude apart, so that a running float
+# sum drops a small term against a large one; an engineer with no events of
+# a kind has crowd terms that cancel to zero.
+far_apart = st.sampled_from([0.0, 1e-12, 0.1, 1.0, 3.0, 2.0**53, 1e16])
+exact_params = st.builds(
+    AlgorithmParams,
+    decay_days=st.sampled_from([1.0, 3.7, 220.0, 1e6]),
+    mte_minutes=st.sampled_from([1e-3, 7.0, 240.0]),
+    fa_weight=far_apart,
+    dl_weight=far_apart,
+    rv_weight=far_apart,
+    log_dl_weight=far_apart,
+    log_rv_weight=far_apart,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ledger_strategy, exact_params)
+def test_score_is_the_exactly_rounded_sum_of_its_terms(led, params):
+    for engineer in ("e0", "e1", "e2"):
+        assert doa_multimodal(led, engineer, AS_OF, params) == doa_reference(
+            led, engineer, AS_OF, params
+        )
 
 
 class TestTableAndAuthorship:
