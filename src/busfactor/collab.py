@@ -5,6 +5,9 @@ reviews attach to the exact commits they approved, meetings attach to the
 commits their attendees authored nearby in time. Reviews produce contribution
 events against the head-live files of those commits; meetings produce one
 credit per (meeting, commit) match that stands for all of its events.
+
+Every actor names an email or a profile ref that is not blank, and resolves
+through an ``IdentityIndex`` that must be built from every actor passed in.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ def _parse_actor(obj, where: str) -> RawActor:
             raise InputDataError(f"{where}: actor field {label!r} must be a string")
     if profile is not None and not isinstance(profile, str):
         raise InputDataError(f"{where}: actor field 'profile_ref' must be a string")
-    if not email and not profile:
+    if not email.strip() and not (profile or "").strip():
         raise InputDataError(f"{where}: actor needs an 'email' or a 'profile_ref'")
     return RawActor(name=name, email=email, profile_ref=profile)
 
@@ -141,36 +144,15 @@ def filter_meetings(
 def collect_actors(
     reviews: list[ReviewRecord], meetings: list[MeetingRecord]
 ) -> list[RawActor]:
-    actors: list[RawActor] = []
-    for review in reviews:
-        actors.extend(review.reviewers)
-    for meeting in meetings:
-        actors.extend(meeting.participants)
-    return actors
+    """The distinct reviewers and meeting participants, in first-seen order."""
+    actors = [a for review in reviews for a in review.reviewers]
+    actors.extend(a for meeting in meetings for a in meeting.participants)
+    return list(dict.fromkeys(actors))
 
 
-def _resolve_actor(
-    actor: RawActor, identity: IdentityIndex, warnings: list[str] | None, where: str
-) -> str | None:
-    engineer = identity.resolve(actor.email, actor.profile_ref)
-    if engineer is not None:
-        return engineer
-    if actor.email:
-        engineer = identity.resolve_or_create(actor.name, actor.email)
-        warn(warnings, f"{where}: <{actor.email}> missing from identity map; "
-                        f"attributed to new engineer '{engineer}'")
-        return engineer
-    if actor.profile_ref:
-        warn(warnings, f"{where}: profile {actor.profile_ref!r} missing from "
-                        f"identity map; using it as the engineer id")
-        return actor.profile_ref
-    return None
-
-
-def _resolve_ids(actors, identity: IdentityIndex, warnings, where: str) -> tuple[str, ...]:
+def _resolve_ids(actors, identity: IdentityIndex) -> tuple[str, ...]:
     """The engineer ids of ``actors``, deduplicated in input order."""
-    ids = (_resolve_actor(a, identity, warnings, f"{where} #{j}") for j, a in enumerate(actors))
-    return tuple(dict.fromkeys(e for e in ids if e is not None))
+    return tuple(dict.fromkeys(map(identity.resolve, actors)))
 
 
 def emit_review_events(
@@ -187,9 +169,7 @@ def emit_review_events(
     """
     events: list[ContributionEvent] = []
     for review in reviews:
-        reviewer_ids = _resolve_ids(
-            review.reviewers, identity, warnings, f"review {review.id!r} reviewer"
-        )
+        reviewer_ids = _resolve_ids(review.reviewers, identity)
         for commit_id in dict.fromkeys(review.commit_ids):
             knowledge = commit_index.get(commit_id)
             if knowledge is None:
@@ -221,7 +201,6 @@ def emit_meeting_events(
     identity: IdentityIndex,
     *,
     window_days: int = AlgorithmParams.meeting_window_days,
-    warnings: list[str] | None = None,
 ) -> list[MeetingCredit]:
     """Meeting credit for commits authored by attendees near in time.
 
@@ -243,9 +222,7 @@ def emit_meeting_events(
     stamps = [ts for ts, _, _ in timeline]
     credit: list[MeetingCredit] = []
     for meeting in meetings:
-        attendees = _resolve_ids(
-            meeting.participants, identity, warnings, f"meeting {meeting.id!r} participant"
-        )
+        attendees = _resolve_ids(meeting.participants, identity)
         authors = set(attendees)
         lo = bisect_left(stamps, meeting.start_ms - window_ms)
         hi = bisect_right(stamps, meeting.start_ms + window_ms)

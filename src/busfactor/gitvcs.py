@@ -5,6 +5,7 @@ branch into contribution events: first authorships and commit contributions
 for the files live at its head. Merge commits contribute only the paths whose
 content differs from every parent (the conflict resolutions); a rename moves
 a file's history to its new path, and a pure rename contributes nothing.
+Commit authors resolve through an ``IdentityIndex`` built from all of them.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import RepositoryError
-from .identity import IdentityIndex
+from .identity import IdentityIndex, RawActor, normalize_email
 from .inputs import warn
 from .model import ContributionEvent, EventKind, canonical_order
 
@@ -286,23 +287,28 @@ def emit_vcs_events(
     commit id breaking ties) additionally yields the first authorship.
     Renames move accumulated history to the new path without adding
     knowledge; files absent from the head snapshot are dropped.
+
+    ``identity`` must be built from every commit author; each distinct
+    (name, email) pair is resolved once. An author with a blank email is the
+    engineer ``merge_identities`` made of its name, and the first one of each
+    raw email string is named in one warning.
     """
     state: dict[str, _FileState] = {}
     authors: dict[str, str] = {}
-    unknown_warned: set[str] = set()
+    engineer_of = dict.fromkeys((c.author_name, c.author_email) for c in commits)
+    blank_warned: set[str] = set()
+    for name, email in engineer_of:
+        engineer_of[name, email] = engineer = identity.resolve(RawActor(name, email))
+        if not normalize_email(email) and email not in blank_warned:
+            blank_warned.add(email)
+            warn(
+                warnings,
+                f"author <{email}> missing from identity map; "
+                f"attributed to new engineer '{engineer}'",
+            )
 
     for commit in commits:
-        engineer = identity.resolve_email(commit.author_email)
-        if engineer is None:
-            engineer = identity.resolve_or_create(commit.author_name, commit.author_email)
-            if commit.author_email not in unknown_warned:
-                unknown_warned.add(commit.author_email)
-                warn(
-                    warnings,
-                    f"author <{commit.author_email}> missing from identity map; "
-                    f"attributed to new engineer '{engineer}'",
-                )
-        authors[commit.id] = engineer
+        engineer = authors[commit.id] = engineer_of[commit.author_name, commit.author_email]
 
         for change in commit.changed_files:
             if change.kind is ChangeKind.DELETED:

@@ -1,13 +1,17 @@
-"""Canonical identity merging.
+"""Canonical identity merging and resolution.
 
 Raw actors observed in commits, reviews, and meetings are collapsed into
 canonical Engineers: two actors belong to the same person when they share a
-normalized email or a platform profile ref, transitively.
+normalized email or a stripped profile ref, transitively. Blank keys join
+nothing, so an actor with neither key (a commit author with an empty email)
+is an engineer of its own. An ``IdentityIndex`` built from the engineers
+resolves exactly the actors they were merged from, and no others.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputDataError
 from .model import Engineer
 
 @dataclass(frozen=True)
@@ -23,8 +27,12 @@ def normalize_email(email: str) -> str:
     return email.strip().lower()
 
 
+def _ref(actor: RawActor) -> str:
+    return (actor.profile_ref or "").strip()
+
+
 def _engineer_id(emails: set[str], profile_refs: set[str], names: set[str]) -> str:
-    for pool in (emails - {""}, profile_refs, names):
+    for pool in (emails, profile_refs, names):
         if pool:
             return min(pool)
     return "unknown"
@@ -54,35 +62,21 @@ class _UnionFind:
 def merge_identities(raw_actors) -> list[Engineer]:
     """Collapse actors sharing an email or profile ref into canonical Engineers.
 
-    Emails are lowercased and trimmed before comparison; the closure is
-    transitive over both keys. The result is sorted by engineer id and is
-    independent of input order. Idempotent: feeding the output identities
+    Emails are lowercased and trimmed, and profile refs trimmed, before
+    comparison; the closure is transitive over both keys. A key that trims
+    to "" joins nothing, so an actor with neither key is an engineer of its
+    own (its name, else ``unknown``). The result is sorted by engineer id and
+    is independent of input order. Idempotent: feeding the output identities
     back in yields the same partition.
     """
-    actors = [
-        a if isinstance(a, RawActor) else RawActor(*a)
-        for a in raw_actors
-    ]
-    if not actors:
-        return []
-
+    actors = [a if isinstance(a, RawActor) else RawActor(*a) for a in raw_actors]
     uf = _UnionFind()
-    by_email: dict[str, int] = {}
-    by_profile: dict[str, int] = {}
+    first: dict[tuple[str, str], int] = {}  # (kind, key) -> first actor holding it
     for i, actor in enumerate(actors):
         uf.add(i)
-        email = normalize_email(actor.email)
-        if email:
-            if email in by_email:
-                uf.union(i, by_email[email])
-            else:
-                by_email[email] = i
-        if actor.profile_ref:
-            ref = actor.profile_ref.strip()
-            if ref in by_profile:
-                uf.union(i, by_profile[ref])
-            else:
-                by_profile[ref] = i
+        for key in (("email", normalize_email(actor.email)), ("ref", _ref(actor))):
+            if key[1]:  # a blank key joins nothing
+                uf.union(i, first.setdefault(key, i))
 
     groups: dict[int, list[RawActor]] = {}
     for i, actor in enumerate(actors):
@@ -90,9 +84,9 @@ def merge_identities(raw_actors) -> list[Engineer]:
 
     engineers = []
     for members in groups.values():
-        emails = {normalize_email(m.email) for m in members if normalize_email(m.email)}
-        names = {m.name.strip() for m in members if m.name.strip()}
-        refs = {m.profile_ref.strip() for m in members if m.profile_ref and m.profile_ref.strip()}
+        emails = {normalize_email(m.email) for m in members} - {""}
+        names = {m.name.strip() for m in members} - {""}
+        refs = {_ref(m) for m in members} - {""}
         engineers.append(
             Engineer(
                 id=_engineer_id(emails, refs, names),
@@ -105,49 +99,35 @@ def merge_identities(raw_actors) -> list[Engineer]:
 
 
 class IdentityIndex:
-    """Resolves emails and profile refs to canonical engineer ids.
+    """Resolves each actor to the engineer ``merge_identities`` merged it into.
 
-    Unknown commit authors can be registered on the fly so ingestion never
-    stalls on an unmapped identity.
+    The index must be built from the engineers of every actor it is asked
+    to resolve; it never makes one up.
     """
 
     def __init__(self, engineers) -> None:
         self._by_email: dict[str, str] = {}
         self._by_profile: dict[str, str] = {}
-        self._auto: dict[tuple[str, str], str] = {}
+        self._by_name: dict[str, str] = {}  # engineers with neither key
         for eng in engineers:
-            self._register(eng)
+            self._by_email.update(dict.fromkeys(eng.emails, eng.id))
+            self._by_profile.update(dict.fromkeys(eng.profile_refs, eng.id))
+            if not (eng.emails or eng.profile_refs):
+                self._by_name.update(dict.fromkeys(eng.names or ("",), eng.id))
 
-    def _register(self, eng: Engineer) -> None:
-        for email in eng.emails:
-            self._by_email[email] = eng.id
-        for ref in eng.profile_refs:
-            self._by_profile[ref] = eng.id
+    def resolve(self, actor: RawActor) -> str:
+        """The engineer id of ``actor``: by its normalized email, then its
+        stripped profile ref, and by its stripped name when it has neither.
 
-    def resolve_email(self, email: str) -> str | None:
-        return self._by_email.get(normalize_email(email))
-
-    def resolve_profile(self, profile_ref: str) -> str | None:
-        return self._by_profile.get(profile_ref.strip())
-
-    def resolve(self, email: str = "", profile_ref: str | None = None) -> str | None:
-        if email:
-            found = self.resolve_email(email)
-            if found is not None:
-                return found
-        if profile_ref:
-            return self.resolve_profile(profile_ref)
-        return None
-
-    def resolve_or_create(self, name: str, email: str) -> str:
-        """Resolve a commit author, creating a fresh engineer when unseen."""
-        found = self.resolve_email(email)
-        if found is not None:
-            return found
-        key = (normalize_email(email), name.strip())
-        if key in self._auto:
-            return self._auto[key]
-        eng = merge_identities([RawActor(name=name, email=email)])[0]
-        self._register(eng)
-        self._auto[key] = eng.id
-        return eng.id
+        Raises InputDataError for an actor the index was not built from.
+        """
+        email, ref = normalize_email(actor.email), _ref(actor)
+        if email or ref:
+            found = self._by_email.get(email)
+            if found is None:
+                found = self._by_profile.get(ref)
+        else:
+            found = self._by_name.get(actor.name.strip())
+        if found is None:
+            raise InputDataError(f"{actor!r} is not in the identity index")
+        return found

@@ -142,7 +142,9 @@ def run_analysis(
             parse_meetings(meetings_path), params.meeting_exclude_keywords
         )
 
-    actors = [RawActor(name=c.author_name, email=c.author_email) for c in commits]
+    # the index holds every actor resolved below, each listed once
+    authors = dict.fromkeys((c.author_name, c.author_email) for c in commits)
+    actors = [RawActor(name, email) for name, email in authors]
     actors.extend(collect_actors(reviews, meetings))
     identity = IdentityIndex(merge_identities(actors))
 
@@ -156,7 +158,6 @@ def run_analysis(
         vcs.commit_index,
         identity,
         window_days=params.meeting_window_days,
-        warnings=ingest_warnings,
     )
 
     if as_of_ms is None:

@@ -6,7 +6,6 @@ one credit per (meeting, commit) match instead and ``engine.build_ledgers``
 folds it per (attendee, commit); expanded, the two must give the same events
 and the same scores. Intentionally simple and slow.
 """
-from busfactor.collab import _resolve_actor
 from busfactor.model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind
 
 
@@ -16,7 +15,6 @@ def emit_meeting_events(
     identity,
     *,
     window_days=AlgorithmParams.meeting_window_days,
-    warnings=None,
 ):
     """Meeting events for commits authored by attendees near in time.
 
@@ -28,11 +26,9 @@ def emit_meeting_events(
     events = []
     for meeting in meetings:
         attendee_ids = []
-        for j, actor in enumerate(meeting.participants):
-            engineer = _resolve_actor(
-                actor, identity, warnings, f"meeting {meeting.id!r} participant #{j}"
-            )
-            if engineer is not None and engineer not in attendee_ids:
+        for actor in meeting.participants:
+            engineer = identity.resolve(actor)
+            if engineer not in attendee_ids:
                 attendee_ids.append(engineer)
         attendees = set(attendee_ids)
         for commit_id, knowledge in commit_index.items():

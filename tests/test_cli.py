@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from busfactor.cli import main
 from busfactor.eventlog import read_event_log
 from busfactor.model import AlgorithmParams, format_instant
 
-from conftest import ALICE, BOB, day_ms
+from conftest import ALICE, BOB, build_big_repo, day_ms
 
 REPORT_KEYS = {
     "project",
@@ -53,6 +54,36 @@ def input_file_argv(tmp_path, repo, command, flag, path):
     good = write_json(tmp_path, "good.json", {"projects": []})
     files = {"--predictions": good, "--truth": good, flag: str(path)}
     return ["evaluate", *[part for pair in files.items() for part in pair]]
+
+
+def fresh_cli(python, *argv):
+    """Run the CLI in a fresh ``python`` process, so warnings reach stderr."""
+    src = str(Path(busfactor.__file__).resolve().parents[1])
+    return subprocess.run(
+        [python, "-m", "busfactor", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+
+
+def other_interpreters() -> list[str]:
+    """Every other CPython 3.10-3.13 on PATH that starts."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        try:
+            proc = subprocess.run(
+                [exe, "-c", "import sys; print(sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.strip() == str((3, minor)):
+            found.append(exe)
+    return found
 
 
 def set_first(path, name, value):
@@ -427,6 +458,24 @@ class TestExitCodes:
             "attributed to new engineer 'Nobody'"
         ]
 
+    def test_second_blank_email_author_is_its_own_engineer_without_a_second_warning(
+        self, mkrepo
+    ):
+        repo = mkrepo("anonymous")
+        repo.commit("add", {"a.txt": "a\n"}, author=("Nobody", ""), day=0)
+        repo.commit("add", {"b.txt": "b\n"}, author=("Other", ""), day=1)
+        repo.commit("edit", {"a.txt": "a2\n"}, author=("Nobody", ""), day=2)
+        proc = fresh_cli(sys.executable, "analyze", "--repo", str(repo.path))
+        assert proc.returncode == 0, proc.stderr
+        warning = "author <> missing from identity map; attributed to new engineer 'Nobody'"
+        assert proc.stderr == f"busfactor: WARNING: {warning}\n"
+        report = json.loads(proc.stdout)
+        assert report["warnings"] == [warning]
+        assert [(f["path"], f["authors"]) for f in report["files"]] == [
+            ("a.txt", ["Nobody"]), ("b.txt", ["Other"]),
+        ]
+        assert report["key_engineers"] == ["Nobody", "Other"]
+
     def test_malformed_reviews_file(self, capsys, tmp_path, single_owner_repo):
         path = tmp_path / "reviews.json"
         path.write_text("{oops", encoding="utf-8")
@@ -578,6 +627,124 @@ class TestCollaborationChannels:
         )
         assert code == 2
         assert "--as-of" in err
+
+    def test_actors_named_by_case_padding_or_profile_ref_resolve_silently(
+        self, tmp_path, reviewed_repo
+    ):
+        reviews = write_json(tmp_path, "reviews.json", [{
+            "id": "r1",
+            "reviewers": [
+                {"email": "BOB@Example.com"},
+                {"email": "  carol@example.com "},
+                {"profile_ref": "u/dave"},
+            ],
+            "commit_ids": [reviewed_repo.head()],
+            "completed_at": day_ms(1),
+            "state": "merged",
+        }])
+        meetings = write_json(tmp_path, "meetings.json", [{
+            "id": "m1",
+            "participants": [
+                {"email": " ALICE@example.com"},
+                {"email": "Bob@example.com\t"},
+                {"profile_ref": " u/dave"},
+            ],
+            "start": day_ms(1),
+            "duration_minutes": 30,
+            "title": "design sync",
+        }])
+        dump = tmp_path / "events.jsonl"
+        proc = fresh_cli(
+            sys.executable, "analyze", "--repo", str(reviewed_repo.path),
+            "--reviews", reviews, "--meetings", meetings, "--dump-events", str(dump),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "missing from identity map" not in proc.stderr
+        assert json.loads(proc.stdout)["warnings"] == []
+        by_kind = {}
+        for event in read_event_log(dump):
+            by_kind.setdefault(event.kind.value, set()).add(event.engineer_id)
+        assert by_kind["review"] == {"bob@example.com", "carol@example.com", "u/dave"}
+        assert by_kind["meeting"] == {"alice@example.com", "bob@example.com", "u/dave"}
+
+    def test_reviewers_sharing_a_blank_profile_ref_stay_two_engineers(
+        self, capsys, tmp_path, reviewed_repo
+    ):
+        reviews = write_json(tmp_path, "reviews.json", [{
+            "id": "r1",
+            "reviewers": [
+                {"email": "bob@example.com", "profile_ref": " "},
+                {"email": "carol@example.com", "profile_ref": " "},
+            ],
+            "commit_ids": [reviewed_repo.head()],
+            "completed_at": day_ms(1),
+            "state": "merged",
+        }])
+        dump = tmp_path / "events.jsonl"
+        code, _, err = run_cli(
+            capsys, "analyze", "--repo", str(reviewed_repo.path),
+            "--reviews", reviews, "--dump-events", str(dump),
+        )
+        assert code == 0, err
+        reviewers = {e.engineer_id for e in read_event_log(dump) if e.kind.value == "review"}
+        assert reviewers == {"bob@example.com", "carol@example.com"}
+
+    @pytest.mark.parametrize("actor", [
+        {"name": "Nobody", "email": " ", "profile_ref": " "},
+        {"name": "Nobody", "email": "", "profile_ref": "\t"},
+        {"name": "Nobody"},
+    ])
+    @pytest.mark.parametrize("flag", ["--reviews", "--meetings"])
+    def test_actor_blank_on_both_keys_is_a_one_line_input_error(
+        self, capsys, tmp_path, reviewed_repo, actor, flag
+    ):
+        if flag == "--reviews":
+            path = self.review_file(tmp_path, reviewed_repo, completed_day=1)
+            set_first(path, "reviewers", [actor])
+            where = "review #0 reviewer #0"
+        else:
+            path = self.meeting_file(tmp_path, 1, ["alice@example.com"])
+            set_first(path, "participants", [actor])
+            where = "meeting #0 participant #0"
+        code, out, err = run_cli(capsys, "analyze", "--repo", str(reviewed_repo.path), flag, path)
+        assert (code, out) == (2, "")
+        assert err == f"busfactor: error: {where}: actor needs an 'email' or a 'profile_ref'\n"
+
+    def test_report_bytes_match_across_interpreters(self, tmp_path):
+        interpreters = other_interpreters()
+        if not interpreters:
+            pytest.skip("no other CPython 3.10-3.13 on PATH starts")
+        repo = build_big_repo(tmp_path / "big", n_commits=300, n_files=12)
+        shas = repo.git("rev-list", "--reverse", "main").split()
+        reviewers = ["alice", "bob", "carol", "dave", "erin"]
+        reviews = write_json(tmp_path, "reviews.json", [
+            {
+                "id": f"r{i}",
+                "reviewers": [{"email": f"{reviewers[(i + k) % 5]}@example.com"} for k in (1, 2)],
+                "commit_ids": [sha],
+                "completed_at": day_ms(i / 96 + 0.01),
+                "state": "merged",
+            }
+            for i, sha in enumerate(shas) if i % 3 == 0
+        ])
+        meetings = write_json(tmp_path, "meetings.json", [
+            {
+                "id": f"m{i}",
+                "participants": [{"email": f"{name}@example.com"} for name in reviewers[i % 3:]],
+                "start": day_ms(i / 4),
+                "duration_minutes": 15 + 7 * (i % 5),
+                "title": "design sync",
+            }
+            for i in range(12)
+        ])
+        argv = ["analyze", "--repo", str(repo.path), "--reviews", reviews,
+                "--meetings", meetings, "--algorithm", "both"]
+        expected = fresh_cli(sys.executable, *argv)
+        assert expected.returncode == 0, expected.stderr
+        for python in interpreters:
+            proc = fresh_cli(python, *argv)
+            assert proc.returncode == 0, (python, proc.stderr)
+            assert proc.stdout == expected.stdout, python
 
     def meeting_file(self, tmp_path, start_day, emails):
         return write_json(

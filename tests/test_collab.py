@@ -270,7 +270,7 @@ class TestMeetingEvents:
         meetings = parse_meetings(reviews_json(
             dict(MEETING, participants=[{"email": "alice@example.com"}, *people, people[0]]),
         ))
-        identity = make_index(RawActor(email="alice@example.com"))
+        identity = make_index(*collect_actors([], meetings))
         credit = emit_meeting_events(meetings, commit_index(), identity)
         assert len(credit) == 1  # one match: alice's c1
         assert credit[0].attendees == (

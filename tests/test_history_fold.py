@@ -211,7 +211,7 @@ def test_one_pass_read_and_fold_match_the_naive_oracles(history):
         warnings: list[str] = []
         ingestion = emit_vcs_events(commits, identity, snapshot, warnings=warnings)
 
-    author_of = {c.id: identity.resolve_email(c.author_email) for c in commits}
+    author_of = {c.id: identity.resolve(RawActor(c.author_name, c.author_email)) for c in commits}
     expected = fold_reference.fold(commits, diffs, author_of, snapshot.live_files)
     assert [
         (e.timestamp_ms, e.kind.value, e.engineer_id, e.file_path, e.commit_ref)

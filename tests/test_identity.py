@@ -3,6 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from busfactor.collab import MeetingRecord, ReviewRecord, emit_meeting_events, emit_review_events
+from busfactor.errors import InputDataError
+from busfactor.gitvcs import (
+    BranchSnapshot,
+    ChangeKind,
+    CommitKnowledge,
+    CommitRecord,
+    FileChange,
+    emit_vcs_events,
+)
 from busfactor.identity import Engineer, IdentityIndex, RawActor, merge_identities
 
 
@@ -67,6 +77,14 @@ class TestMerging:
         nothing = merge_identities([RawActor()])
         assert nothing[0].id == "unknown"
 
+    def test_blank_profile_ref_joins_nothing(self):
+        engineers = merge_identities(
+            [RawActor("A", "a@x", " "), RawActor("B", "b@x", " "), RawActor("C", "c@x", "")]
+        )
+        assert [(e.id, e.profile_refs) for e in engineers] == [
+            ("a@x", frozenset()), ("b@x", frozenset()), ("c@x", frozenset()),
+        ]
+
     def test_output_sorted_by_id(self):
         engineers = merge_identities(
             [RawActor(email=f"{c}@example.com") for c in "dcba"]
@@ -97,7 +115,7 @@ actor_strategy = st.builds(
     RawActor,
     name=st.sampled_from(["", "A", "B", "C"]),
     email=st.sampled_from(["", "a@x.io", "b@x.io", "c@x.io", "d@x.io"]),
-    profile_ref=st.sampled_from([None, "u1", "u2", "u3"]),
+    profile_ref=st.sampled_from([None, "", " ", "u1", "u2", "u3"]),
 )
 
 
@@ -121,7 +139,7 @@ def test_merge_matches_connected_components(actors):
         keys = set()
         if actor.email.strip():
             keys.add(("e", actor.email.strip().lower()))
-        if actor.profile_ref:
+        if actor.profile_ref and actor.profile_ref.strip():
             keys.add(("p", actor.profile_ref))
         keyed.append(keys)
     components: list[set] = []
@@ -145,22 +163,47 @@ def test_merge_matches_connected_components(actors):
 
 
 class TestIdentityIndex:
-    def test_resolution_by_email_and_profile(self):
-        engineers = merge_identities(
-            [RawActor(name="A", email="a@example.com", profile_ref="u1")]
-        )
-        index = IdentityIndex(engineers)
-        assert index.resolve_email("A@EXAMPLE.COM") == "a@example.com"
-        assert index.resolve_profile("u1") == "a@example.com"
-        assert index.resolve("missing@example.com", "u1") == "a@example.com"
-        assert index.resolve("missing@example.com", None) is None
+    def test_resolution_by_email_then_profile_then_name(self):
+        index = IdentityIndex(merge_identities(
+            [RawActor(name="A", email="a@example.com", profile_ref="u1"), RawActor(name="Nobody")]
+        ))
+        assert index.resolve(RawActor(email=" A@EXAMPLE.COM")) == "a@example.com"
+        assert index.resolve(RawActor(profile_ref=" u1 ")) == "a@example.com"
+        assert index.resolve(RawActor(email="missing@example.com", profile_ref="u1")) == "a@example.com"
+        assert index.resolve(RawActor(name=" Nobody", email=" ")) == "Nobody"
 
-    def test_resolve_or_create_is_stable(self):
-        index = IdentityIndex(merge_identities([RawActor(email="a@example.com")]))
-        created = index.resolve_or_create("New Person", "new@example.com")
-        assert created == "new@example.com"
-        assert index.resolve_or_create("New Person", "new@example.com") == created
-        assert index.resolve_email("new@example.com") == created
+    @pytest.mark.parametrize("actor", [
+        RawActor(email="missing@example.com"),
+        RawActor(profile_ref="u2"),
+        RawActor(name="A"),  # a name resolves only an actor with neither key
+        RawActor(),
+    ])
+    def test_actor_outside_the_index_is_an_error(self, actor):
+        index = IdentityIndex(merge_identities([RawActor(name="A", email="a@example.com")]))
+        with pytest.raises(InputDataError, match="not in the identity index") as raised:
+            index.resolve(actor)
+        assert "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize("emit", ["vcs", "review", "meeting"])
+    def test_emitters_reject_an_actor_outside_the_index(self, emit):
+        index = IdentityIndex(merge_identities([RawActor(name="A", email="a@example.com")]))
+        zed = RawActor(name="Zed", email="zed@example.com")
+        knowledge = {"c1": CommitKnowledge("a@example.com", 0, ("a.txt",))}
+        calls = {
+            "vcs": lambda: emit_vcs_events(
+                [CommitRecord("c1", zed.email, zed.name, 0, (), (FileChange("a.txt", ChangeKind.ADDED),))],
+                index,
+                BranchSnapshot(frozenset({"a.txt"})),
+            ),
+            "review": lambda: emit_review_events(
+                [ReviewRecord("R1", (zed,), ("c1",), 0, "merged")], knowledge, index
+            ),
+            "meeting": lambda: emit_meeting_events(
+                [MeetingRecord("M1", (zed,), 0, 30.0, "sync")], knowledge, index
+            ),
+        }
+        with pytest.raises(InputDataError, match="zed@example.com"):
+            calls[emit]()
 
     def test_engineer_is_frozen_value_object(self):
         e = Engineer(id="x", emails=frozenset({"x"}))

@@ -115,7 +115,7 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
     identity = IdentityIndex(merge_identities(ACTORS))
     commit_index = {
         f"c{i}": CommitKnowledge(
-            author_id=identity.resolve_email(actor.email),
+            author_id=identity.resolve(actor),
             timestamp_ms=instant(step),
             file_paths=tuple(sorted(files)),
         )

@@ -4,7 +4,7 @@ import pytest
 
 from busfactor import gitvcs
 from busfactor.cli import main
-from busfactor.errors import RepositoryError
+from busfactor.errors import InputDataError, RepositoryError
 from busfactor.gitvcs import (
     ChangeKind,
     default_branch,
@@ -372,16 +372,14 @@ class TestEmission:
         assert ingestion.commit_index[second].file_paths == ("a.txt", "b.txt")
         assert ingestion.commit_index[second].timestamp_ms == day_ms(1)
 
-    def test_unknown_author_auto_created_with_warning(self, mkrepo):
+    def test_unknown_author_is_an_error(self, mkrepo):
         repo = mkrepo()
         repo.commit("seed", {"a.txt": "1\n"}, author=ALICE, day=0)
         commits = traverse_branch(repo.path, "main")
         snapshot = snapshot_branch(repo.path, "main")
         index = IdentityIndex(merge_identities([RawActor(name="Zed", email="zed@example.com")]))
-        warnings: list[str] = []
-        ingestion = emit_vcs_events(commits, index, snapshot, warnings=warnings)
-        assert any("alice@example.com" in w for w in warnings)
-        assert {e.engineer_id for e in ingestion.events} == {"alice@example.com"}
+        with pytest.raises(InputDataError, match="alice@example.com"):
+            emit_vcs_events(commits, index, snapshot)
 
     def test_emission_is_deterministic(self, merge_conflict_repo):
         first = events_of(merge_conflict_repo)
