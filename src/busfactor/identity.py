@@ -5,7 +5,8 @@ canonical Engineers: two actors belong to the same person when they share a
 normalized email or a stripped profile ref, transitively. Blank keys join
 nothing, so an actor with neither key (a commit author with an empty email)
 is an engineer of its own. An ``IdentityIndex`` built from the engineers
-resolves exactly the actors they were merged from, and no others.
+resolves every actor they were merged from, and raises for an actor that
+shares no key with any of them.
 """
 from __future__ import annotations
 

@@ -169,7 +169,8 @@ class TestIdentityIndex:
         ))
         assert index.resolve(RawActor(email=" A@EXAMPLE.COM")) == "a@example.com"
         assert index.resolve(RawActor(profile_ref=" u1 ")) == "a@example.com"
-        assert index.resolve(RawActor(email="missing@example.com", profile_ref="u1")) == "a@example.com"
+        stale = RawActor(email="missing@example.com", profile_ref="u1")
+        assert index.resolve(stale) == "a@example.com"
         assert index.resolve(RawActor(name=" Nobody", email=" ")) == "Nobody"
 
     @pytest.mark.parametrize("actor", [
@@ -189,9 +190,10 @@ class TestIdentityIndex:
         index = IdentityIndex(merge_identities([RawActor(name="A", email="a@example.com")]))
         zed = RawActor(name="Zed", email="zed@example.com")
         knowledge = {"c1": CommitKnowledge("a@example.com", 0, ("a.txt",))}
+        added = (FileChange("a.txt", ChangeKind.ADDED),)
         calls = {
             "vcs": lambda: emit_vcs_events(
-                [CommitRecord("c1", zed.email, zed.name, 0, (), (FileChange("a.txt", ChangeKind.ADDED),))],
+                [CommitRecord("c1", zed.email, zed.name, 0, (), added)],
                 index,
                 BranchSnapshot(frozenset({"a.txt"})),
             ),
