@@ -4,6 +4,10 @@ Turns a contribution event log into per-engineer, per-file authorship scores
 and walks the greedy removal order to find how many engineers the project can
 lose before less than half of its files retain an author.
 
+Ledgers group each file's events. Meeting credit is one list per commit,
+keyed by the commit ref and held by every file of the commit; plain MEETING
+events are keyed by their (file path, commit ref).
+
 Two scoring algorithms live here. The multimodal one blends first authorship,
 commits, reviews, and meeting exposure, each exponentially decayed by age.
 The baseline is the classic commit-count regression, kept for comparison:
@@ -49,20 +53,22 @@ def check_algorithm(name: str) -> str:
 
 @dataclass
 class FileLedger:
-    """Event buckets for one file, grouped the way scoring consumes them."""
+    """Event buckets for one file, grouped the way scoring consumes them.
+
+    ``meetings`` maps a bucket key to ``[(attendees, timestamp_ms, minutes)]``:
+    the commit ref for meeting credit (one list, held by every file of the
+    commit), ``(file path, commit ref)`` for plain MEETING events. Each
+    attendee's minutes under one key are capped at one unit of exposure.
+    """
 
     first_authorship: tuple[int, str] | None = None  # (timestamp_ms, engineer)
     commits: dict[str, list[int]] = field(default_factory=dict)
     reviews: dict[str, list[int]] = field(default_factory=dict)
-    # engineer -> commit ref -> [(timestamp_ms, minutes)]; each ref bucket is
-    # capped independently, so exposure to one change saturates at one unit
-    meetings: dict[str, dict[str, list[tuple[int, float]]]] = field(default_factory=dict)
+    meetings: dict[str | tuple[str, str], list[tuple]] = field(default_factory=dict)
 
     def participants(self) -> list[str]:
-        engineers = set(self.commits) | set(self.reviews) | set(self.meetings)
-        if self.first_authorship is not None:
-            engineers.add(self.first_authorship[1])
-        return sorted(engineers)
+        meetings = self.meetings.values()
+        return sorted(_engineers(self, [a for entries in meetings for a, _, _ in entries]))
 
 
 def build_ledgers(
@@ -70,10 +76,10 @@ def build_ledgers(
 ) -> dict[str, FileLedger]:
     """Group events by file, rejecting duplicate first authorships.
 
-    Meeting ``credit``, in start order, is folded per (attendee, commit): the
-    attendees of a credit share its one ``(start, minutes)`` entry, and every
-    file of a commit shares its bucket, the bucket each of those files would
-    collect from the credit's MEETING events in canonical order.
+    Each meeting ``credit`` is appended once, as ``(attendees, start,
+    minutes)``, to the one list of its commit ref that every file of the
+    commit holds (all credit of a commit names the same files). A plain
+    MEETING event goes to the bucket of its ``(file, commit)``.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     for event in events:
@@ -89,81 +95,97 @@ def build_ledgers(
         elif event.kind is EventKind.REVIEW:
             ledger.reviews.setdefault(event.engineer_id, []).append(event.timestamp_ms)
         else:
-            buckets = ledger.meetings.setdefault(event.engineer_id, {})
-            buckets.setdefault(event.commit_ref, []).append(
-                (event.timestamp_ms, event.magnitude)
+            ledger.meetings.setdefault((event.file_path, event.commit_ref), []).append(
+                ((event.engineer_id,), event.timestamp_ms, event.magnitude)
             )
-    shared: defaultdict[str, dict[str, list]] = defaultdict(dict)  # commit -> engineer
+    shared: dict[str, list] = {}  # commit ref -> its credit entries
     for attendees, ref, timestamp_ms, minutes, paths in credit:
-        entry, buckets = (timestamp_ms, minutes), shared[ref]
-        for engineer in attendees:
-            bucket = buckets.get(engineer)
-            if bucket is None:
-                bucket = buckets[engineer] = []
-                for path in paths:
-                    meetings = ledgers[path].meetings
-                    refs = meetings.get(engineer)
-                    if refs is None:
-                        refs = meetings[engineer] = {}
-                    refs[ref] = bucket
-            bucket.append(entry)
+        entries = shared.get(ref)
+        if entries is None:
+            entries = shared[ref] = []
+            for path in paths:
+                ledgers[path].meetings[ref] = entries
+        entries.append((attendees, timestamp_ms, minutes))
     return dict(ledgers)
 
 
-class _DecayMemo(dict):
+def _engineers(ledger: FileLedger, meeting_people: Iterable[Iterable[str]]) -> set[str]:
+    """Everyone with an event on the file, given each meeting bucket's attendees."""
+    engineers = set(ledger.commits).union(ledger.reviews, *meeting_people)
+    if ledger.first_authorship is not None:
+        engineers.add(ledger.first_authorship[1])
+    return engineers
+
+
+class _PassMemo(dict):
     """One scoring pass's memo of timestamps -> ``decay`` of their age, so
     ``decay`` and its clock-skew check run once per timestamp, whatever the
-    term. ``capped`` maps ``id(bucket)`` of a meeting bucket the ledgers hold
-    to its capped weight, so a bucket every file of its commit shares is
-    weighed once. Neither stores objects for the collector to track."""
+    term, and of each meeting bucket key -> its entries and their weights."""
 
     def __init__(self, as_of_ms: int, params: AlgorithmParams) -> None:
-        self.as_of_ms, self.params, self.capped = as_of_ms, params, {}
+        self.as_of_ms, self.params, self.weighed = as_of_ms, params, {}
 
     def __missing__(self, ts: int) -> float:
         return self.setdefault(ts, decay(age_days(ts, self.as_of_ms), self.params.decay_days))
 
-    def exposure(self, buckets: dict[str, list[tuple[int, float]]]) -> float:
-        """Sum of one engineer's per-commit meeting weights, each capped at one."""
-        return math.fsum(self._capped(bucket) for bucket in buckets.values())
-
-    def _capped(self, bucket: list[tuple[int, float]]) -> float:
-        weight = self.capped.get(id(bucket))
-        if weight is None:
-            exposure = math.fsum(minutes * self[ts] for ts, minutes in bucket)
-            weight = self.capped[id(bucket)] = min(1.0, exposure / self.params.mte_minutes)
-        return weight
+    def meeting_weights(self, key, entries) -> dict[str, float]:
+        """Each attendee's ``min(1, sum of minutes * decay / mte)`` over one bucket."""
+        held = self.weighed.get(key)
+        if held is not None and held[0] is entries:
+            return held[1]
+        terms: defaultdict[str, list[float]] = defaultdict(list)
+        for attendees, ts, minutes in entries:
+            term = minutes * self[ts]
+            for engineer in attendees:
+                terms[engineer].append(term)
+        mte = self.params.mte_minutes  # min(1.0, w), without a call per weight
+        weights = {e: w if (w := math.fsum(t) / mte) < 1.0 else 1.0 for e, t in terms.items()}
+        self.weighed[key] = (entries, weights)
+        return weights
 
 
 def _score_file_multimodal(
-    ledger: FileLedger,
-    engineers: list[str],
-    params: AlgorithmParams,
-    decayed: _DecayMemo,
+    ledger: FileLedger, params: AlgorithmParams, decayed: _PassMemo
 ) -> dict[str, float]:
-    dl = {e: math.fsum(decayed[ts] for ts in ledger.commits.get(e, ())) for e in engineers}
-    rv = {e: math.fsum(decayed[ts] for ts in ledger.reviews.get(e, ())) for e in engineers}
-    dl_total = math.fsum(dl.values())
-    rv_total = math.fsum(rv.values())
-
-    scores: dict[str, float] = {}
-    for e in engineers:
-        fa = 0.0
-        if ledger.first_authorship is not None and ledger.first_authorship[1] == e:
-            fa = decayed[ledger.first_authorship[0]]
-        meetings = 0.0
-        buckets = ledger.meetings.get(e)
-        if buckets:
-            meetings = decayed.exposure(buckets)
-        scores[e] = math.fsum((
-            params.fa_weight * fa,
+    """Scores of everyone on the file."""
+    weights = [decayed.meeting_weights(*bucket) for bucket in ledger.meetings.items()]
+    exposure: defaultdict[str, list[float]] = defaultdict(list)
+    for capped in weights:
+        for engineer, weight in capped.items():
+            exposure[engineer].append(weight)
+    fa_ts, fa_engineer = ledger.first_authorship or (None, None)
+    engineers = _engineers(ledger, weights)
+    dl, rv = dict.fromkeys(engineers, 0.0), dict.fromkeys(engineers, 0.0)
+    for sums, stamps_of in ((dl, ledger.commits), (rv, ledger.reviews)):
+        for e, stamps in stamps_of.items():
+            sums[e] = math.fsum([decayed[ts] for ts in stamps])
+    dl_total, rv_total = math.fsum(dl.values()), math.fsum(rv.values())
+    log_dl_total, log_rv_total = math.log1p(dl_total), math.log1p(rv_total)
+    return {
+        e: math.fsum((
+            params.fa_weight * (decayed[fa_ts] if e == fa_engineer else 0.0),
             params.dl_weight * dl[e],
             params.rv_weight * rv[e],
-            meetings,
-            params.log_dl_weight * (math.log1p(dl_total) - math.log1p(dl_total - dl[e])),
-            params.log_rv_weight * (math.log1p(rv_total) - math.log1p(rv_total - rv[e])),
+            math.fsum(exposure.get(e, ())),
+            params.log_dl_weight * (log_dl_total - math.log1p(dl_total - dl[e])),
+            params.log_rv_weight * (log_rv_total - math.log1p(rv_total - rv[e])),
         ))
-    return scores
+        for e in engineers
+    }
+
+
+def _score_file_baseline(ledger: FileLedger, engineers: Iterable[str]) -> dict[str, float]:
+    """Baseline scores of ``engineers``, from the file's commit counts alone."""
+    first_author = ledger.first_authorship[1] if ledger.first_authorship is not None else None
+    counts = {e: len(stamps) for e, stamps in ledger.commits.items()}
+    total = sum(counts.values())
+    return {
+        e: BASELINE_INTERCEPT
+        + BASELINE_FA_WEIGHT * (1.0 if first_author == e else 0.0)
+        + BASELINE_DL_WEIGHT * counts.get(e, 0)
+        - BASELINE_AC_WEIGHT * math.log1p(total - counts.get(e, 0))
+        for e in engineers
+    }
 
 
 def doa_multimodal(
@@ -174,26 +196,13 @@ def doa_multimodal(
     An engineer with no events on the file scores exactly 0.0: every own
     term vanishes and the crowd terms cancel.
     """
-    decayed = _DecayMemo(as_of_ms, params)
-    scores = _score_file_multimodal(ledger, ledger.participants(), params, decayed)
+    scores = _score_file_multimodal(ledger, params, _PassMemo(as_of_ms, params))
     return scores.get(engineer_id, 0.0)
 
 
 def doa_baseline(ledger: FileLedger, engineer_id: str) -> float:
     """Commit-count regression score; no decay, reviews and meetings ignored."""
-    first_author = (
-        ledger.first_authorship[1] if ledger.first_authorship is not None else None
-    )
-    own = len(ledger.commits.get(engineer_id, ()))
-    others = sum(
-        len(stamps) for e, stamps in ledger.commits.items() if e != engineer_id
-    )
-    return (
-        BASELINE_INTERCEPT
-        + BASELINE_FA_WEIGHT * (1.0 if first_author == engineer_id else 0.0)
-        + BASELINE_DL_WEIGHT * own
-        - BASELINE_AC_WEIGHT * math.log1p(others)
-    )
+    return _score_file_baseline(ledger, (engineer_id,))[engineer_id]
 
 
 @dataclass
@@ -228,18 +237,16 @@ def score_table(
     raw: dict[tuple[str, str], float] = {}
     file_max: dict[str, float] = {}
     file_engineers: dict[str, tuple[str, ...]] = {}
-    decayed = _DecayMemo(as_of_ms, params)
+    decayed = _PassMemo(as_of_ms, params)
     for path in sorted(ledgers):
         ledger = ledgers[path]
-        engineers = ledger.participants()
         if algorithm == "baseline":
-            scores = {e: doa_baseline(ledger, e) for e in engineers}
+            scores = _score_file_baseline(ledger, ledger.participants())
         else:
-            scores = _score_file_multimodal(ledger, engineers, params, decayed)
-        for e in engineers:
-            raw[(e, path)] = scores[e]
+            scores = _score_file_multimodal(ledger, params, decayed)
+        file_engineers[path] = engineers = tuple(sorted(scores))
+        raw.update(((e, path), scores[e]) for e in engineers)
         file_max[path] = max(scores.values(), default=0.0)
-        file_engineers[path] = tuple(engineers)
     return DoaTable(
         algorithm=algorithm,
         raw=raw,

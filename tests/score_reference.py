@@ -20,7 +20,10 @@ def doa_reference(ledger, engineer_id: str, as_of_ms: int, params) -> float:
     def decayed(ts: int) -> float:
         return decay(age_days(ts, as_of_ms), params.decay_days)
 
-    engineers = ledger.participants()
+    engineers = {*ledger.commits, *ledger.reviews}
+    engineers.update(e for entries in ledger.meetings.values() for a, _, _ in entries for e in a)
+    if ledger.first_authorship is not None:
+        engineers.add(ledger.first_authorship[1])
     if engineer_id not in engineers:
         return 0.0
     dl = {e: exact_sum(map(decayed, ledger.commits.get(e, ()))) for e in engineers}
@@ -30,9 +33,13 @@ def doa_reference(ledger, engineer_id: str, as_of_ms: int, params) -> float:
     fa = 0.0
     if ledger.first_authorship is not None and ledger.first_authorship[1] == e:
         fa = decayed(ledger.first_authorship[0])
+    # the engineer's bucket under each key: the entries it attended
+    buckets = [
+        [m * decayed(ts) for attendees, ts, m in entries if e in attendees]
+        for entries in ledger.meetings.values()
+    ]
     meetings = exact_sum(
-        min(1.0, exact_sum(m * decayed(ts) for ts, m in bucket) / params.mte_minutes)
-        for bucket in ledger.meetings.get(e, {}).values()
+        min(1.0, exact_sum(bucket) / params.mte_minutes) for bucket in buckets if bucket
     )
     return exact_sum((
         params.fa_weight * fa,

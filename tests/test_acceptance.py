@@ -57,27 +57,23 @@ def test_criterion_2_zero_activity_cancellation():
         rng = random.Random(2024)
         for _ in range(100):
             engineers = [f"e{i}" for i in range(rng.randint(1, 5))]
-            led = FileLedger(
-                first_authorship=(day_ms(rng.randint(0, 900)), rng.choice(engineers)),
-                commits={
-                    e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 5))]
-                    for e in engineers
-                },
-                reviews={
-                    e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 4))]
-                    for e in engineers
-                },
-                meetings={
-                    e: {
-                        f"c{j}": [
-                            (day_ms(rng.randint(0, 1000)), rng.uniform(1, 700))
-                            for _ in range(rng.randint(1, 3))
-                        ]
-                        for j in range(rng.randint(0, 3))
-                    }
-                    for e in engineers
-                },
-            )
+            first_authorship = (day_ms(rng.randint(0, 900)), rng.choice(engineers))
+            commits = {
+                e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 5))]
+                for e in engineers
+            }
+            reviews = {
+                e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 4))]
+                for e in engineers
+            }
+            meetings: dict = {}  # commit ref -> [(attendees, start, minutes)]
+            for e in engineers:
+                for j in range(rng.randint(0, 3)):
+                    meetings.setdefault(f"c{j}", []).extend(
+                        ((e,), day_ms(rng.randint(0, 1000)), rng.uniform(1, 700))
+                        for _ in range(rng.randint(1, 3))
+                    )
+            led = FileLedger(first_authorship, commits, reviews, meetings)
             assert abs(doa_multimodal(led, "uninvolved", day_ms(1000), PARAMS)) <= 1e-9
 
 
@@ -252,10 +248,10 @@ def test_criterion_7_property_invariants():
         # a single commit's meeting credit saturates at one unit
         for _ in range(50):
             minutes = [
-                (day_ms(rng.randint(0, 1000)), rng.uniform(1, 5000))
+                (("m",), day_ms(rng.randint(0, 1000)), rng.uniform(1, 5000))
                 for _ in range(rng.randint(1, 6))
             ]
-            led = FileLedger(meetings={"m": {"c": minutes}})
+            led = FileLedger(meetings={"c": minutes})
             assert doa_multimodal(led, "m", day_ms(1000), PARAMS) <= 1.0 + 1e-12
 
         # shifting every timestamp by the same delta changes nothing

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from busfactor.engine import (
+    ALGORITHMS,
     BASELINE_INTERCEPT,
     FileLedger,
     analyze,
@@ -18,7 +19,13 @@ from busfactor.engine import (
     score_table,
 )
 from busfactor.errors import ClockSkewError, ConfigError, InputDataError
-from busfactor.model import AlgorithmParams, ContributionEvent, EventKind, MeetingCredit
+from busfactor.model import (
+    AlgorithmParams,
+    ContributionEvent,
+    EventKind,
+    MeetingCredit,
+    credit_events,
+)
 
 from conftest import day_ms
 from greedy_reference import make_table, naive_walk
@@ -35,10 +42,7 @@ def ledger(fa=None, commits=None, reviews=None, meetings=None) -> FileLedger:
         first_authorship=fa,
         commits={k: list(v) for k, v in (commits or {}).items()},
         reviews={k: list(v) for k, v in (reviews or {}).items()},
-        meetings={
-            e: {ref: list(items) for ref, items in refs.items()}
-            for e, refs in (meetings or {}).items()
-        },
+        meetings={key: list(entries) for key, entries in (meetings or {}).items()},
     )
 
 
@@ -59,7 +63,7 @@ class TestMultimodalFormula:
             fa=(day_ms(0), "a"),
             commits={"a": [day_ms(0), day_ms(5)], "b": [day_ms(3)]},
             reviews={"b": [day_ms(4)]},
-            meetings={"a": {"c1": [(day_ms(2), 120.0)]}},
+            meetings={"c1": [(("a",), day_ms(2), 120.0)]},
         )
         assert doa_multimodal(led, "ghost", AS_OF, PARAMS) == 0.0
 
@@ -67,27 +71,23 @@ class TestMultimodalFormula:
         rng = random.Random(7)
         for _ in range(100):
             engineers = [f"e{i}" for i in range(rng.randint(1, 4))]
-            led = ledger(
-                fa=(day_ms(rng.randint(0, 900)), rng.choice(engineers)),
-                commits={
-                    e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 4))]
-                    for e in engineers
-                },
-                reviews={
-                    e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 3))]
-                    for e in engineers
-                },
-                meetings={
-                    e: {
-                        f"c{j}": [
-                            (day_ms(rng.randint(0, 1000)), rng.uniform(5, 600))
-                            for _ in range(rng.randint(1, 3))
-                        ]
-                        for j in range(rng.randint(0, 2))
-                    }
-                    for e in engineers
-                },
-            )
+            fa = (day_ms(rng.randint(0, 900)), rng.choice(engineers))
+            commits = {
+                e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 4))]
+                for e in engineers
+            }
+            reviews = {
+                e: [day_ms(rng.randint(0, 1000)) for _ in range(rng.randint(0, 3))]
+                for e in engineers
+            }
+            meetings: dict = {}
+            for e in engineers:
+                for j in range(rng.randint(0, 2)):
+                    meetings.setdefault(f"c{j}", []).extend(
+                        ((e,), day_ms(rng.randint(0, 1000)), rng.uniform(5, 600))
+                        for _ in range(rng.randint(1, 3))
+                    )
+            led = ledger(fa=fa, commits=commits, reviews=reviews, meetings=meetings)
             assert abs(doa_multimodal(led, "absent", AS_OF, PARAMS)) <= 1e-9
 
     def test_review_contribution(self):
@@ -109,31 +109,33 @@ class TestMultimodalFormula:
 
 class TestMeetingTerm:
     def test_long_meeting_saturates_at_one(self):
-        led = ledger(meetings={"m": {"c1": [(AS_OF, 600.0)]}})
+        led = ledger(meetings={"c1": [(("m",), AS_OF, 600.0)]})
         assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(1.0, abs=1e-12)
 
     def test_meeting_minutes_decay(self):
-        led = ledger(meetings={"m": {"c1": [(AS_OF - HALF_LIFE_MS, 240.0)]}})
+        led = ledger(meetings={"c1": [(("m",), AS_OF - HALF_LIFE_MS, 240.0)]})
         assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(0.5, abs=1e-9)
 
     def test_each_commit_bucket_caps_independently(self):
-        led = ledger(
-            meetings={"m": {"c1": [(AS_OF, 600.0)], "c2": [(AS_OF, 600.0)]}}
-        )
+        led = ledger(meetings={"c1": [(("m",), AS_OF, 600.0)], "c2": [(("m",), AS_OF, 600.0)]})
         assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(2.0, abs=1e-12)
 
-    def test_credit_folds_into_one_bucket_per_engineer_and_commit(self):
+    def test_credit_folds_into_one_list_per_commit(self):
         files = ("a.txt", "b.txt")
         credit = [
             MeetingCredit(("m",), "c1", AS_OF - 5, 60.0, files),
-            MeetingCredit(("m",), "c1", AS_OF, 45.0, files),
-            MeetingCredit(("m",), "c1", AS_OF, 30.0, files),
+            MeetingCredit(("m", "n"), "c1", AS_OF, 45.0, files),
+            MeetingCredit(("n",), "c1", AS_OF, 30.0, files),
         ]
         ledgers = build_ledgers([], credit)
-        bucket = ledgers["a.txt"].meetings["m"]["c1"]
-        # in credit order, which emit_meeting_events gives in start order
-        assert bucket == [(AS_OF - 5, 60.0), (AS_OF, 45.0), (AS_OF, 30.0)]
-        assert ledgers["b.txt"].meetings["m"]["c1"] is bucket
+        entries = ledgers["a.txt"].meetings["c1"]
+        # one entry per credit, in credit order, which emit_meeting_events
+        # gives in start order
+        assert entries == [
+            (("m",), AS_OF - 5, 60.0), (("m", "n"), AS_OF, 45.0), (("n",), AS_OF, 30.0),
+        ]
+        assert ledgers["b.txt"].meetings == {"c1": entries}
+        assert ledgers["b.txt"].meetings["c1"] is entries
 
     def test_attendees_of_one_credit_share_its_entry(self):
         files = ("a.txt", "b.txt")
@@ -143,24 +145,45 @@ class TestMeetingTerm:
             MeetingCredit(("n", "m"), "c2", AS_OF, 30.0, ("b.txt",)),
         ]
         ledgers = build_ledgers([], credit)
-        m, n = ledgers["a.txt"].meetings["m"], ledgers["a.txt"].meetings["n"]
-        assert m == {"c1": [(AS_OF - 5, 60.0)]}
-        assert n == {"c1": [(AS_OF - 5, 60.0), (AS_OF, 45.0)]}
-        assert m["c1"][0] is n["c1"][0]
-        assert ledgers["b.txt"].meetings["m"] == {"c1": m["c1"], "c2": [(AS_OF, 30.0)]}
-        assert ledgers["b.txt"].meetings["n"]["c1"] is n["c1"]
-        assert ledgers["b.txt"].meetings["n"]["c2"] == [(AS_OF, 30.0)]
+        a, b = ledgers["a.txt"].meetings, ledgers["b.txt"].meetings
+        assert a == {"c1": [(("m", "n"), AS_OF - 5, 60.0), (("n",), AS_OF, 45.0)]}
+        assert b == {"c1": a["c1"], "c2": [(("n", "m"), AS_OF, 30.0)]}
+        assert b["c1"] is a["c1"]
+        assert a["c1"][0][0] is credit[0].attendees
         # each attendee scores as if credited alone
         alone = build_ledgers([], [MeetingCredit(("n",), *c[1:]) for c in credit])
         table = score_table(ledgers, AS_OF, PARAMS)
         assert table.raw[("n", "b.txt")] == score_table(alone, AS_OF, PARAMS).raw[("n", "b.txt")]
+
+    def test_plain_meeting_events_and_credit_of_one_commit_both_count(self):
+        events = [ContributionEvent(EventKind.MEETING, "m", "a.txt", AS_OF, 200.0, "c1")]
+        credit = [MeetingCredit(("m",), "c1", AS_OF, 200.0, ("a.txt",))]
+        ledgers = build_ledgers(events, credit)
+        assert ledgers["a.txt"].meetings == {
+            ("a.txt", "c1"): [(("m",), AS_OF, 200.0)],
+            "c1": [(("m",), AS_OF, 200.0)],
+        }
+        # each bucket is capped on its own: 200/240 twice, not min(1, 400/240)
+        table = score_table(ledgers, AS_OF, PARAMS)
+        assert table.raw[("m", "a.txt")] == math.fsum([200.0 / 240.0] * 2)
 
     def test_file_local_buckets_of_one_commit_scored_apart(self):
         events = [
             ContributionEvent(EventKind.MEETING, "m", "a.txt", AS_OF, 600.0, "c1"),
             ContributionEvent(EventKind.MEETING, "m", "b.txt", AS_OF - HALF_LIFE_MS, 240.0, "c1"),
         ]
-        table = score_table(build_ledgers(events), AS_OF, PARAMS)
+        ledgers = build_ledgers(events)
+        assert ledgers["a.txt"].meetings == {("a.txt", "c1"): [(("m",), AS_OF, 600.0)]}
+        table = score_table(ledgers, AS_OF, PARAMS)
+        assert table.raw[("m", "a.txt")] == pytest.approx(1.0, abs=1e-12)
+        assert table.raw[("m", "b.txt")] == pytest.approx(0.5, abs=1e-9)
+
+    def test_a_key_holding_other_entries_in_another_file_is_weighed_again(self):
+        ledgers = {
+            "a.txt": ledger(meetings={"c1": [(("m",), AS_OF, 600.0)]}),
+            "b.txt": ledger(meetings={"c1": [(("m",), AS_OF - HALF_LIFE_MS, 240.0)]}),
+        }
+        table = score_table(ledgers, AS_OF, PARAMS)
         assert table.raw[("m", "a.txt")] == pytest.approx(1.0, abs=1e-12)
         assert table.raw[("m", "b.txt")] == pytest.approx(0.5, abs=1e-9)
 
@@ -175,9 +198,7 @@ class TestMeetingTerm:
         )
     )
     def test_single_commit_meeting_credit_never_exceeds_one(self, items):
-        led = ledger(
-            meetings={"m": {"c1": [(day_ms(day), minutes) for day, minutes in items]}}
-        )
+        led = ledger(meetings={"c1": [(("m",), day_ms(day), minutes) for day, minutes in items]})
         assert doa_multimodal(led, "m", AS_OF, PARAMS) <= 1.0 + 1e-12
 
 
@@ -209,7 +230,7 @@ class TestBaselineFormula:
         noisy = ledger(
             commits={"a": [day_ms(0)]},
             reviews={"a": [day_ms(1)], "b": [day_ms(2)]},
-            meetings={"a": {"c": [(day_ms(3), 500.0)]}},
+            meetings={"c": [(("a",), day_ms(3), 500.0)]},
         )
         assert doa_baseline(bare, "a") == doa_baseline(noisy, "a")
 
@@ -221,16 +242,17 @@ ledger_strategy = st.builds(
     first_authorship=st.none() | st.tuples(timestamps, engineer_ids),
     commits=st.dictionaries(engineer_ids, st.lists(timestamps, max_size=4), max_size=3),
     reviews=st.dictionaries(engineer_ids, st.lists(timestamps, max_size=4), max_size=3),
+    # credit keys and a plain MEETING event key, with attendees to share
     meetings=st.dictionaries(
-        engineer_ids,
-        st.dictionaries(
-            st.sampled_from(["c1", "c2"]),
-            st.lists(
-                st.tuples(timestamps, st.floats(min_value=1, max_value=600)),
-                min_size=1,
-                max_size=3,
+        st.sampled_from(["c1", "c2", ("f", "c1")]),
+        st.lists(
+            st.tuples(
+                st.lists(engineer_ids, min_size=1, max_size=3, unique=True).map(tuple),
+                timestamps,
+                st.floats(min_value=1, max_value=600),
             ),
-            max_size=2,
+            min_size=1,
+            max_size=3,
         ),
         max_size=3,
     ),
@@ -262,8 +284,8 @@ def test_shifting_all_timestamps_changes_nothing(led, delta_days):
         commits={e: [t + delta for t in ts] for e, ts in led.commits.items()},
         reviews={e: [t + delta for t in ts] for e, ts in led.reviews.items()},
         meetings={
-            e: {ref: [(t + delta, m) for t, m in items] for ref, items in refs.items()}
-            for e, refs in led.meetings.items()
+            key: [(attendees, t + delta, m) for attendees, t, m in entries]
+            for key, entries in led.meetings.items()
         },
     )
     for engineer in ("e0", "e1", "e2"):
@@ -305,6 +327,76 @@ def test_score_is_the_exactly_rounded_sum_of_its_terms(led, params):
             led, engineer, AS_OF, params
         )
 
+
+
+FILES = ("f0", "f1", "f2")
+COMMIT_REFS = ("c1", "c2", "c3")
+attendee_tuples = st.lists(engineer_ids, min_size=1, max_size=3, unique=True).map(tuple)
+meeting_minutes = st.floats(min_value=1, max_value=600)
+
+
+@st.composite
+def events_and_credit(draw):
+    """Events of every kind, and credit whose commits each name one file set."""
+    files_of = {
+        ref: tuple(draw(st.lists(st.sampled_from(FILES), min_size=1, max_size=3, unique=True)))
+        for ref in COMMIT_REFS
+    }
+    credit = draw(st.lists(
+        st.builds(
+            lambda attendees, ref, ts, minutes: MeetingCredit(
+                attendees, ref, ts, minutes, files_of[ref]
+            ),
+            attendee_tuples, st.sampled_from(COMMIT_REFS), timestamps, meeting_minutes,
+        ),
+        max_size=8,
+    ))
+    events = draw(st.lists(
+        st.builds(
+            lambda kind, engineer, path, ts, minutes, ref: ContributionEvent(
+                kind, engineer, path, ts, minutes if kind is EventKind.MEETING else 1.0, ref
+            ),
+            st.sampled_from([EventKind.COMMIT, EventKind.REVIEW, EventKind.MEETING]),
+            engineer_ids, st.sampled_from(FILES), timestamps, meeting_minutes,
+            st.sampled_from(COMMIT_REFS),
+        ),
+        max_size=10,
+    ))
+    first = draw(st.dictionaries(st.sampled_from(FILES), st.tuples(engineer_ids, timestamps)))
+    events += [
+        ContributionEvent(EventKind.FIRST_AUTHORSHIP, engineer, path, ts)
+        for path, (engineer, ts) in first.items()
+    ]
+    return events, credit
+
+
+def file_scores(table, path):
+    return {k: v for k, v in table.raw.items() if k[1] == path}, table.file_max[path]
+
+
+@settings(max_examples=200, deadline=None)
+@given(events_and_credit(), st.randoms(use_true_random=False))
+def test_meeting_ledgers_do_not_depend_on_order_or_on_spelling_credit_out(drawn, rng):
+    events, credit = drawn
+    shuffled_events, shuffled_credit = list(events), list(credit)
+    rng.shuffle(shuffled_events)
+    rng.shuffle(shuffled_credit)
+    spelled_out = events + list(credit_events(credit))
+    # a plain MEETING event sharing (file, commit) with credit is capped apart
+    # from the credit here, and in one bucket with it once the credit is spelled out
+    plain = {(e.file_path, e.commit_ref) for e in events if e.kind is EventKind.MEETING}
+    mixed = {e.file_path for e in credit_events(credit) if (e.file_path, e.commit_ref) in plain}
+    for algorithm in ALGORITHMS:
+        table = score_table(build_ledgers(events, credit), AS_OF, PARAMS, algorithm)
+        shuffled = score_table(
+            build_ledgers(shuffled_events, shuffled_credit), AS_OF, PARAMS, algorithm
+        )
+        assert shuffled.raw == table.raw
+        assert shuffled.file_max == table.file_max
+        spelled = score_table(build_ledgers(spelled_out), AS_OF, PARAMS, algorithm)
+        assert spelled.files == table.files
+        for path in set(table.files) - mixed:
+            assert file_scores(spelled, path) == file_scores(table, path)
 
 class TestTableAndAuthorship:
     def test_normalized_bounds_and_argmax(self):
