@@ -3,14 +3,14 @@
 Raw actors observed in commits, reviews, and meetings are collapsed into
 canonical Engineers: two actors belong to the same person when they share a
 normalized email or a stripped profile ref, transitively. Blank keys join
-nothing, so an actor with neither key (a commit author with an empty email)
-is an engineer of its own. An ``IdentityIndex`` built from the engineers
+nothing, so actors with neither key (commit authors with an empty email)
+merge by their stripped name. An ``IdentityIndex`` built from the engineers
 resolves every actor they were merged from, and raises for an actor that
 shares no key with any of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InputDataError
 from .model import Engineer
@@ -39,6 +39,29 @@ def _engineer_id(emails: set[str], profile_refs: set[str], names: set[str]) -> s
     return "unknown"
 
 
+def _distinct_ids(engineers: list[Engineer]) -> list[Engineer]:
+    """The engineers, sorted by id, no id held twice.
+
+    Ids clash only across pools (an email, a profile ref, a name). The id
+    goes to an engineer with an email, else one with a profile ref, else one
+    with a name; each other takes the first ``ID#n`` (n = 2, 3, ...) that no
+    engineer holds, in that order.
+    """
+    taken = {e.id for e in engineers}
+    kept: set[str] = set()
+    out = []
+    for eng in sorted(engineers, key=lambda e: (not e.emails, not e.profile_refs, not e.names, e.id)):
+        if eng.id in kept:
+            n = 2
+            while f"{eng.id}#{n}" in taken:
+                n += 1
+            eng = replace(eng, id=f"{eng.id}#{n}")
+            taken.add(eng.id)
+        kept.add(eng.id)
+        out.append(eng)
+    return sorted(out, key=lambda e: e.id)
+
+
 class _UnionFind:
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
@@ -65,19 +88,19 @@ def merge_identities(raw_actors) -> list[Engineer]:
 
     Emails are lowercased and trimmed, and profile refs trimmed, before
     comparison; the closure is transitive over both keys. A key that trims
-    to "" joins nothing, so an actor with neither key is an engineer of its
-    own (its name, else ``unknown``). The result is sorted by engineer id and
-    is independent of input order. Idempotent: feeding the output identities
-    back in yields the same partition.
+    to "" joins nothing, so actors with neither key merge by their stripped
+    name (``unknown`` when blank). Ids are unique (``_distinct_ids``). The
+    result is sorted by engineer id and is independent of input order.
+    Idempotent: feeding the output identities back in yields the same partition.
     """
     actors = [a if isinstance(a, RawActor) else RawActor(*a) for a in raw_actors]
     uf = _UnionFind()
     first: dict[tuple[str, str], int] = {}  # (kind, key) -> first actor holding it
     for i, actor in enumerate(actors):
         uf.add(i)
-        for key in (("email", normalize_email(actor.email)), ("ref", _ref(actor))):
-            if key[1]:  # a blank key joins nothing
-                uf.union(i, first.setdefault(key, i))
+        keys = [k for k in (("email", normalize_email(actor.email)), ("ref", _ref(actor))) if k[1]]
+        for key in keys or [("name", actor.name.strip())]:  # a blank key joins nothing
+            uf.union(i, first.setdefault(key, i))
 
     groups: dict[int, list[RawActor]] = {}
     for i, actor in enumerate(actors):
@@ -96,7 +119,7 @@ def merge_identities(raw_actors) -> list[Engineer]:
                 profile_refs=frozenset(refs),
             )
         )
-    return sorted(engineers, key=lambda e: e.id)
+    return _distinct_ids(engineers)
 
 
 class IdentityIndex:

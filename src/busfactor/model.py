@@ -45,7 +45,8 @@ class Engineer:
     """A canonical developer identity after alias merging.
 
     ``id`` is stable and order-independent: the smallest email, falling back
-    to the smallest profile ref, then the smallest name.
+    to the smallest profile ref, then the name; ``merge_identities`` adds
+    ``#n`` to an id that another engineer already holds.
     """
 
     id: str

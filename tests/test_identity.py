@@ -77,6 +77,39 @@ class TestMerging:
         nothing = merge_identities([RawActor()])
         assert nothing[0].id == "unknown"
 
+    def test_a_name_id_never_takes_an_email_id(self):
+        engineers = merge_identities(
+            [RawActor("bob@example.com", ""), RawActor("Bob", "bob@example.com")]
+        )
+        assert [(e.id, e.emails, e.names) for e in engineers] == [
+            ("bob@example.com", frozenset({"bob@example.com"}), frozenset({"Bob"})),
+            ("bob@example.com#2", frozenset(), frozenset({"bob@example.com"})),
+        ]
+        index = IdentityIndex(engineers)
+        assert index.resolve(RawActor("bob@example.com", " ")) == "bob@example.com#2"
+        assert index.resolve(RawActor("Robert", "BOB@example.com")) == "bob@example.com"
+
+    def test_a_profile_ref_id_never_takes_an_email_id(self):
+        actors = [RawActor("A", "x@y"), RawActor("B", "", "x@y"), RawActor("x@y#2", "")]
+        engineers = merge_identities(actors)
+        # the name "x@y#2" keeps its id, so the profile-ref engineer skips it
+        assert [(e.id, e.names) for e in engineers] == [
+            ("x@y", frozenset({"A"})), ("x@y#2", frozenset({"x@y#2"})), ("x@y#3", frozenset({"B"})),
+        ]
+        assert merge_identities(actors[::-1]) == engineers
+        index = IdentityIndex(engineers)
+        assert [index.resolve(a) for a in actors] == ["x@y", "x@y#3", "x@y#2"]
+
+    def test_actors_with_neither_key_merge_by_name(self):
+        engineers = merge_identities(
+            [RawActor("Nobody", ""), RawActor(" Nobody ", " "), RawActor(), RawActor("unknown")]
+        )
+        assert [(e.id, e.names) for e in engineers] == [
+            ("Nobody", frozenset({"Nobody"})),
+            ("unknown", frozenset({"unknown"})),
+            ("unknown#2", frozenset()),
+        ]
+
     def test_blank_profile_ref_joins_nothing(self):
         engineers = merge_identities(
             [RawActor("A", "a@x", " "), RawActor("B", "b@x", " "), RawActor("C", "c@x", "")]
@@ -111,11 +144,13 @@ class TestMerging:
         ]
 
 
+# names and profile refs that equal another actor's email or profile ref,
+# so that ids taken from different pools clash
 actor_strategy = st.builds(
     RawActor,
-    name=st.sampled_from(["", "A", "B", "C"]),
+    name=st.sampled_from(["", "A", "B", "C", "a@x.io", "u1", "unknown", "a@x.io#2"]),
     email=st.sampled_from(["", "a@x.io", "b@x.io", "c@x.io", "d@x.io"]),
-    profile_ref=st.sampled_from([None, "", " ", "u1", "u2", "u3"]),
+    profile_ref=st.sampled_from([None, "", " ", "u1", "u2", "u3", "a@x.io"]),
 )
 
 
@@ -160,6 +195,14 @@ def test_merge_matches_connected_components(actors):
     # engineers with neither email nor profile come from blank actors; ignore
     got_emails = [t for t in got_emails]
     assert got_emails == expected_emails
+    assert len({e.id for e in engineers}) == len(engineers)
+    index = IdentityIndex(engineers)
+    owner = {("e", k): e.id for e in engineers for k in e.emails}
+    owner.update({("p", k): e.id for e in engineers for k in e.profile_refs})
+    for actor in actors:
+        email, ref = actor.email.strip().lower(), (actor.profile_ref or "").strip()
+        if email or ref:
+            assert index.resolve(actor) == owner[("e", email) if email else ("p", ref)]
 
 
 class TestIdentityIndex:
