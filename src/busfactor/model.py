@@ -100,6 +100,20 @@ class ContributionEvent(_EventFields):
         return (self.kind, self.engineer_id, self.file_path, self.timestamp_ms,
                 self.magnitude, self.commit_ref)
 
+    @classmethod
+    def _make(cls, fields) -> "ContributionEvent":
+        """The event of the seven fields, built and checked by the constructor."""
+        timestamp_ms, rank, engineer_id, file_path, commit_ref, kind, magnitude = fields
+        event = cls(kind, engineer_id, file_path, timestamp_ms, magnitude, commit_ref)
+        if rank != event.kind_rank:
+            raise ValueError(f"kind_rank must be {event.kind_rank} for {kind.value} events")
+        return event
+
+    def _replace(self, **changes) -> "ContributionEvent":
+        """A copy with ``changes``, built by the constructor (``kind_rank`` follows ``kind``)."""
+        fields = {k: v for k, v in zip(self._fields, self) if k != "kind_rank"}
+        return type(self)(**{**fields, **changes})
+
 
 def _check_meeting_minutes(minutes) -> None:
     """Reject meeting minutes that are a bool or not a finite number > 0."""

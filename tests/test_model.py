@@ -111,6 +111,25 @@ class TestContributionEvent:
             assert hash(clone) == hash(event)
         assert len({event, *clones}) == 1
 
+    def test_replace_and_make_go_through_the_constructor(self):
+        commit = ContributionEvent(EventKind.COMMIT, "a", "f", day_ms(1), commit_ref="c1")
+        review = commit._replace(kind=EventKind.REVIEW)
+        assert review == ContributionEvent(EventKind.REVIEW, "a", "f", day_ms(1), commit_ref="c1")
+        assert review.kind_rank == KIND_ORDER[EventKind.REVIEW]
+        assert type(review) is ContributionEvent
+        # the review now sorts after a commit at the same instant
+        other = ContributionEvent(EventKind.COMMIT, "z", "f", day_ms(1))
+        assert canonical_order([review, other]) == [other, review]
+        assert ContributionEvent._make(tuple(review)) == review
+        with pytest.raises(ValueError, match="magnitude"):
+            commit._replace(magnitude=2.0)
+        with pytest.raises(TypeError, match="kind_rank"):
+            commit._replace(kind_rank=0)
+        with pytest.raises(ValueError, match="kind_rank must be 2"):
+            ContributionEvent._make((*review[:1], 1, *review[2:]))
+        with pytest.raises(ValueError, match="magnitude"):
+            ContributionEvent._make((*commit[:6], -1.0))
+
     def test_canonical_order_is_time_kind_engineer_file(self):
         ts = day_ms(1)
         meeting = ContributionEvent(EventKind.MEETING, "a", "f", ts, magnitude=30)
