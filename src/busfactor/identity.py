@@ -98,8 +98,9 @@ def merge_identities(raw_actors) -> list[Engineer]:
     first: dict[tuple[str, str], int] = {}  # (kind, key) -> first actor holding it
     for i, actor in enumerate(actors):
         uf.add(i)
+        # a blank key joins nothing; an actor with neither key joins by name
         keys = [k for k in (("email", normalize_email(actor.email)), ("ref", _ref(actor))) if k[1]]
-        for key in keys or [("name", actor.name.strip())]:  # a blank key joins nothing
+        for key in keys or [("name", actor.name.strip())]:
             uf.union(i, first.setdefault(key, i))
 
     groups: dict[int, list[RawActor]] = {}

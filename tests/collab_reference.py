@@ -3,7 +3,7 @@
 Scans every commit for every meeting and spells out one MEETING event per
 (meeting, attendee, commit, live file). ``collab.emit_meeting_events`` returns
 one credit per (meeting, commit) match instead and ``engine.build_ledgers``
-folds it per (attendee, commit); expanded, the two must give the same events
+keeps one list of it per commit; expanded, the two must give the same events
 and the same scores. Intentionally simple and slow.
 """
 from busfactor.model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind

@@ -2,7 +2,7 @@
 
 ``collab.emit_meeting_events`` returns one credit per (meeting, commit)
 match, carrying the meeting's deduplicated attendees, and
-``engine.build_ledgers`` folds it per (engineer, commit). Spelled out, that
+``engine.build_ledgers`` keeps one list of it per commit. Spelled out, that
 must be exactly the reference's events, written as the reference writer in
 eventlog_reference.py writes them, and scoring must give exactly the
 reference's floats, authors, walk and clock-skew message.
