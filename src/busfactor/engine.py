@@ -2,11 +2,9 @@
 
 Turns a contribution event log into per-engineer, per-file authorship scores
 and walks the greedy removal order to find how many engineers the project can
-lose before less than half of its files retain an author.
-
-Ledgers group each file's events. Meeting credit is one list per commit,
-keyed by the commit ref and held by every file of the commit; plain MEETING
-events are keyed by their (file path, commit ref).
+lose before less than half of its files retain an author. A file's ledger
+keys meeting credit by commit ref (one list per commit, held by every file
+of it) and plain MEETING events by (file path, commit ref).
 
 Two scoring algorithms live here. The multimodal one blends first authorship,
 commits, reviews, and meeting exposure, each exponentially decayed by age.
@@ -55,9 +53,9 @@ def check_algorithm(name: str) -> str:
 class FileLedger:
     """Event buckets for one file, grouped the way scoring consumes them.
 
-    ``meetings`` maps a bucket key to ``[(attendees, timestamp_ms, minutes)]``:
-    the commit ref for meeting credit (one list, held by every file of the
-    commit), ``(file path, commit ref)`` for plain MEETING events. Each
+    ``meetings`` maps the commit ref of meeting credit (one list per commit,
+    held by every file of it), or the ``(file path, commit ref)`` of plain
+    MEETING events, to ``[(attendees, timestamp_ms, minutes)]``; each
     attendee's minutes under one key are capped at one unit of exposure.
     """
 
