@@ -1,5 +1,7 @@
 """Bus factor estimation from git history, code reviews, and meetings."""
 
+from importlib import import_module
+
 from .collab import (
     emit_meeting_events,
     emit_review_events,
@@ -29,14 +31,12 @@ from .errors import (
     InputDataError,
     RepositoryError,
 )
-from .estimator import BusFactorEstimator
 from .eventlog import read_event_log, write_event_log
 from .gitvcs import (
     emit_vcs_events,
     snapshot_branch,
     traverse_branch,
 )
-from .evaluate import evaluate_predictions, load_predictions, load_truth
 from .identity import Engineer, IdentityIndex, RawActor, merge_identities
 from .model import (
     AlgorithmParams,
@@ -52,6 +52,24 @@ from .model import (
 from .pipeline import AnalysisRun, run_analysis, to_json
 
 __version__ = "0.1.0"
+
+# served on first use, so that importing the package (and the CLI) skips them
+_LAZY = {
+    "BusFactorEstimator": "estimator",
+    "evaluate_predictions": "evaluate",
+    "load_predictions": "evaluate",
+    "load_truth": "evaluate",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AlgorithmParams",

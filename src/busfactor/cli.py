@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConfigError, InputDataError, RepositoryError
-from .evaluate import evaluate_predictions, load_predictions, load_truth
 from .eventlog import write_event_log
 from .inputs import load_json
 from .model import AlgorithmParams, parse_instant
@@ -174,6 +173,8 @@ def _run_analyze(args) -> int:
 
 
 def _run_evaluate(args) -> int:
+    from .evaluate import evaluate_predictions, load_predictions, load_truth
+
     warnings: list[str] = []
     predictions = load_predictions(args.predictions)
     truth = load_truth(args.truth)

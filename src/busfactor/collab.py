@@ -13,18 +13,24 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import InputDataError
 from .gitvcs import CommitKnowledge
 from .identity import IdentityIndex, RawActor
 from .inputs import field, instant, load_json, warn
-from .model import MS_PER_DAY, AlgorithmParams, ContributionEvent, EventKind, MeetingCredit
+from .model import (
+    MS_PER_DAY,
+    AlgorithmParams,
+    ContributionEvent,
+    EventKind,
+    MeetingCredit,
+    event_rows,
+)
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
+class ReviewRecord(NamedTuple):
     id: str
     reviewers: tuple[RawActor, ...]
     commit_ids: tuple[str, ...]
@@ -32,8 +38,7 @@ class ReviewRecord:
     state: str
 
 
-@dataclass(frozen=True)
-class MeetingRecord:
+class MeetingRecord(NamedTuple):
     id: str
     participants: tuple[RawActor, ...]
     start_ms: int
@@ -167,32 +172,22 @@ def emit_review_events(
     Self-reviews (reviewer is the commit author) are skipped, as are commit
     ids that never reached the analyzed branch.
     """
-    events: list[ContributionEvent] = []
-    for review in reviews:
-        reviewer_ids = _resolve_ids(review.reviewers, identity)
-        for commit_id in dict.fromkeys(review.commit_ids):
+    groups = []  # laid out for ``event_rows``
+    for review_id, reviewers, commit_ids, completed_at_ms, _ in reviews:
+        reviewer_ids = _resolve_ids(reviewers, identity)
+        for commit_id in dict.fromkeys(commit_ids):
             knowledge = commit_index.get(commit_id)
             if knowledge is None:
                 warn(
                     warnings,
-                    f"review {review.id!r} references commit {commit_id} "
+                    f"review {review_id!r} references commit {commit_id} "
                     f"not on the analyzed branch; skipped",
                 )
                 continue
-            for engineer in reviewer_ids:
-                if engineer == knowledge.author_id:
-                    continue
-                for path in knowledge.file_paths:
-                    events.append(
-                        ContributionEvent(
-                            kind=EventKind.REVIEW,
-                            engineer_id=engineer,
-                            file_path=path,
-                            timestamp_ms=review.completed_at_ms,
-                            commit_ref=commit_id,
-                        )
-                    )
-    return events
+            author_id, _, paths = knowledge
+            engineers = [e for e in reviewer_ids if e != author_id]
+            groups.append((engineers, commit_id, completed_at_ms, None, paths))
+    return list(event_rows(EventKind.REVIEW, groups))
 
 
 def emit_meeting_events(

@@ -76,8 +76,9 @@ def build_ledgers(
 
     Each meeting ``credit`` is appended once, as ``(attendees, start,
     minutes)``, to the one list of its commit ref that every file of the
-    commit holds (all credit of a commit names the same files). A plain
-    MEETING event goes to the bucket of its ``(file, commit)``.
+    commit holds; credit that names other files than the first credit of
+    its commit is an ``InputDataError``. A plain MEETING event goes to the
+    bucket of its ``(file, commit)``.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     for event in events:
@@ -96,14 +97,18 @@ def build_ledgers(
             ledger.meetings.setdefault((event.file_path, event.commit_ref), []).append(
                 ((event.engineer_id,), event.timestamp_ms, event.magnitude)
             )
-    shared: dict[str, list] = {}  # commit ref -> its credit entries
+    shared: dict[str, tuple[tuple[str, ...], list]] = {}  # ref -> (its files, its entries)
     for attendees, ref, timestamp_ms, minutes, paths in credit:
-        entries = shared.get(ref)
-        if entries is None:
-            entries = shared[ref] = []
+        held = shared.get(ref)
+        if held is None:
+            held = shared[ref] = (paths, [])
             for path in paths:
-                ledgers[path].meetings[ref] = entries
-        entries.append((attendees, timestamp_ms, minutes))
+                ledgers[path].meetings[ref] = held[1]
+        elif paths is not held[0] and paths != held[0]:
+            raise InputDataError(
+                f"meeting credit for commit {ref!r} names other files than earlier credit for it"
+            )
+        held[1].append((attendees, timestamp_ms, minutes))
     return dict(ledgers)
 
 

@@ -10,13 +10,13 @@ Commit authors resolve through an ``IdentityIndex`` built from all of them.
 from __future__ import annotations
 
 import subprocess
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import RepositoryError
 from .identity import IdentityIndex, RawActor, normalize_email
 from .inputs import warn
-from .model import ContributionEvent, EventKind, canonical_order
+from .model import ContributionEvent, EventKind, canonical_order, event_rows
 
 RENAME_THRESHOLD = "60%"
 
@@ -28,8 +28,7 @@ class ChangeKind(str, Enum):
     RENAMED = "renamed"
 
 
-@dataclass(frozen=True)
-class FileChange:
+class FileChange(NamedTuple):
     path: str
     kind: ChangeKind
     from_path: str | None = None
@@ -42,8 +41,7 @@ class FileChange:
         return self.kind is not ChangeKind.DELETED
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     id: str
     author_email: str
     author_name: str
@@ -56,13 +54,11 @@ class CommitRecord:
         return len(self.parent_ids) >= 2
 
 
-@dataclass(frozen=True)
-class BranchSnapshot:
+class BranchSnapshot(NamedTuple):
     live_files: frozenset[str]
 
 
-@dataclass(frozen=True)
-class CommitKnowledge:
+class CommitKnowledge(NamedTuple):
     """Per-commit summary the review/meeting channels attach to."""
 
     author_id: str
@@ -70,8 +66,7 @@ class CommitKnowledge:
     file_paths: tuple[str, ...]
 
 
-@dataclass
-class VcsIngestion:
+class VcsIngestion(NamedTuple):
     events: list[ContributionEvent]
     commit_index: dict[str, CommitKnowledge]
 
@@ -130,44 +125,46 @@ def _resolve_head(repo_path, branch: str) -> str | None:
     raise RepositoryError(f"branch {branch!r} not found in {repo_path}")
 
 
-_KIND_OF_STATUS = {
-    "A": ChangeKind.ADDED,
-    "C": ChangeKind.ADDED,
-    "M": ChangeKind.MODIFIED,
-    "T": ChangeKind.MODIFIED,
-    "D": ChangeKind.DELETED,
-    "R": ChangeKind.RENAMED,
-}
+# the status of an entry with one path and no score -> its kind (a type change
+# is an edit), also with the newline that starts the first entry of a diff
+_ONE_PATH = {"A": ChangeKind.ADDED, "M": ChangeKind.MODIFIED, "T": ChangeKind.MODIFIED,
+             "D": ChangeKind.DELETED}
+_ONE_PATH.update({f"\n{code}": kind for code, kind in _ONE_PATH.items()})
 
 
 def _read_log(out: str) -> dict[str, tuple[list[str], list[list[FileChange]]]]:
-    """Commit id -> (header fields, one diff per header) from ``git log --raw -z``.
+    """Commit id -> (header fields, one diff per header) from ``git log --name-status -z``.
 
     Every token ends in NUL. A header is ``\\x01`` and the commit id, then
-    four fields; a raw entry is a ``:meta`` token ending in its status, then
-    one path, or two (source, destination) for a rename or copy. Paths are
-    verbatim, so any UTF-8 file name reads back unchanged.
+    four fields; a diff entry is a status token (its letter, then a score for
+    a rename or copy; the first one of a diff follows a newline) and one path,
+    or two (source, destination) for a rename or copy. Paths are verbatim, so
+    any UTF-8 file name reads back unchanged.
     """
     listed: dict[str, tuple[list[str], list[list[FileChange]]]] = {}
+    new, one_path = tuple.__new__, _ONE_PATH
+    added, renamed = ChangeKind.ADDED, ChangeKind.RENAMED
     tokens = iter(out.split("\x00"))
     for token in tokens:
-        token = token.lstrip("\n")
-        if token.startswith("\x01"):
-            fields = [next(tokens) for _ in range(4)]
-            listed.setdefault(token[1:], (fields, []))[1].append(diff := [])
-        elif token.startswith(":"):
-            status = token.rsplit(" ", 1)[-1]
-            code, score = status[0], status[1:]
-            path = next(tokens)
-            if code in "RC":
-                source, path = path, next(tokens)
-            kind = _KIND_OF_STATUS.get(code)
-            if kind is None:
-                warn(None, f"ignoring unrecognized diff status {status!r}")
-            elif kind is ChangeKind.RENAMED:
-                diff.append(FileChange(path, kind, source, int(score) if score else None))
-            else:
-                diff.append(FileChange(path, kind))
+        kind = one_path.get(token)
+        if kind is not None:
+            diff.append(new(FileChange, (next(tokens), kind, None, None)))
+            continue
+        status = token.lstrip("\n")
+        code = status[:1]
+        if code == "\x01":
+            fields = [next(tokens), next(tokens), next(tokens), next(tokens)]
+            listed.setdefault(status[1:], (fields, []))[1].append(diff := [])
+        elif code == "R":
+            source = next(tokens)
+            score = int(status[1:]) if status[1:] else None
+            diff.append(new(FileChange, (next(tokens), renamed, source, score)))
+        elif code == "C":
+            next(tokens)  # a copy adds its destination
+            diff.append(new(FileChange, (next(tokens), added, None, None)))
+        elif code:
+            next(tokens)
+            warn(None, f"ignoring unrecognized diff status {status!r}")
     return listed
 
 
@@ -204,15 +201,16 @@ def _intersect_parent_diffs(
     """
     if len(per_parent) < n_parents:
         return []
+    renamed, deleted, added = ChangeKind.RENAMED, ChangeKind.DELETED, ChangeKind.ADDED
     kind_of: list[dict[str, ChangeKind]] = []
     for diff in per_parent:
         kinds = {}
-        for change in diff:
-            if change.kind is ChangeKind.RENAMED:
-                kinds[change.from_path] = ChangeKind.DELETED
-                kinds[change.path] = ChangeKind.ADDED
+        for path, kind, from_path, _ in diff:
+            if kind is renamed:
+                kinds[from_path] = deleted
+                kinds[path] = added
             else:
-                kinds[change.path] = change.kind
+                kinds[path] = kind
         kind_of.append(kinds)
     changes = []
     for path in sorted(set(kind_of[0]).intersection(*kind_of[1:])):
@@ -233,26 +231,23 @@ def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
     if head is None:
         return []
     _, out = _git(
-        repo_path, "log", head, "--raw", "-z", "--root", "--diff-merges=separate",
+        repo_path, "log", head, "--name-status", "-z", "--root", "--diff-merges=separate",
         f"--find-renames={RENAME_THRESHOLD}", "--format=%x01%H%x00%P%x00%ae%x00%an%x00%at",
     )
     records: dict[str, CommitRecord] = {}
+    parents_of: dict[str, tuple[str, ...]] = {}
+    new = tuple.__new__
     for commit_id, ((parents, email, name, epoch), diffs) in _read_log(out).items():
-        parent_ids = tuple(parents.split())
+        parent_ids = parents_of[commit_id] = tuple(parents.split())
         if len(parent_ids) >= 2:
             changes = _intersect_parent_diffs(diffs, len(parent_ids))
         else:
             changes = diffs[0]
-        records[commit_id] = CommitRecord(
-            id=commit_id,
-            author_email=email,
-            author_name=name,
-            timestamp_ms=int(epoch) * 1000,
-            parent_ids=parent_ids,
-            changed_files=tuple(changes),
+        records[commit_id] = new(
+            CommitRecord,
+            (commit_id, email, name, int(epoch) * 1000, parent_ids, tuple(changes)),
         )
-    order = _dfs_topological(head, {c: r.parent_ids for c, r in records.items()})
-    return [records[commit_id] for commit_id in order]
+    return [records[commit_id] for commit_id in _dfs_topological(head, parents_of)]
 
 
 def snapshot_branch(repo_path, head: str | None) -> BranchSnapshot:
@@ -267,10 +262,16 @@ def snapshot_branch(repo_path, head: str | None) -> BranchSnapshot:
     return BranchSnapshot(live_files=frozenset(p for p in out.split("\x00") if p))
 
 
-@dataclass
 class _FileState:
-    adds: list[tuple[int, str, str]] = field(default_factory=list)  # (ts, commit, engineer)
-    commits: list[tuple[str, int, str]] = field(default_factory=list)  # (engineer, ts, commit)
+    """The history of the file living at one path."""
+
+    __slots__ = ("adds", "commits")
+
+    def __init__(self) -> None:
+        self.adds: list[tuple[int, str, tuple[str]]] = []  # (ts, commit, (engineer,))
+        # for each commit that added or edited it, the head paths that commit
+        # touched (filled in once the fold is done)
+        self.commits: list[list[str]] = []
 
 
 def emit_vcs_events(
@@ -294,11 +295,11 @@ def emit_vcs_events(
     raw email string is named in one warning.
     """
     state: dict[str, _FileState] = {}
-    authors: dict[str, str] = {}
     engineer_of = dict.fromkeys((c.author_name, c.author_email) for c in commits)
     blank_warned: set[str] = set()
     for name, email in engineer_of:
-        engineer_of[name, email] = engineer = identity.resolve(RawActor(name, email))
+        engineer = identity.resolve(RawActor(name, email))
+        engineer_of[name, email] = (engineer,)
         if not normalize_email(email) and email not in blank_warned:
             blank_warned.add(email)
             warn(
@@ -307,61 +308,50 @@ def emit_vcs_events(
                 f"attributed to new engineer '{engineer}'",
             )
 
-    for commit in commits:
-        engineer = authors[commit.id] = engineer_of[commit.author_name, commit.author_email]
-
-        for change in commit.changed_files:
-            if change.kind is ChangeKind.DELETED:
-                state.pop(change.path, None)
+    # per commit, laid out for ``event_rows``: the head paths it added or
+    # edited, in sorted order, are filled in once the fold is done
+    groups: list[tuple[tuple[str], str, int, None, list[str]]] = []
+    deleted, renamed, added = ChangeKind.DELETED, ChangeKind.RENAMED, ChangeKind.ADDED
+    for commit_id, email, name, ts, _, changes in commits:
+        author = engineer_of[name, email]
+        touched: list[str] = []
+        groups.append((author, commit_id, ts, None, touched))
+        for path, kind, from_path, similarity in changes:
+            if kind is deleted:
+                state.pop(path, None)
                 continue
-            if change.kind is ChangeKind.RENAMED:
-                entry = state[change.path] = state.pop(change.from_path, None) or _FileState()
-                if not change.content_changed:
+            if kind is renamed:
+                entry = state[path] = state.pop(from_path, None) or _FileState()
+                if similarity is None or similarity >= 100:  # not content_changed
                     continue
             else:
                 # an edit finds no state when a sibling branch deleted the path first
-                entry = state.get(change.path) or state.setdefault(change.path, _FileState())
-                if change.kind is ChangeKind.ADDED:
-                    entry.adds.append((commit.timestamp_ms, commit.id, engineer))
-            entry.commits.append((engineer, commit.timestamp_ms, commit.id))
+                entry = state.get(path) or state.setdefault(path, _FileState())
+                if kind is added:
+                    entry.adds.append((ts, commit_id, author))
+            entry.commits.append(touched)
 
-    events: list[ContributionEvent] = []
-    # commit id -> the head paths it added or edited, in sorted order
-    touched: dict[str, dict[str, None]] = {}
+    firsts = []
     for path in sorted(snapshot.live_files):
         entry = state.get(path)
         if entry is None:
             warn(warnings, f"file {path!r} present at head but absent from history")
             continue
         if entry.adds:
-            ts, commit_id, engineer = min(entry.adds)
-            events.append(
-                ContributionEvent(
-                    kind=EventKind.FIRST_AUTHORSHIP,
-                    engineer_id=engineer,
-                    file_path=path,
-                    timestamp_ms=ts,
-                    commit_ref=commit_id,
-                )
-            )
-        for engineer, ts, commit_id in entry.commits:
-            events.append(
-                ContributionEvent(
-                    kind=EventKind.COMMIT,
-                    engineer_id=engineer,
-                    file_path=path,
-                    timestamp_ms=ts,
-                    commit_ref=commit_id,
-                )
-            )
-            touched.setdefault(commit_id, {})[path] = None
+            ts, commit_id, author = min(entry.adds)
+            firsts.append((author, commit_id, ts, None, (path,)))
+        for touched in entry.commits:
+            touched.append(path)
 
+    events = [
+        *event_rows(EventKind.FIRST_AUTHORSHIP, firsts),
+        *event_rows(EventKind.COMMIT, groups),
+    ]
+    new = tuple.__new__
     commit_index = {
-        commit.id: CommitKnowledge(
-            author_id=authors[commit.id],
-            timestamp_ms=commit.timestamp_ms,
-            file_paths=tuple(touched.get(commit.id, ())),
+        commit_id: new(
+            CommitKnowledge, (author[0], ts, tuple(dict.fromkeys(touched)) if touched else ())
         )
-        for commit in commits
+        for author, commit_id, ts, _, touched in groups
     }
-    return VcsIngestion(events=canonical_order(events), commit_index=commit_index)
+    return VcsIngestion(canonical_order(events), commit_index)

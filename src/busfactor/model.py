@@ -142,15 +142,30 @@ class MeetingCredit(NamedTuple):
     file_paths: tuple[str, ...]
 
 
+def event_rows(kind: EventKind, groups) -> Iterator[ContributionEvent]:
+    """The ``kind`` events of each group: one per engineer and file, engineer by engineer.
+
+    A group is laid out like a ``MeetingCredit``: ``(engineers, commit_ref,
+    timestamp_ms, minutes, file_paths)``. The rows skip the constructor's
+    per-event checks: a MEETING group's ``minutes`` are checked once and are
+    its rows' magnitude; every other row's magnitude is 1.0, whatever its
+    group's ``minutes`` field holds.
+    """
+    new, event, rank = tuple.__new__, ContributionEvent, KIND_ORDER[kind]
+    meeting = kind is EventKind.MEETING
+    magnitude = 1.0
+    for engineers, ref, timestamp_ms, minutes, paths in groups:
+        if meeting:
+            _check_meeting_minutes(minutes)
+            magnitude = minutes
+        for engineer in engineers:
+            for path in paths:
+                yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
+
+
 def credit_events(credit) -> Iterator[ContributionEvent]:
     """The MEETING events of each credit, one per attendee and file."""
-    new, event, meeting = tuple.__new__, ContributionEvent, EventKind.MEETING
-    rank = KIND_ORDER[meeting]
-    for attendees, ref, timestamp_ms, minutes, paths in credit:
-        _check_meeting_minutes(minutes)
-        for engineer in attendees:
-            for path in paths:
-                yield new(event, (timestamp_ms, rank, engineer, path, ref, meeting, minutes))
+    return event_rows(EventKind.MEETING, credit)
 
 
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")

@@ -69,7 +69,7 @@ class AnalysisRun:
 def _report_doc(
     project: str,
     branch: str,
-    as_of_ms: int,
+    as_of: str | None,
     algorithm: str,
     table,
     result,
@@ -88,7 +88,7 @@ def _report_doc(
     return {
         "project": project,
         "branch": branch,
-        "as_of": format_instant(as_of_ms),
+        "as_of": as_of,
         "algorithm": algorithm,
         "bus_factor": result.bus_factor,
         "key_engineers": list(result.key_engineers),
@@ -116,7 +116,8 @@ def run_analysis(
     timestamp among the commits in the history (not the head's, which a
     rebase or cherry-pick can leave older than an ancestor) and the review
     and meeting credit kept for them, so repeated runs on unchanged inputs
-    agree byte for byte. Meeting credit is folded into the ledgers once per
+    agree byte for byte; with none of these (an unborn branch) the report's
+    ``as_of`` is null. Meeting credit is folded into the ledgers once per
     (attendee, commit), and the ledgers are built once for every algorithm.
     In ``both`` mode the two embedded result documents match what
     single-algorithm runs emit.
@@ -167,23 +168,24 @@ def run_analysis(
                 (e.timestamp_ms for e in reviewed),
                 (c.timestamp_ms for c in credit),
             ),
-            default=0,
+            default=None,  # nothing to date: an unborn branch and no credit
         )
     ledgers = prepare_ledgers(events, snapshot.live_files, as_of_ms, credit=credit)
     project = Path(repo_path).resolve().name
+    as_of = None if as_of_ms is None else format_instant(as_of_ms)
 
     def single(algo: str) -> dict:
         warnings = list(ingest_warnings)
         table, result = analyze(ledgers, params=params, algorithm=algo, warnings=warnings)
         return _report_doc(
-            project, branch_name, as_of_ms, algo, table, result, params, warnings
+            project, branch_name, as_of, algo, table, result, params, warnings
         )
 
     if algorithm == "both":
         report = {
             "project": project,
             "branch": branch_name,
-            "as_of": format_instant(as_of_ms),
+            "as_of": as_of,
             "algorithm": "both",
             "results": {name: single(name) for name in ALGORITHMS},
         }
@@ -213,7 +215,7 @@ def render_text(document: dict) -> str:
     lines = [
         f"project:        {document['project']}",
         f"branch:         {document['branch']}",
-        f"as of:          {document['as_of']}",
+        f"as of:          {document['as_of'] or '(none)'}",
     ]
     if document["algorithm"] == "both":
         for name in ALGORITHMS:

@@ -3,11 +3,11 @@
 Asks git about one commit at a time: ``git diff-tree`` against the empty tree
 or the single parent, and for a merge one rename-free ``diff-tree`` per
 parent, intersected here with plain sets. Each answer is read from
-``--name-status -z`` output by a parser of its own, so a fault in the
-program's raw-format tokenizer cannot hide here too. ``traverse_branch``
-reads the whole history in one ``git log`` with rename detection on for
-merges too; these answers must match it commit for commit. Intentionally
-simple and slow.
+``--name-status -z`` output by a parser of its own, one ``diff-tree`` call
+at a time, so a fault in the program's one-pass ``git log`` reader cannot
+hide here too. ``traverse_branch`` reads the whole history in one ``git
+log`` with rename detection on for merges too; these answers must match it
+commit for commit. Intentionally simple and slow.
 """
 from busfactor.gitvcs import RENAME_THRESHOLD, ChangeKind, CommitRecord, FileChange, _git
 

@@ -10,9 +10,10 @@ import pytest
 import busfactor
 from busfactor.cli import main
 from busfactor.eventlog import read_event_log
+from busfactor.gitvcs import traverse_branch
 from busfactor.model import AlgorithmParams, format_instant
 
-from conftest import ALICE, BOB, build_big_repo, day_ms
+from conftest import ALICE, BOB, CAROL, DAVE, build_big_repo, day_ms
 
 REPORT_KEYS = {
     "project",
@@ -93,6 +94,54 @@ def set_first(path, name, value):
     Path(path).write_text(json.dumps(records), encoding="utf-8")
 
 
+def merge_rename_delete_repo(mkrepo):
+    """A history with a conflicted merge, a rename with an edit and a delete."""
+    repo = mkrepo("branchy")
+    body = "".join(f"line {i}\n" for i in range(20))
+    repo.commit("base", {"doc.txt": body, "old.txt": body.upper(), "tmp.txt": "t\n",
+                         "lib/a.py": "a\n"}, author=ALICE, day=0)
+    repo.git("checkout", "-q", "-b", "side")
+    repo.git("mv", "old.txt", "new.txt")
+    repo.commit("rename and edit", {"new.txt": body.upper() + "MORE\n"}, author=BOB, day=1)
+    repo.commit("side edit", {"lib/a.py": "a side\n"}, author=BOB, day=2.5)
+    repo.git("checkout", "-q", "main")
+    repo.commit("main edit", {"lib/a.py": "a main\n", "doc.txt": body + "x\n"},
+                author=CAROL, day=2, delete=["tmp.txt"])
+    repo.merge("merge side", ["side"], author=ALICE, day=3, resolve={"lib/a.py": "a resolved\n"})
+    repo.commit("after", {"lib/b.py": "b\n"}, author=DAVE, day=4)
+    return repo
+
+
+def collab_argv(inputs, repo) -> list[str]:
+    """``analyze --algorithm both`` with reviews of every third commit and 12 meetings."""
+    inputs.mkdir()
+    log = repo.git("log", "--reverse", "--format=%H %at", "main").split("\n")
+    commits = [(sha, int(at) * 1000) for sha, at in (line.split() for line in log if line)]
+    people = ["alice", "bob", "carol", "dave", "erin"]
+    reviews = write_json(inputs, "reviews.json", [
+        {
+            "id": f"r{i}",
+            "reviewers": [{"email": f"{people[(i + k) % 5]}@example.com"} for k in (1, 2)],
+            "commit_ids": [sha],
+            "completed_at": ms + 864_000,
+            "state": "merged",
+        }
+        for i, (sha, ms) in enumerate(commits) if i % 3 == 0
+    ])
+    meetings = write_json(inputs, "meetings.json", [
+        {
+            "id": f"m{i}",
+            "participants": [{"email": f"{name}@example.com"} for name in people[i % 3:]],
+            "start": commits[i * len(commits) // 12][1],
+            "duration_minutes": 15 + 7 * (i % 5),
+            "title": "design sync",
+        }
+        for i in range(12)
+    ])
+    return ["analyze", "--repo", str(repo.path), "--reviews", reviews,
+            "--meetings", meetings, "--algorithm", "both"]
+
+
 # every AlgorithmParams field with each value no field accepts
 BAD_CONFIG_VALUES = [
     pytest.param(name, value, id=f"{name}={json.dumps(value)}")
@@ -149,6 +198,19 @@ class TestAnalyzeReport:
         assert proc.stderr.splitlines() == [
             f"busfactor: WARNING: {warning}" for warning in report["warnings"]
         ]
+
+    def test_unborn_branch_reports_no_instant(self, capsys, mkrepo):
+        repo = mkrepo("fresh")  # git init, no commit
+        assert analyze_json(capsys, repo)["as_of"] is None
+        both = analyze_json(capsys, repo, "--algorithm", "both")
+        assert both["as_of"] is None
+        assert [doc["as_of"] for doc in both["results"].values()] == [None, None]
+        code, out, err = run_cli(capsys, "analyze", "--repo", str(repo.path), "--format", "text")
+        assert code == 0, err
+        assert "as of:          (none)\n" in out
+        # an explicit instant is still reported
+        report = analyze_json(capsys, repo, "--as-of", "2024-01-01T00:00:00Z")
+        assert report["as_of"] == "2024-01-01T00:00:00Z"
 
     def test_runs_are_byte_identical(self, capsys, quarter_owners_repo):
         args = ["analyze", "--repo", str(quarter_owners_repo.path)]
@@ -710,41 +772,23 @@ class TestCollaborationChannels:
         assert (code, out) == (2, "")
         assert err == f"busfactor: error: {where}: actor needs an 'email' or a 'profile_ref'\n"
 
-    def test_report_bytes_match_across_interpreters(self, tmp_path):
+    def test_report_bytes_match_across_interpreters(self, tmp_path, mkrepo):
         interpreters = other_interpreters()
         if not interpreters:
             pytest.skip("no other CPython 3.10-3.13 on PATH starts")
-        repo = build_big_repo(tmp_path / "big", n_commits=300, n_files=12)
-        shas = repo.git("rev-list", "--reverse", "main").split()
-        reviewers = ["alice", "bob", "carol", "dave", "erin"]
-        reviews = write_json(tmp_path, "reviews.json", [
-            {
-                "id": f"r{i}",
-                "reviewers": [{"email": f"{reviewers[(i + k) % 5]}@example.com"} for k in (1, 2)],
-                "commit_ids": [sha],
-                "completed_at": day_ms(i / 96 + 0.01),
-                "state": "merged",
-            }
-            for i, sha in enumerate(shas) if i % 3 == 0
-        ])
-        meetings = write_json(tmp_path, "meetings.json", [
-            {
-                "id": f"m{i}",
-                "participants": [{"email": f"{name}@example.com"} for name in reviewers[i % 3:]],
-                "start": day_ms(i / 4),
-                "duration_minutes": 15 + 7 * (i % 5),
-                "title": "design sync",
-            }
-            for i in range(12)
-        ])
-        argv = ["analyze", "--repo", str(repo.path), "--reviews", reviews,
-                "--meetings", meetings, "--algorithm", "both"]
-        expected = fresh_cli(sys.executable, *argv)
-        assert expected.returncode == 0, expected.stderr
-        for python in interpreters:
-            proc = fresh_cli(python, *argv)
-            assert proc.returncode == 0, (python, proc.stderr)
-            assert proc.stdout == expected.stdout, python
+        linear = build_big_repo(tmp_path / "big", n_commits=300, n_files=12)
+        branchy = merge_rename_delete_repo(mkrepo)
+        changes = [c for commit in traverse_branch(branchy.path) for c in commit.changed_files]
+        assert {c.kind.value for c in changes} == {"added", "modified", "deleted", "renamed"}
+        assert any(commit.is_merge for commit in traverse_branch(branchy.path))
+        for repo in (linear, branchy):
+            argv = collab_argv(tmp_path / f"{repo.path.name}-inputs", repo)
+            expected = fresh_cli(sys.executable, *argv)
+            assert expected.returncode == 0, expected.stderr
+            for python in interpreters:
+                proc = fresh_cli(python, *argv)
+                assert proc.returncode == 0, (python, proc.stderr)
+                assert proc.stdout == expected.stdout, (python, repo.path.name)
 
     def meeting_file(self, tmp_path, start_day, emails):
         return write_json(
@@ -1007,3 +1051,30 @@ class TestEvaluateCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["evaluate", "--predictions", predictions])
         assert excinfo.value.code == 1
+
+
+def test_cli_import_leaves_the_estimator_and_evaluation_unloaded():
+    src = str(Path(busfactor.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        "import busfactor.cli",
+        "lazy = ('busfactor.estimator', 'busfactor.evaluate')",
+        "print(sorted(m for m in lazy if m in sys.modules))",
+        "from busfactor import BusFactorEstimator, evaluate_predictions, load_predictions, load_truth",
+        "print(BusFactorEstimator.__module__, evaluate_predictions.__module__,",
+        "      load_predictions.__module__, load_truth.__module__)",
+        "try:",
+        "    busfactor.no_such_name",
+        "except AttributeError as exc:",
+        "    print(exc)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "busfactor.estimator busfactor.evaluate busfactor.evaluate busfactor.evaluate",
+        "module 'busfactor' has no attribute 'no_such_name'",
+    ]

@@ -137,6 +137,19 @@ class TestMeetingTerm:
         assert ledgers["b.txt"].meetings == {"c1": entries}
         assert ledgers["b.txt"].meetings["c1"] is entries
 
+    def test_credit_of_one_commit_naming_other_files_is_an_error(self):
+        credit = [
+            MeetingCredit(("m",), "c1", 0, 120.0, ("a.txt",)),
+            MeetingCredit(("m",), "c1", 0, 120.0, ("a.txt", "b.txt")),
+        ]
+        with pytest.raises(InputDataError, match="meeting credit for commit 'c1'"):
+            build_ledgers([], credit)
+        # equal files in another tuple are the same files
+        same = MeetingCredit(("n",), "c1", 0, 60.0, tuple(["a.txt"]))
+        assert same.file_paths is not credit[0].file_paths
+        ledgers = build_ledgers([], [credit[0], same])
+        assert ledgers["a.txt"].meetings == {"c1": [(("m",), 0, 120.0), (("n",), 0, 60.0)]}
+
     def test_attendees_of_one_credit_share_its_entry(self):
         files = ("a.txt", "b.txt")
         credit = [

@@ -7,6 +7,8 @@ from busfactor.cli import main
 from busfactor.errors import InputDataError, RepositoryError
 from busfactor.gitvcs import (
     ChangeKind,
+    FileChange,
+    _read_log,
     default_branch,
     emit_vcs_events,
     snapshot_branch,
@@ -137,6 +139,54 @@ class TestTraversal:
             else:
                 oracle = diff_commit(repo.path, commit)
             assert list(commit.changed_files) == oracle, commit.id
+
+    def test_read_log_reads_a_hand_built_name_status_stream(self, caplog):
+        def header(commit, parents, when):
+            return f"\x01{commit}\0{parents}\0a@example.com\0Alice\0{when}\0"
+
+        stream = "".join([
+            # the merge, once per parent; the first status of a diff follows a newline
+            header("c4", "c2 c3", 400), "\nM\0:colon.txt\0",
+            header("c4", "c2 c3", 400), "\nM\0:colon.txt\0A\0Rfile.txt\0",
+            header("c3", "c1", 300), "\nX\0odd.txt\0D\0gone.txt\0",
+            header("c2", "c1", 200),
+            "\nR087\0old.txt\0new.txt\0R100\0R\0Rr\0",
+            "C075\0new.txt\0copy.txt\0T\0link\0",
+            header("c1", "", 100), "\nA\0old.txt\0A\0R\0A\0gone.txt\0",
+        ])
+        listed = _read_log(stream)
+        assert list(listed) == ["c4", "c3", "c2", "c1"]
+        assert listed["c4"] == (
+            ["c2 c3", "a@example.com", "Alice", "400"],
+            [
+                [FileChange(":colon.txt", ChangeKind.MODIFIED)],
+                [
+                    FileChange(":colon.txt", ChangeKind.MODIFIED),
+                    FileChange("Rfile.txt", ChangeKind.ADDED),
+                ],
+            ],
+        )
+        # an unknown status is skipped with its path, once, and the next commit still reads
+        assert listed["c3"][1] == [[FileChange("gone.txt", ChangeKind.DELETED)]]
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring unrecognized diff status 'X'"
+        ]
+        assert listed["c2"][1] == [[
+            FileChange("new.txt", ChangeKind.RENAMED, "old.txt", 87),
+            FileChange("Rr", ChangeKind.RENAMED, "R", 100),
+            FileChange("copy.txt", ChangeKind.ADDED),
+            FileChange("link", ChangeKind.MODIFIED),
+        ]]
+        assert listed["c1"] == (
+            ["", "a@example.com", "Alice", "100"],
+            [[
+                FileChange("old.txt", ChangeKind.ADDED),
+                FileChange("R", ChangeKind.ADDED),
+                FileChange("gone.txt", ChangeKind.ADDED),
+            ]],
+        )
+        changes = [c for _, diffs in listed.values() for diff in diffs for c in diff]
+        assert all(type(change.kind) is ChangeKind for change in changes)
 
     def test_empty_commit_changes_nothing(self, mkrepo):
         repo = mkrepo()
