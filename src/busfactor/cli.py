@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError, InputDataError, RepositoryError
+from .errors import BusFactorError, ConfigError, InputDataError
 from .eventlog import write_event_log
 from .inputs import load_json
 from .model import AlgorithmParams, parse_instant
@@ -201,15 +201,9 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_evaluate(args)
-    except ConfigError as exc:
+    except BusFactorError as exc:
         sys.stderr.write(f"busfactor: error: {exc}\n")
-        return 1
-    except InputDataError as exc:
-        sys.stderr.write(f"busfactor: error: {exc}\n")
-        return 2
-    except RepositoryError as exc:
-        sys.stderr.write(f"busfactor: error: {exc}\n")
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ through an ``IdentityIndex`` that must be built from every actor passed in.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import NamedTuple
@@ -26,6 +25,7 @@ from .model import (
     ContributionEvent,
     EventKind,
     MeetingCredit,
+    check_meeting_minutes,
     event_rows,
 )
 
@@ -103,15 +103,13 @@ def parse_meetings(source) -> list[MeetingRecord]:
             raise InputDataError(f"{where}: entries must be objects")
         participants = field(obj, "participants", list, where)
         duration = field(obj, "duration_minutes", (int, float), where)
-        try:
-            minutes = float(duration)
-        except OverflowError:  # an int too large for a float
-            minutes = math.inf
-        # json reads NaN, Infinity and 1e999 as floats that are not finite
-        if not 0 < minutes < math.inf:
+        try:  # json reads NaN, Infinity and 1e999 as floats that are not finite
+            minutes = float(duration)  # OverflowError: an int too large for a float
+            check_meeting_minutes(minutes)
+        except (OverflowError, ValueError):
             raise InputDataError(
                 f"{where}: field 'duration_minutes' must be a positive finite number"
-            )
+            ) from None
         records.append(
             MeetingRecord(
                 id=field(obj, "id", str, where),

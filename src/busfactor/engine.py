@@ -18,7 +18,7 @@ import math
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import ClockSkewError, ConfigError, InputDataError
 from .inputs import warn
@@ -39,14 +39,6 @@ BASELINE_DL_WEIGHT = 0.164
 BASELINE_AC_WEIGHT = 0.321
 
 ALGORITHMS = ("multimodal", "baseline")
-
-
-def check_algorithm(name: str) -> str:
-    if name not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHMS)}"
-        )
-    return name
 
 
 @dataclass
@@ -236,17 +228,27 @@ def score_table(
     params: AlgorithmParams,
     algorithm: str = "multimodal",
 ) -> DoaTable:
-    check_algorithm(algorithm)
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(
+            f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
+        )
     raw: dict[tuple[str, str], float] = {}
     file_max: dict[str, float] = {}
     file_engineers: dict[str, tuple[str, ...]] = {}
     decayed = _PassMemo(as_of_ms, params)
+    total = 0.0  # of every score so far, so no engineer's sum in bus_factor overflows
     for path in sorted(ledgers):
         ledger = ledgers[path]
-        if algorithm == "baseline":
-            scores = _score_file_baseline(ledger, ledger.participants())
-        else:
-            scores = _score_file_multimodal(ledger, params, decayed)
+        try:
+            if algorithm == "baseline":
+                scores = _score_file_baseline(ledger, ledger.participants())
+            else:
+                scores = _score_file_multimodal(ledger, params, decayed)
+            total = math.fsum((total, *scores.values()))
+        except (OverflowError, ValueError):  # a sum past the largest float, or inf - inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise ConfigError(f"scores reach infinity at file {path!r}; lower the algorithm weights")
         file_engineers[path] = engineers = tuple(sorted(scores))
         raw.update(((e, path), scores[e]) for e in engineers)
         file_max[path] = max(scores.values(), default=0.0)
@@ -375,9 +377,9 @@ def prepare_ledgers(
     ``live_files`` is the set of files the project currently contains;
     events must only reference those. When omitted it is inferred from the
     events themselves. ``as_of_ms`` defaults to the newest event or credit
-    timestamp. Anything newer than it is a clock-skew error naming one
-    event: the first late one in the order given, unless a credit's MEETING
-    event sorts before it in canonical order.
+    timestamp. Anything newer than it is a clock-skew error naming the
+    earliest late event in canonical order, among the events and the MEETING
+    events of the credit.
     """
     if live_files is None:
         live_files = sorted({e.file_path for e in events})
@@ -395,12 +397,12 @@ def prepare_ledgers(
             chain((e.timestamp_ms for e in events), (c.timestamp_ms for c in credit)),
             default=0,
         )
-    late = [
-        *islice((e for e in events if e.timestamp_ms > as_of_ms), 1),
-        *credit_events(c for c in credit if c.timestamp_ms > as_of_ms),
-    ]
-    if late:
-        event = min(late, key=SORT_KEY)
+    late = chain(
+        (e for e in events if e.timestamp_ms > as_of_ms),
+        credit_events(c for c in credit if c.timestamp_ms > as_of_ms),
+    )
+    event = min(late, key=SORT_KEY, default=None)
+    if event is not None:
         raise ClockSkewError(
             f"event at {event.timestamp_ms} ({event.kind.value} by "
             f"{event.engineer_id!r} on {event.file_path!r}) is newer than "

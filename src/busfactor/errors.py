@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, InputDataError -> 2,
-RepositoryError -> 3.
+Each class's ``exit_code`` is the CLI's exit status for it: 1 for a
+configuration error (and any other ``BusFactorError``), 2 for bad input
+data, 3 for an unreadable repository.
 """
 
 
 class BusFactorError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class ConfigError(BusFactorError):
@@ -16,6 +19,8 @@ class ConfigError(BusFactorError):
 class InputDataError(BusFactorError):
     """Malformed or inconsistent input data (event logs, review/meeting files)."""
 
+    exit_code = 2
+
 
 class ClockSkewError(InputDataError):
     """An event is timestamped after the analysis instant."""
@@ -23,3 +28,5 @@ class ClockSkewError(InputDataError):
 
 class RepositoryError(BusFactorError):
     """The repository or branch cannot be read."""
+
+    exit_code = 3

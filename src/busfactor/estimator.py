@@ -9,21 +9,10 @@ from __future__ import annotations
 
 import inspect
 
-from .engine import analyze, check_algorithm, prepare_ledgers
+from .engine import analyze, prepare_ledgers
 from .errors import InputDataError
 from .eventlog import events_from_records
-from .model import AlgorithmParams, ContributionEvent, parse_instant
-
-
-def check_events(X) -> list[ContributionEvent]:
-    """Normalize an event collection: ready-made events or mapping records.
-
-    Mapping records go through the event-log schema, so they need all six
-    ``eventlog.FIELDS``; errors name the record as ``X[i]``.
-    """
-    if X is None:
-        raise InputDataError("expected a collection of contribution events, got None")
-    return events_from_records((f"X[{i}]", item) for i, item in enumerate(X))
+from .model import AlgorithmParams, parse_instant
 
 
 class BusFactorEstimator:
@@ -72,15 +61,16 @@ class BusFactorEstimator:
         self.as_of = as_of
 
     @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
+    def _param_defaults(cls) -> dict:
+        """Each constructor parameter's name and default, in signature order."""
+        parameters = inspect.signature(cls.__init__).parameters
+        return {name: p.default for name, p in parameters.items() if name != "self"}
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in self._param_defaults()}
 
     def set_params(self, **params):
-        valid = self._param_names()
+        valid = self._param_defaults()
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(
@@ -97,7 +87,10 @@ class BusFactorEstimator:
         if self.as_of is None:
             return None
         if isinstance(self.as_of, str):
-            return parse_instant(self.as_of)
+            try:
+                return parse_instant(self.as_of)
+            except ValueError as exc:
+                raise InputDataError(f"as_of: {exc}") from None
         if isinstance(self.as_of, int) and not isinstance(self.as_of, bool):
             return self.as_of
         raise InputDataError(
@@ -107,15 +100,18 @@ class BusFactorEstimator:
     def fit(self, X, y=None, *, live_files=None):
         """Score the events and run the abandonment walk.
 
-        ``X`` is a collection of contribution events (dataclass instances or
-        mapping records). ``live_files`` restricts and completes the file
-        universe; without it the universe is whatever the events mention.
+        ``X`` is a collection of contribution events: ready-made events or
+        mapping records, which go through the event-log schema, so they need
+        all six ``eventlog.FIELDS``; errors name a record as ``X[i]``.
+        ``live_files`` restricts and completes the file universe; without it
+        the universe is whatever the events mention.
         """
-        events = check_events(X)
-        algorithm = check_algorithm(self.algorithm)
+        if X is None:
+            raise InputDataError("expected a collection of contribution events, got None")
+        events = events_from_records((f"X[{i}]", item) for i, item in enumerate(X))
         params = self._algorithm_params()
         ledgers = prepare_ledgers(events, live_files, self._resolve_as_of())
-        table, result = analyze(ledgers, params, algorithm)
+        table, result = analyze(ledgers, params, self.algorithm)
         self.params_ = params
         self.doa_ = table
         self.result_ = result
@@ -162,14 +158,9 @@ class BusFactorEstimator:
         return self.transform(pairs)
 
     def __repr__(self) -> str:
-        defaults = {
-            name: parameter.default
-            for name, parameter in inspect.signature(type(self).__init__).parameters.items()
-            if name != "self"
-        }
         shown = ", ".join(
             f"{name}={getattr(self, name)!r}"
-            for name in self._param_names()
-            if getattr(self, name) != defaults.get(name)
+            for name, default in self._param_defaults().items()
+            if getattr(self, name) != default
         )
         return f"{type(self).__name__}({shown})"

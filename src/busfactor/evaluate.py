@@ -9,6 +9,8 @@ decisions pooled across all projects.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InputDataError
@@ -33,57 +35,63 @@ class ProjectTruth:
         return math.fsum(self.estimates) / len(self.estimates)
 
 
-def _load_projects(source, what: str) -> list[dict]:
+def _projects(source, what: str) -> Iterator[tuple[int, str, dict, tuple[str, ...]]]:
+    """Each project of a ``what`` file: its index, stripped name, entry and key engineers.
+
+    Names must be non-empty strings that differ ignoring case.
+    """
     data = load_json(source, what)
     if not isinstance(data, dict) or not isinstance(data.get("projects"), list):
         raise InputDataError(f"{what} file must be an object with a 'projects' array")
+    seen = set()
     for i, entry in enumerate(data["projects"]):
         if not isinstance(entry, dict):
             raise InputDataError(f"{what} project #{i} must be an object")
-    return data["projects"]
+        name = entry.get("name")
+        if not isinstance(name, str) or not name.strip():
+            raise InputDataError(f"{what} project #{i}: field 'name' must be a non-empty string")
+        name = name.strip()
+        if name.lower() in seen:
+            raise InputDataError(f"{what} file lists project {name!r} twice")
+        seen.add(name.lower())
+        engineers = entry.get("key_engineers", [])
+        if not isinstance(engineers, list) or not all(isinstance(e, str) for e in engineers):
+            raise InputDataError(
+                f"{what} project #{i}: field 'key_engineers' must be a list of strings"
+            )
+        yield i, name, entry, tuple(engineers)
 
 
-def _name(entry: dict, i: int, what: str) -> str:
-    name = entry.get("name")
-    if not isinstance(name, str) or not name.strip():
-        raise InputDataError(f"{what} project #{i}: field 'name' must be a non-empty string")
-    return name.strip()
-
-
-def _engineer_list(entry: dict, i: int, what: str) -> tuple[str, ...]:
-    raw = entry.get("key_engineers", [])
-    if not isinstance(raw, list) or not all(isinstance(e, str) for e in raw):
-        raise InputDataError(
-            f"{what} project #{i}: field 'key_engineers' must be a list of strings"
-        )
-    return tuple(raw)
+def _finite_mean(values, message: str) -> float:
+    """The mean of ``values``; an InputDataError with ``message`` unless it is finite."""
+    try:
+        mean = math.fsum(values) / len(values)
+    except (OverflowError, ValueError):  # a huge int, a sum past the largest float, inf - inf
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise InputDataError(message)
+    return mean
 
 
 def load_predictions(source) -> list[ProjectPrediction]:
     """Read a predictions file: {"projects": [{name, bus_factor, key_engineers}]}."""
     out = []
-    seen = set()
-    for i, entry in enumerate(_load_projects(source, "predictions")):
-        name = _name(entry, i, "predictions")
+    for i, name, entry, key_engineers in _projects(source, "predictions"):
         bus_factor = entry.get("bus_factor")
         if not isinstance(bus_factor, int) or isinstance(bus_factor, bool) or bus_factor < 0:
             raise InputDataError(
                 f"predictions project #{i}: field 'bus_factor' must be a non-negative integer"
             )
-        key = name.lower()
-        if key in seen:
-            raise InputDataError(f"predictions file lists project {name!r} twice")
-        seen.add(key)
-        out.append(ProjectPrediction(name, bus_factor, _engineer_list(entry, i, "predictions")))
+        if bus_factor > sys.float_info.max:
+            raise InputDataError(f"predictions project {name!r}: field 'bus_factor' is too large")
+        out.append(ProjectPrediction(name, bus_factor, key_engineers))
     return out
 
 
 def load_truth(source) -> list[ProjectTruth]:
     """Read a ground-truth file: {"projects": [{name, estimates, key_engineers}]}."""
     out = []
-    seen = set()
-    for i, entry in enumerate(_load_projects(source, "truth")):
-        name = _name(entry, i, "truth")
+    for i, name, entry, key_engineers in _projects(source, "truth"):
         estimates = entry.get("estimates")
         if (
             not isinstance(estimates, list)
@@ -95,13 +103,8 @@ def load_truth(source) -> list[ProjectTruth]:
             raise InputDataError(
                 f"truth project #{i}: field 'estimates' must be a non-empty list of numbers"
             )
-        key = name.lower()
-        if key in seen:
-            raise InputDataError(f"truth file lists project {name!r} twice")
-        seen.add(key)
-        out.append(
-            ProjectTruth(name, tuple(float(v) for v in estimates), _engineer_list(entry, i, "truth"))
-        )
+        _finite_mean(estimates, f"truth project {name!r}: field 'estimates' has no finite mean")
+        out.append(ProjectTruth(name, tuple(float(v) for v in estimates), key_engineers))
     return out
 
 
@@ -142,6 +145,8 @@ def evaluate_predictions(
     true_positives = predicted_positives = actual_positives = 0
     for prediction, ground in matched:
         error = abs(prediction.bus_factor - ground.mean_estimate)
+        if not math.isfinite(error):
+            raise InputDataError(f"project {prediction.name!r}: absolute error is not finite")
         errors.append(error)
         rows.append(
             {
@@ -173,7 +178,7 @@ def evaluate_predictions(
     )
     return {
         "project_count": len(matched),
-        "mae": math.fsum(errors) / len(matched),
+        "mae": _finite_mean(errors, "mean absolute error is not finite"),
         "precision": precision,
         "recall": recall,
         "f1": f1,

@@ -295,25 +295,23 @@ def emit_vcs_events(
     raw email string is named in one warning.
     """
     state: dict[str, _FileState] = {}
-    engineer_of = dict.fromkeys((c.author_name, c.author_email) for c in commits)
+    engineer_of: dict[tuple[str, str], tuple[str]] = {}
     blank_warned: set[str] = set()
-    for name, email in engineer_of:
-        engineer = identity.resolve(RawActor(name, email))
-        engineer_of[name, email] = (engineer,)
-        if not normalize_email(email) and email not in blank_warned:
-            blank_warned.add(email)
-            warn(
-                warnings,
-                f"author <{email}> missing from identity map; "
-                f"attributed to new engineer '{engineer}'",
-            )
-
     # per commit, laid out for ``event_rows``: the head paths it added or
     # edited, in sorted order, are filled in once the fold is done
     groups: list[tuple[tuple[str], str, int, None, list[str]]] = []
     deleted, renamed, added = ChangeKind.DELETED, ChangeKind.RENAMED, ChangeKind.ADDED
     for commit_id, email, name, ts, _, changes in commits:
-        author = engineer_of[name, email]
+        author = engineer_of.get((name, email))
+        if author is None:
+            author = engineer_of[name, email] = (identity.resolve(RawActor(name, email)),)
+            if not normalize_email(email) and email not in blank_warned:
+                blank_warned.add(email)
+                warn(
+                    warnings,
+                    f"author <{email}> missing from identity map; "
+                    f"attributed to new engineer '{author[0]}'",
+                )
         touched: list[str] = []
         groups.append((author, commit_id, ts, None, touched))
         for path, kind, from_path, similarity in changes:

@@ -87,7 +87,7 @@ class ContributionEvent(_EventFields):
         magnitude: float = 1.0, commit_ref: str = "",
     ) -> "ContributionEvent":
         if kind is EventKind.MEETING:
-            _check_meeting_minutes(magnitude)
+            check_meeting_minutes(magnitude)
         elif magnitude != 1.0 or isinstance(magnitude, bool):
             raise ValueError(f"magnitude must be 1.0 for {kind.value} events")
         rank = KIND_ORDER[kind]
@@ -115,7 +115,7 @@ class ContributionEvent(_EventFields):
         return type(self)(**{**fields, **changes})
 
 
-def _check_meeting_minutes(minutes) -> None:
+def check_meeting_minutes(minutes) -> None:
     """Reject meeting minutes that are a bool or not a finite number > 0."""
     if isinstance(minutes, bool) or not 0 < minutes < math.inf:
         raise ValueError(
@@ -156,7 +156,7 @@ def event_rows(kind: EventKind, groups) -> Iterator[ContributionEvent]:
     magnitude = 1.0
     for engineers, ref, timestamp_ms, minutes, paths in groups:
         if meeting:
-            _check_meeting_minutes(minutes)
+            check_meeting_minutes(minutes)
             magnitude = minutes
         for engineer in engineers:
             for path in paths:

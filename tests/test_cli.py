@@ -1078,3 +1078,58 @@ def test_cli_import_leaves_the_estimator_and_evaluation_unloaded():
         "busfactor.estimator busfactor.evaluate busfactor.evaluate busfactor.evaluate",
         "module 'busfactor' has no attribute 'no_such_name'",
     ]
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (busfactor.BusFactorError, 1),
+    (busfactor.ConfigError, 1),
+    (busfactor.InputDataError, 2),
+    (busfactor.ClockSkewError, 2),
+    (busfactor.RepositoryError, 3),
+])
+def test_each_error_class_exits_with_its_own_code(capsys, monkeypatch, error, exit_code):
+    def fail(*args, **kwargs):
+        raise error("it went wrong")
+
+    monkeypatch.setattr(busfactor.cli, "run_analysis", fail)
+    assert error.exit_code == exit_code
+    assert run_cli(capsys, "analyze", "--repo", ".") == (
+        exit_code, "", "busfactor: error: it went wrong\n"
+    )
+
+
+@pytest.mark.parametrize("params", [
+    # the weighted terms of one file overflow while they are summed
+    ["fa_weight=1.7e308", "dl_weight=1.7e308"],
+    # a score is infinite: two commits give a dl sum near 2
+    ["dl_weight=1.7e308", "fa_weight=0", "rv_weight=0", "log_dl_weight=0", "log_rv_weight=0"],
+])
+def test_weights_that_make_a_score_infinite_are_a_config_error(capsys, mkrepo, params):
+    repo = mkrepo("huge")
+    repo.commit("add", {"f.txt": "one\n"}, author=ALICE, day=0)
+    repo.commit("edit", {"f.txt": "two\n"}, author=ALICE, day=1)
+    argv = [part for pair in params for part in ("--param", pair)]
+    code, out, err = run_cli(capsys, "analyze", "--repo", str(repo.path), *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "busfactor: error: scores reach infinity at file 'f.txt'; lower the algorithm weights\n"
+    )
+
+
+@pytest.mark.parametrize("predicted, estimates, message", [
+    (1, "[Infinity]", "truth project 'p': field 'estimates' has no finite mean"),
+    (1, "[NaN, 2]", "truth project 'p': field 'estimates' has no finite mean"),
+    (1, "[1e308, 1e308]", "truth project 'p': field 'estimates' has no finite mean"),
+    (10**400, "[1]", "predictions project 'p': field 'bus_factor' is too large"),
+], ids=["infinite", "nan", "sum-overflows", "huge-bus-factor"])
+def test_evaluation_numbers_must_average_to_finite_floats(
+    capsys, tmp_path, predicted, estimates, message
+):
+    predictions = tmp_path / "predictions.json"
+    predictions.write_text(f'{{"projects": [{{"name": "p", "bus_factor": {predicted}}}]}}')
+    truth = tmp_path / "truth.json"
+    truth.write_text(f'{{"projects": [{{"name": "p", "estimates": {estimates}}}]}}')
+    code, out, err = run_cli(
+        capsys, "evaluate", "--predictions", str(predictions), "--truth", str(truth)
+    )
+    assert (code, out, err) == (2, "", f"busfactor: error: {message}\n")

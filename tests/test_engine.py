@@ -613,3 +613,14 @@ class TestAnalyze:
         assert result.bus_factor == 1
         assert result.key_engineers == ("a",)
         assert result.coverage_trace == (0.0,)
+
+
+def test_clock_skew_names_the_earliest_late_event_in_canonical_order():
+    events = [
+        ContributionEvent(EventKind.COMMIT, "a", "f.txt", day_ms(10)),
+        ContributionEvent(EventKind.COMMIT, "b", "f.txt", day_ms(5)),
+        ContributionEvent(EventKind.FIRST_AUTHORSHIP, "a", "f.txt", day_ms(0)),
+    ]
+    with pytest.raises(ClockSkewError) as excinfo:
+        prepare_ledgers(events, None, day_ms(1))
+    assert str(excinfo.value).startswith(f"event at {day_ms(5)} (commit by 'b' on 'f.txt')")

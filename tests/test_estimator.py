@@ -206,3 +206,8 @@ class TestParamsProtocol:
         cloned = base.clone(est)
         assert cloned is not est
         assert cloned.get_params() == est.get_params()
+
+
+def test_unparsable_as_of_string_is_an_input_error():
+    with pytest.raises(InputDataError, match="^as_of: not an ISO-8601 instant: 'garbage'$"):
+        BusFactorEstimator(as_of="garbage").fit(quarter_events())
