@@ -137,12 +137,28 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_output(text: str, output_path) -> None:
+def _encodable(report: str) -> str:
+    """``report``, once it is known to encode as UTF-8; check it before opening any sink.
+
+    A JSON ``\\u`` escape can read a lone surrogate, which UTF-8 cannot encode;
+    that is one input-data line naming its escape.
+    """
+    try:
+        report.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputDataError(
+            f"the report holds the lone surrogate {exc.object[exc.start]!r}, which UTF-8 "
+            "cannot encode; fix the \\u escape that reads it in the input"
+        ) from None
+    return report
+
+
+def _write_output(report: str, output_path) -> None:
     if output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
     else:
         with _writing(output_path):
-            Path(output_path).write_text(text, encoding="utf-8")
+            Path(output_path).write_text(report, encoding="utf-8")
 
 
 def _run_analyze(args) -> int:
@@ -162,13 +178,12 @@ def _run_analyze(args) -> int:
         algorithm=args.algorithm,
         as_of_ms=as_of_ms,
     )
+    render = render_text if args.format == "text" else to_json
+    report = _encodable(render(run.report))  # before the dump, so a bad report writes nothing
     if args.dump_events:
         with _writing(args.dump_events):
             write_event_log(run.events, args.dump_events)
-    if args.format == "text":
-        _write_output(render_text(run.report), args.output)
-    else:
-        _write_output(to_json(run.report), args.output)
+    _write_output(report, args.output)
     return 0
 
 
@@ -180,10 +195,8 @@ def _run_evaluate(args) -> int:
     truth = load_truth(args.truth)
     document = evaluate_predictions(predictions, truth, warnings=warnings)
     document["warnings"] = warnings
-    if args.format == "text":
-        _write_output(render_evaluation_text(document), args.output)
-    else:
-        _write_output(to_json(document), args.output)
+    render = render_evaluation_text if args.format == "text" else to_json
+    _write_output(_encodable(render(document)), args.output)
     return 0
 
 

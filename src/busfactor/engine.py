@@ -29,6 +29,7 @@ from .model import (
     EventKind,
     MeetingCredit,
     age_days,
+    check_meeting_minutes,
     credit_events,
     decay,
 )
@@ -68,9 +69,10 @@ def build_ledgers(
 
     Each meeting ``credit`` is appended once, as ``(attendees, start,
     minutes)``, to the one list of its commit ref that every file of the
-    commit holds; credit that names other files than the first credit of
-    its commit is an ``InputDataError``. A plain MEETING event goes to the
-    bucket of its ``(file, commit)``.
+    commit holds. Credit whose minutes fail ``check_meeting_minutes``, or
+    that names other files than the first credit of its commit, is an
+    ``InputDataError``. A plain MEETING event goes to the bucket of its
+    ``(file, commit)``.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     for event in events:
@@ -91,6 +93,10 @@ def build_ledgers(
             )
     shared: dict[str, tuple[tuple[str, ...], list]] = {}  # ref -> (its files, its entries)
     for attendees, ref, timestamp_ms, minutes, paths in credit:
+        try:
+            check_meeting_minutes(minutes)
+        except ValueError as exc:
+            raise InputDataError(f"meeting credit for commit {ref!r}: {exc}") from None
         held = shared.get(ref)
         if held is None:
             held = shared[ref] = (paths, [])
@@ -372,26 +378,22 @@ def prepare_ledgers(
     *,
     credit: Sequence[MeetingCredit] = (),
 ) -> Ledgers:
-    """Check events and meeting credit, then build their ledgers once.
+    """Build the ledgers of events and meeting credit once, then check them.
 
-    ``live_files`` is the set of files the project currently contains;
-    events must only reference those. When omitted it is inferred from the
-    events themselves. ``as_of_ms`` defaults to the newest event or credit
+    ``live_files`` is the set of files the project currently contains; the
+    events and credit must only reference those, and the smallest file
+    outside them is named. When omitted it is inferred from the files the
+    ledgers hold. ``as_of_ms`` defaults to the newest event or credit
     timestamp. Anything newer than it is a clock-skew error naming the
     earliest late event in canonical order, among the events and the MEETING
     events of the credit.
     """
-    if live_files is None:
-        live_files = sorted({e.file_path for e in events})
-    else:
-        live_files = sorted(set(live_files))
-        live = set(live_files)
-        for event in events:
-            if event.file_path not in live:
-                raise InputDataError(
-                    f"event references file {event.file_path!r} that is not "
-                    f"a live file of the analyzed branch"
-                )
+    files = build_ledgers(events, credit)
+    live_files = sorted(files if live_files is None else set(live_files))
+    if stray := files.keys() - live_files:
+        raise InputDataError(
+            f"event references file {min(stray)!r} that is not a live file of the analyzed branch"
+        )
     if as_of_ms is None:
         as_of_ms = max(
             chain((e.timestamp_ms for e in events), (c.timestamp_ms for c in credit)),
@@ -409,11 +411,7 @@ def prepare_ledgers(
             f"the analysis instant {as_of_ms}; pass a later --as-of or fix "
             f"the event timestamps"
         )
-    return Ledgers(
-        files=build_ledgers(events, credit),
-        live_files=tuple(live_files),
-        as_of_ms=as_of_ms,
-    )
+    return Ledgers(files=files, live_files=tuple(live_files), as_of_ms=as_of_ms)
 
 
 def analyze(

@@ -32,7 +32,9 @@ class ProjectTruth:
 
     @property
     def mean_estimate(self) -> float:
-        return math.fsum(self.estimates) / len(self.estimates)
+        return _finite_mean(
+            self.estimates, f"truth project {self.name!r}: field 'estimates' has no finite mean"
+        )
 
 
 def _projects(source, what: str) -> Iterator[tuple[int, str, dict, tuple[str, ...]]]:
@@ -66,8 +68,8 @@ def _finite_mean(values, message: str) -> float:
     """The mean of ``values``; an InputDataError with ``message`` unless it is finite."""
     try:
         mean = math.fsum(values) / len(values)
-    except (OverflowError, ValueError):  # a huge int, a sum past the largest float, inf - inf
-        mean = math.inf
+    except (OverflowError, ValueError, ZeroDivisionError):
+        mean = math.inf  # a huge int, a sum past the largest float, inf - inf, no values
     if not math.isfinite(mean):
         raise InputDataError(message)
     return mean
@@ -103,7 +105,8 @@ def load_truth(source) -> list[ProjectTruth]:
             raise InputDataError(
                 f"truth project #{i}: field 'estimates' must be a non-empty list of numbers"
             )
-        _finite_mean(estimates, f"truth project {name!r}: field 'estimates' has no finite mean")
+        # the mean is checked on the values as read: float() overflows on a huge int
+        ProjectTruth(name, tuple(estimates), key_engineers).mean_estimate
         out.append(ProjectTruth(name, tuple(float(v) for v in estimates), key_engineers))
     return out
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .errors import RepositoryError
 from .identity import IdentityIndex, RawActor, normalize_email
 from .inputs import warn
+# canonical_order is not called here; perfbench/probes.py wraps this binding
 from .model import ContributionEvent, EventKind, canonical_order, event_rows
 
 RENAME_THRESHOLD = "60%"
@@ -287,7 +288,8 @@ def emit_vcs_events(
     its author; the earliest add of a file identity (earliest timestamp,
     commit id breaking ties) additionally yields the first authorship.
     Renames move accumulated history to the new path without adding
-    knowledge; files absent from the head snapshot are dropped.
+    knowledge; files absent from the head snapshot are dropped. The events
+    come in fold order (first authorships, then commits), not sorted.
 
     ``identity`` must be built from every commit author; each distinct
     (name, email) pair is resolved once. An author with a blank email is the
@@ -314,13 +316,14 @@ def emit_vcs_events(
                 )
         touched: list[str] = []
         groups.append((author, commit_id, ts, None, touched))
-        for path, kind, from_path, similarity in changes:
+        for change in changes:
+            path, kind, from_path, _ = change
             if kind is deleted:
                 state.pop(path, None)
                 continue
             if kind is renamed:
                 entry = state[path] = state.pop(from_path, None) or _FileState()
-                if similarity is None or similarity >= 100:  # not content_changed
+                if not change.content_changed:
                     continue
             else:
                 # an edit finds no state when a sibling branch deleted the path first
@@ -347,9 +350,7 @@ def emit_vcs_events(
     ]
     new = tuple.__new__
     commit_index = {
-        commit_id: new(
-            CommitKnowledge, (author[0], ts, tuple(dict.fromkeys(touched)) if touched else ())
-        )
+        commit_id: new(CommitKnowledge, (author[0], ts, tuple(touched)))
         for author, commit_id, ts, _, touched in groups
     }
-    return VcsIngestion(canonical_order(events), commit_index)
+    return VcsIngestion(events, commit_index)

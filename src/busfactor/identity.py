@@ -93,7 +93,7 @@ def merge_identities(raw_actors) -> list[Engineer]:
     result is sorted by engineer id and is independent of input order.
     Idempotent: feeding the output identities back in yields the same partition.
     """
-    actors = [a if isinstance(a, RawActor) else RawActor(*a) for a in raw_actors]
+    actors = list(raw_actors)
     uf = _UnionFind()
     first: dict[tuple[str, str], int] = {}  # (kind, key) -> first actor holding it
     for i, actor in enumerate(actors):

@@ -1133,3 +1133,43 @@ def test_evaluation_numbers_must_average_to_finite_floats(
         capsys, "evaluate", "--predictions", str(predictions), "--truth", str(truth)
     )
     assert (code, out, err) == (2, "", f"busfactor: error: {message}\n")
+
+
+SURROGATE_ERROR = (
+    "busfactor: error: the report holds the lone surrogate '\\ud800', which UTF-8 "
+    "cannot encode; fix the \\u escape that reads it in the input\n"
+)
+
+
+@pytest.mark.parametrize("sinks", [[], ["--output"], ["--output", "--dump-events"]])
+def test_a_lone_surrogate_in_the_analyze_report_is_one_line(
+    capsys, tmp_path, single_owner_repo, sinks
+):
+    paths = {flag: tmp_path / f"{flag[2:]}.out" for flag in sinks}
+    if "--output" in paths:
+        paths["--output"].write_text("previous report\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "analyze", "--repo", str(single_owner_repo.path),
+        "--param", 'meeting_exclude_keywords=["\\ud800"]',
+        *[part for flag, path in paths.items() for part in (flag, str(path))],
+    )
+    assert (code, out, err) == (2, "", SURROGATE_ERROR)
+    if "--output" in paths:
+        assert paths["--output"].read_text(encoding="utf-8") == "previous report\n"
+    assert "--dump-events" not in paths or not paths["--dump-events"].exists()
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_a_lone_surrogate_in_the_evaluation_report_is_one_line(capsys, tmp_path, output):
+    files = tmp_path / "both.json"
+    files.write_text(
+        '{"projects": [{"name": "\\ud800", "bus_factor": 1, "estimates": [1]}]}',
+        encoding="utf-8",
+    )
+    target = tmp_path / "out.json"
+    extra = ["--output", str(target)] if output else []
+    code, out, err = run_cli(
+        capsys, "evaluate", "--predictions", str(files), "--truth", str(files), *extra
+    )
+    assert (code, out, err) == (2, "", SURROGATE_ERROR)
+    assert not target.exists()

@@ -150,6 +150,17 @@ class TestMeetingTerm:
         ledgers = build_ledgers([], [credit[0], same])
         assert ledgers["a.txt"].meetings == {"c1": [(("m",), 0, 120.0), (("n",), 0, 60.0)]}
 
+    @pytest.mark.parametrize(
+        "minutes", [-60.0, 0.0, math.nan, math.inf, True],
+        ids=["negative", "zero", "nan", "inf", "bool"],
+    )
+    def test_credit_minutes_meet_the_meeting_event_rule(self, minutes):
+        credit = [MeetingCredit(("m",), "c1", 0, minutes, ("a.txt",))]
+        with pytest.raises(InputDataError, match="meeting credit for commit 'c1': magnitude"):
+            build_ledgers([], credit)
+        with pytest.raises(ValueError):
+            ContributionEvent(EventKind.MEETING, "m", "a.txt", 0, magnitude=minutes)
+
     def test_attendees_of_one_credit_share_its_entry(self):
         files = ("a.txt", "b.txt")
         credit = [
@@ -613,6 +624,25 @@ class TestAnalyze:
         assert result.bus_factor == 1
         assert result.key_engineers == ("a",)
         assert result.coverage_trace == (0.0,)
+
+    def test_credit_for_dead_file_rejected(self):
+        credit = [MeetingCredit(("m",), "c", 0, 60.0, ("ghost.txt",))]
+        with pytest.raises(InputDataError, match="'ghost.txt' that is not a live file"):
+            prepare_ledgers([], ["real.txt"], 10, credit=credit)
+
+    def test_inferred_live_files_include_files_named_only_by_credit(self):
+        events = [ContributionEvent(EventKind.COMMIT, "a", "a.txt", day_ms(0))]
+        credit = [MeetingCredit(("m",), "c", 0, 60.0, ("b.txt",))]
+        ledgers = prepare_ledgers(events, None, credit=credit)
+        assert ledgers.live_files == ("a.txt", "b.txt")
+
+    def test_smallest_stray_file_is_named(self):
+        events = [
+            ContributionEvent(EventKind.COMMIT, "a", path, day_ms(0))
+            for path in ("z.txt", "a.txt", "live.txt")
+        ]
+        with pytest.raises(InputDataError, match="'a.txt' that is not a live file"):
+            prepare_ledgers(events, ["live.txt"])
 
 
 def test_clock_skew_names_the_earliest_late_event_in_canonical_order():

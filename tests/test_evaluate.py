@@ -207,3 +207,10 @@ class TestMetrics:
             "truth_mean": pytest.approx(2.5),
             "absolute_error": pytest.approx(1.5),
         }
+
+
+@pytest.mark.parametrize("estimates", [(1e308, 1e308), ()], ids=["sum-overflows", "empty"])
+def test_a_library_truth_without_a_finite_mean_is_an_input_error(estimates):
+    message = "truth project 'p': field 'estimates' has no finite mean"
+    with pytest.raises(InputDataError, match=message):
+        evaluate_predictions([pred("p", 1)], [truth("p", estimates)])

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 import fold_reference
 from busfactor.gitvcs import emit_vcs_events, snapshot_branch, traverse_branch
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
+from busfactor.model import canonical_order
 from conftest import ALICE, BOB, CAROL, EPOCH0
 from git_reference import diff_commit, merge_diff
 
@@ -215,7 +216,7 @@ def test_one_pass_read_and_fold_match_the_naive_oracles(history):
     expected = fold_reference.fold(commits, diffs, author_of, snapshot.live_files)
     assert [
         (e.timestamp_ms, e.kind.value, e.engineer_id, e.file_path, e.commit_ref)
-        for e in ingestion.events
+        for e in canonical_order(ingestion.events)
     ] == expected.events
     assert {c: k.file_paths for c, k in ingestion.commit_index.items()} == expected.file_paths
     assert {c: k.author_id for c, k in ingestion.commit_index.items()} == author_of
