@@ -41,8 +41,8 @@ from .identity import Engineer, IdentityIndex, RawActor, merge_identities
 from .model import (
     AlgorithmParams,
     ContributionEvent,
+    Credit,
     EventKind,
-    MeetingCredit,
     canonical_order,
     credit_events,
     decay,
@@ -80,6 +80,7 @@ __all__ = [
     "ClockSkewError",
     "ConfigError",
     "ContributionEvent",
+    "Credit",
     "DoaTable",
     "Engineer",
     "EventKind",
@@ -87,7 +88,6 @@ __all__ = [
     "IdentityIndex",
     "InputDataError",
     "Ledgers",
-    "MeetingCredit",
     "RawActor",
     "RepositoryError",
     "analyze",

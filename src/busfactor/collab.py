@@ -2,9 +2,9 @@
 
 Both channels arrive as JSON arrays and are joined to the commit history:
 reviews attach to the exact commits they approved, meetings attach to the
-commits their attendees authored nearby in time. Reviews produce contribution
-events against the head-live files of those commits; meetings produce one
-credit per (meeting, commit) match that stands for all of its events.
+commits their attendees authored nearby in time. Each channel produces one
+credit per (review or meeting, commit) match, which stands for its events on
+the head-live files of that commit.
 
 Every actor names an email or a profile ref that is not blank, and resolves
 through an ``IdentityIndex`` that must be built from every actor passed in.
@@ -12,7 +12,6 @@ through an ``IdentityIndex`` that must be built from every actor passed in.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import InputDataError
@@ -22,11 +21,9 @@ from .inputs import field, instant, load_json, warn
 from .model import (
     MS_PER_DAY,
     AlgorithmParams,
-    ContributionEvent,
+    Credit,
     EventKind,
-    MeetingCredit,
     check_meeting_minutes,
-    event_rows,
 )
 
 
@@ -164,13 +161,15 @@ def emit_review_events(
     identity: IdentityIndex,
     *,
     warnings: list[str] | None = None,
-) -> list[ContributionEvent]:
-    """One review contribution per reviewer per live file of each reviewed commit.
+) -> list[Credit]:
+    """One REVIEW credit per review and distinct reviewed commit.
 
-    Self-reviews (reviewer is the commit author) are skipped, as are commit
-    ids that never reached the analyzed branch.
+    Each credit carries the review's deduplicated reviewers, minus the
+    commit's author (no self-reviews), and the commit's own ``file_paths``
+    tuple; a commit with no such reviewer or no live file earns none. Commit
+    ids that never reached the analyzed branch are skipped with a warning.
     """
-    groups = []  # laid out for ``event_rows``
+    credit: list[Credit] = []
     for review_id, reviewers, commit_ids, completed_at_ms, _ in reviews:
         reviewer_ids = _resolve_ids(reviewers, identity)
         for commit_id in dict.fromkeys(commit_ids):
@@ -183,9 +182,12 @@ def emit_review_events(
                 )
                 continue
             author_id, _, paths = knowledge
-            engineers = [e for e in reviewer_ids if e != author_id]
-            groups.append((engineers, commit_id, completed_at_ms, None, paths))
-    return list(event_rows(EventKind.REVIEW, groups))
+            engineers = tuple(e for e in reviewer_ids if e != author_id)
+            if engineers and paths:
+                credit.append(
+                    Credit(engineers, commit_id, completed_at_ms, 1.0, paths, EventKind.REVIEW)
+                )
+    return credit
 
 
 def emit_meeting_events(
@@ -194,15 +196,16 @@ def emit_meeting_events(
     identity: IdentityIndex,
     *,
     window_days: int = AlgorithmParams.meeting_window_days,
-) -> list[MeetingCredit]:
+) -> list[Credit]:
     """Meeting credit for commits authored by attendees near in time.
 
     A commit relates to a meeting when its author attended and the meeting
     started within the window around the commit timestamp; the match is one
     credit of the meeting's duration to every attendee. Each credit carries
-    the meeting's deduplicated ``attendees`` in input order and the commit's
+    the meeting's deduplicated attendees in input order and the commit's
     own ``file_paths`` tuple (a commit without live files earns none). The
-    credit comes back in start order, equal starts in meeting-input order.
+    credit comes meeting by meeting in input order, each meeting's commits
+    by timestamp, then commit id.
     """
     if not meetings:
         return []  # nothing to join: skip sorting the history
@@ -213,19 +216,18 @@ def emit_meeting_events(
         if k.file_paths
     )
     stamps = [ts for ts, _, _ in timeline]
-    credit: list[MeetingCredit] = []
+    credit: list[Credit] = []
     for meeting in meetings:
         attendees = _resolve_ids(meeting.participants, identity)
         authors = set(attendees)
         lo = bisect_left(stamps, meeting.start_ms - window_ms)
         hi = bisect_right(stamps, meeting.start_ms + window_ms)
         credit.extend(
-            MeetingCredit(
+            Credit(
                 attendees, commit_id, meeting.start_ms,
-                meeting.duration_minutes, k.file_paths,
+                meeting.duration_minutes, k.file_paths, EventKind.MEETING,
             )
             for _, commit_id, k in timeline[lo:hi]
             if k.author_id in authors
         )
-    credit.sort(key=attrgetter("timestamp_ms"))
     return credit

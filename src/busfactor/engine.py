@@ -1,10 +1,10 @@
 """Knowledge scoring and bus-factor search.
 
-Turns a contribution event log into per-engineer, per-file authorship scores
-and walks the greedy removal order to find how many engineers the project can
-lose before less than half of its files retain an author. A file's ledger
-keys meeting credit by commit ref (one list per commit, held by every file
-of it) and plain MEETING events by (file path, commit ref).
+Turns contribution credit and events into per-engineer, per-file authorship
+scores and walks the greedy removal order to find how many engineers the
+project can lose before less than half of its files retain an author. A
+file's ledger keys meeting credit by commit ref (one list per commit, held by
+every file of it) and plain MEETING events by (file path, commit ref).
 
 Two scoring algorithms live here. The multimodal one blends first authorship,
 commits, reviews, and meeting exposure, each exponentially decayed by age.
@@ -26,8 +26,8 @@ from .model import (
     SORT_KEY,
     AlgorithmParams,
     ContributionEvent,
+    Credit,
     EventKind,
-    MeetingCredit,
     age_days,
     check_meeting_minutes,
     credit_events,
@@ -63,19 +63,44 @@ class FileLedger:
 
 
 def build_ledgers(
-    events: list[ContributionEvent], credit: Iterable[MeetingCredit] = ()
+    events: Iterable[ContributionEvent], credit: Iterable[Credit] = ()
 ) -> dict[str, FileLedger]:
-    """Group events by file, rejecting duplicate first authorships.
+    """Group events and credit by file, rejecting duplicate first authorships.
 
-    Each meeting ``credit`` is appended once, as ``(attendees, start,
+    Each MEETING ``credit`` is appended once, as ``(engineers, start,
     minutes)``, to the one list of its commit ref that every file of the
-    commit holds. Credit whose minutes fail ``check_meeting_minutes``, or
-    that names other files than the first credit of its commit, is an
-    ``InputDataError``. A plain MEETING event goes to the bucket of its
-    ``(file, commit)``.
+    commit holds. Meeting credit whose minutes fail ``check_meeting_minutes``,
+    or that names other files than the first meeting credit of its commit,
+    and credit whose ``kind`` is not an ``EventKind``, is an
+    ``InputDataError``. Credit of every other kind counts as the events it
+    spells out. A plain MEETING event goes to the bucket of its ``(file,
+    commit)``. Each of ``events`` and ``credit`` is read once.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
-    for event in events:
+    shared: dict[str, tuple[tuple[str, ...], list]] = {}  # ref -> (its files, its entries)
+    spelled: list[Credit] = []
+    for item in credit:
+        engineers, ref, timestamp_ms, minutes, paths, kind = item
+        if kind is not EventKind.MEETING:
+            if not isinstance(kind, EventKind):
+                raise InputDataError(f"credit for commit {ref!r}: unknown kind {kind!r}")
+            spelled.append(item)
+            continue
+        try:
+            check_meeting_minutes(minutes)
+        except ValueError as exc:
+            raise InputDataError(f"meeting credit for commit {ref!r}: {exc}") from None
+        held = shared.get(ref)
+        if held is None:
+            held = shared[ref] = (paths, [])
+            for path in paths:
+                ledgers[path].meetings[ref] = held[1]
+        elif paths is not held[0] and paths != held[0]:
+            raise InputDataError(
+                f"meeting credit for commit {ref!r} names other files than earlier credit for it"
+            )
+        held[1].append((engineers, timestamp_ms, minutes))
+    for event in chain(events, credit_events(spelled)):
         ledger = ledgers[event.file_path]
         if event.kind is EventKind.FIRST_AUTHORSHIP:
             if ledger.first_authorship is not None:
@@ -91,22 +116,6 @@ def build_ledgers(
             ledger.meetings.setdefault((event.file_path, event.commit_ref), []).append(
                 ((event.engineer_id,), event.timestamp_ms, event.magnitude)
             )
-    shared: dict[str, tuple[tuple[str, ...], list]] = {}  # ref -> (its files, its entries)
-    for attendees, ref, timestamp_ms, minutes, paths in credit:
-        try:
-            check_meeting_minutes(minutes)
-        except ValueError as exc:
-            raise InputDataError(f"meeting credit for commit {ref!r}: {exc}") from None
-        held = shared.get(ref)
-        if held is None:
-            held = shared[ref] = (paths, [])
-            for path in paths:
-                ledgers[path].meetings[ref] = held[1]
-        elif paths is not held[0] and paths != held[0]:
-            raise InputDataError(
-                f"meeting credit for commit {ref!r} names other files than earlier credit for it"
-            )
-        held[1].append((attendees, timestamp_ms, minutes))
     return dict(ledgers)
 
 
@@ -372,21 +381,21 @@ class Ledgers:
 
 
 def prepare_ledgers(
-    events: list[ContributionEvent],
+    events: Sequence[ContributionEvent],
     live_files=None,
     as_of_ms: int | None = None,
     *,
-    credit: Sequence[MeetingCredit] = (),
+    credit: Sequence[Credit] = (),
 ) -> Ledgers:
-    """Build the ledgers of events and meeting credit once, then check them.
+    """Build the ledgers of events and credit once, then check them.
 
     ``live_files`` is the set of files the project currently contains; the
     events and credit must only reference those, and the smallest file
     outside them is named. When omitted it is inferred from the files the
     ledgers hold. ``as_of_ms`` defaults to the newest event or credit
-    timestamp. Anything newer than it is a clock-skew error naming the
-    earliest late event in canonical order, among the events and the MEETING
-    events of the credit.
+    timestamp (a credit with no files counts too), or 0 with none. Anything
+    newer than it is a clock-skew error naming the earliest late event in
+    canonical order, among the events and the events of the credit.
     """
     files = build_ledgers(events, credit)
     live_files = sorted(files if live_files is None else set(live_files))

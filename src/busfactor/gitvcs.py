@@ -1,7 +1,7 @@
 """Git history ingestion.
 
 Reads a local repository through the ``git`` command-line tool and turns a
-branch into contribution events: first authorships and commit contributions
+branch into contribution credit: first authorships and commit contributions
 for the files live at its head. Merge commits contribute only the paths whose
 content differs from every parent (the conflict resolutions); a rename moves
 a file's history to its new path, and a pure rename contributes nothing.
@@ -17,7 +17,7 @@ from .errors import RepositoryError
 from .identity import IdentityIndex, RawActor, normalize_email
 from .inputs import warn
 # canonical_order is not called here; perfbench/probes.py wraps this binding
-from .model import ContributionEvent, EventKind, canonical_order, event_rows
+from .model import ContributionEvent, Credit, EventKind, canonical_order, credit_events
 
 RENAME_THRESHOLD = "60%"
 
@@ -68,8 +68,13 @@ class CommitKnowledge(NamedTuple):
 
 
 class VcsIngestion(NamedTuple):
-    events: list[ContributionEvent]
+    credit: list[Credit]
     commit_index: dict[str, CommitKnowledge]
+
+    @property
+    def events(self) -> list[ContributionEvent]:
+        """The credit spelled out, in its order (not sorted)."""
+        return list(credit_events(self.credit))
 
 
 def _git(repo_path, *args: str, allowed: tuple[int, ...] = ()) -> tuple[int, str]:
@@ -282,14 +287,16 @@ def emit_vcs_events(
     *,
     warnings: list[str] | None = None,
 ) -> VcsIngestion:
-    """Fold ordered commits into contribution events for head-live files.
+    """Fold ordered commits into contribution credit for head-live files.
 
-    Every Added or content-changing entry yields a commit contribution for
-    its author; the earliest add of a file identity (earliest timestamp,
-    commit id breaking ties) additionally yields the first authorship.
-    Renames move accumulated history to the new path without adding
-    knowledge; files absent from the head snapshot are dropped. The events
-    come in fold order (first authorships, then commits), not sorted.
+    Every Added or content-changing entry credits its commit's author; the
+    earliest add of a file identity (earliest timestamp, commit id breaking
+    ties) additionally yields the first authorship. Renames move accumulated
+    history to the new path without adding knowledge; files absent from the
+    head snapshot are dropped. The credit comes in fold order: first
+    authorships by path, then one COMMIT credit per commit in history order,
+    which shares its ``file_paths`` with the commit's ``commit_index`` entry.
+    A commit with no live file still gets one, with no files: it dates the run.
 
     ``identity`` must be built from every commit author; each distinct
     (name, email) pair is resolved once. An author with a blank email is the
@@ -299,9 +306,9 @@ def emit_vcs_events(
     state: dict[str, _FileState] = {}
     engineer_of: dict[tuple[str, str], tuple[str]] = {}
     blank_warned: set[str] = set()
-    # per commit, laid out for ``event_rows``: the head paths it added or
-    # edited, in sorted order, are filled in once the fold is done
-    groups: list[tuple[tuple[str], str, int, None, list[str]]] = []
+    # per commit: the head paths it added or edited, in sorted order, are
+    # filled in once the fold is done
+    folded: list[tuple[tuple[str], str, int, list[str]]] = []
     deleted, renamed, added = ChangeKind.DELETED, ChangeKind.RENAMED, ChangeKind.ADDED
     for commit_id, email, name, ts, _, changes in commits:
         author = engineer_of.get((name, email))
@@ -315,7 +322,7 @@ def emit_vcs_events(
                     f"attributed to new engineer '{author[0]}'",
                 )
         touched: list[str] = []
-        groups.append((author, commit_id, ts, None, touched))
+        folded.append((author, commit_id, ts, touched))
         for change in changes:
             path, kind, from_path, _ = change
             if kind is deleted:
@@ -332,7 +339,8 @@ def emit_vcs_events(
                     entry.adds.append((ts, commit_id, author))
             entry.commits.append(touched)
 
-    firsts = []
+    new, first, commit = tuple.__new__, EventKind.FIRST_AUTHORSHIP, EventKind.COMMIT
+    credit = []
     for path in sorted(snapshot.live_files):
         entry = state.get(path)
         if entry is None:
@@ -340,17 +348,13 @@ def emit_vcs_events(
             continue
         if entry.adds:
             ts, commit_id, author = min(entry.adds)
-            firsts.append((author, commit_id, ts, None, (path,)))
+            credit.append(new(Credit, (author, commit_id, ts, 1.0, (path,), first)))
         for touched in entry.commits:
             touched.append(path)
 
-    events = [
-        *event_rows(EventKind.FIRST_AUTHORSHIP, firsts),
-        *event_rows(EventKind.COMMIT, groups),
-    ]
-    new = tuple.__new__
-    commit_index = {
-        commit_id: new(CommitKnowledge, (author[0], ts, tuple(touched)))
-        for author, commit_id, ts, _, touched in groups
-    }
-    return VcsIngestion(events, commit_index)
+    commit_index = {}
+    for author, commit_id, ts, touched in folded:
+        paths = tuple(touched)
+        commit_index[commit_id] = new(CommitKnowledge, (author[0], ts, paths))
+        credit.append(new(Credit, (author, commit_id, ts, 1.0, paths, commit)))
+    return VcsIngestion(credit, commit_index)

@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from numbers import Real
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -115,9 +116,13 @@ class ContributionEvent(_EventFields):
         return type(self)(**{**fields, **changes})
 
 
+#: Real numbers, float and int first: checking the ``Real`` ABC alone costs ~10x.
+_REAL = (float, int, Real)
+
+
 def check_meeting_minutes(minutes) -> None:
-    """Reject meeting minutes that are a bool or not a finite number > 0."""
-    if isinstance(minutes, bool) or not 0 < minutes < math.inf:
+    """Reject meeting minutes that are a bool or not a finite real number > 0."""
+    if isinstance(minutes, bool) or not isinstance(minutes, _REAL) or not 0 < minutes < math.inf:
         raise ValueError(
             f"magnitude must be a finite number > 0 for meeting events, got {minutes!r}"
         )
@@ -128,44 +133,39 @@ def canonical_order(events) -> list[ContributionEvent]:
     return sorted(events, key=SORT_KEY)
 
 
-class MeetingCredit(NamedTuple):
-    """One meeting's minutes for its ``attendees``, attached to one related commit.
+class Credit(NamedTuple):
+    """One contribution of ``engineers`` to the files of one commit, from any channel.
 
-    It stands for a MEETING event of each attendee on each of ``file_paths``,
-    the live files of ``commit_ref``; ``credit_events`` spells those events out.
+    It stands for a ``kind`` event of each engineer on each of ``file_paths``;
+    ``credit_events`` spells those events out. ``magnitude`` is a meeting's
+    minutes; the events of every other kind have magnitude 1.0.
     """
 
-    attendees: tuple[str, ...]
+    engineers: tuple[str, ...]
     commit_ref: str
     timestamp_ms: int
     magnitude: float
     file_paths: tuple[str, ...]
-
-
-def event_rows(kind: EventKind, groups) -> Iterator[ContributionEvent]:
-    """The ``kind`` events of each group: one per engineer and file, engineer by engineer.
-
-    A group is laid out like a ``MeetingCredit``: ``(engineers, commit_ref,
-    timestamp_ms, minutes, file_paths)``. The rows skip the constructor's
-    per-event checks: a MEETING group's ``minutes`` are checked once and are
-    its rows' magnitude; every other row's magnitude is 1.0, whatever its
-    group's ``minutes`` field holds.
-    """
-    new, event, rank = tuple.__new__, ContributionEvent, KIND_ORDER[kind]
-    meeting = kind is EventKind.MEETING
-    magnitude = 1.0
-    for engineers, ref, timestamp_ms, minutes, paths in groups:
-        if meeting:
-            check_meeting_minutes(minutes)
-            magnitude = minutes
-        for engineer in engineers:
-            for path in paths:
-                yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
+    kind: EventKind = EventKind.MEETING
 
 
 def credit_events(credit) -> Iterator[ContributionEvent]:
-    """The MEETING events of each credit, one per attendee and file."""
-    return event_rows(EventKind.MEETING, credit)
+    """The events of each credit: one per engineer and file, engineer by engineer.
+
+    The rows skip the constructor's per-event checks: a MEETING credit's
+    minutes are checked once and are its rows' magnitude; every other row's
+    magnitude is 1.0, whatever its credit's ``magnitude`` holds.
+    """
+    new, event = tuple.__new__, ContributionEvent
+    for engineers, ref, timestamp_ms, magnitude, paths, kind in credit:
+        if kind is EventKind.MEETING:
+            check_meeting_minutes(magnitude)
+        else:
+            magnitude = 1.0
+        rank = KIND_ORDER[kind]
+        for engineer in engineers:
+            for path in paths:
+                yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
 
 
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")

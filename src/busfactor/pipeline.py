@@ -6,7 +6,6 @@ inputs always produce identical bytes.
 """
 from __future__ import annotations
 
-import heapq
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -28,10 +27,9 @@ from .errors import ConfigError
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
 from .model import (
-    SORT_KEY,
     AlgorithmParams,
     ContributionEvent,
-    MeetingCredit,
+    Credit,
     canonical_order,
     credit_events,
     format_instant,
@@ -42,28 +40,25 @@ ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
 @dataclass
 class AnalysisRun:
-    """One run's report, and the events it scored as ``events`` yields them."""
+    """One run's report, and the credit it scored, which ``events`` spells out."""
 
     report: dict
-    sorted_events: list[ContributionEvent]  # VCS and review events, canonical order
-    meeting_credit: list[MeetingCredit]  # in start order
+    credit: list[Credit]  # every channel's, in channel order
 
     @property
     def events(self) -> Iterator[ContributionEvent]:
         """Every contribution event of the run in canonical order, built lazily.
 
-        Meeting events are spelled out one start time at a time, sorted stably
-        (meetings tied on the key keep their input order), and merged into
-        the sorted VCS and review events. An event is a tuple that starts
-        with its sort key, and events of different kinds differ in their
-        second field, so the merge compares no further than the key. The
-        whole log is never held at once.
+        The credit is sorted stably by timestamp, and the events of each
+        timestamp are spelled out and sorted stably, so meetings tied on the
+        whole sort key keep their input order. The whole log is never held
+        at once.
         """
-        meetings = chain.from_iterable(
-            sorted(credit_events(group), key=SORT_KEY)
-            for _, group in groupby(self.meeting_credit, key=attrgetter("timestamp_ms"))
+        by_time = sorted(self.credit, key=attrgetter("timestamp_ms"))
+        return chain.from_iterable(
+            canonical_order(credit_events(group))
+            for _, group in groupby(by_time, key=attrgetter("timestamp_ms"))
         )
-        return heapq.merge(self.sorted_events, meetings)
 
 
 def _report_doc(
@@ -112,15 +107,15 @@ def run_analysis(
     """Ingest every requested channel, score, and assemble the report.
 
     The branch head is resolved once: the snapshot lists the tree of the
-    commit the traversal ended with. ``as_of_ms`` defaults to the newest
-    timestamp among the commits in the history (not the head's, which a
-    rebase or cherry-pick can leave older than an ancestor) and the review
-    and meeting credit kept for them, so repeated runs on unchanged inputs
-    agree byte for byte; with none of these (an unborn branch) the report's
-    ``as_of`` is null. Meeting credit is folded into the ledgers once per
-    (attendee, commit), and the ledgers are built once for every algorithm.
-    In ``both`` mode the two embedded result documents match what
-    single-algorithm runs emit.
+    commit the traversal ended with. Every channel yields ``Credit``, and
+    the ledgers are built from it once for every algorithm. ``prepare_ledgers``
+    defaults ``as_of_ms`` to the newest credit timestamp: that of every
+    commit in the history (not the head's, which a rebase or cherry-pick can
+    leave older than an ancestor) and of the review and meeting credit kept
+    for them, so repeated runs on unchanged inputs agree byte for byte. The
+    report's ``as_of`` is null only for an unborn branch without
+    ``as_of_ms``. In ``both`` mode the two embedded result documents match
+    what single-algorithm runs emit.
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise ConfigError(
@@ -150,29 +145,16 @@ def run_analysis(
     identity = IdentityIndex(merge_identities(actors))
 
     vcs = emit_vcs_events(commits, identity, snapshot, warnings=ingest_warnings)
-    reviewed = emit_review_events(
-        reviews, vcs.commit_index, identity, warnings=ingest_warnings
-    )
-    events = canonical_order([*vcs.events, *reviewed])
-    credit = emit_meeting_events(
-        meetings,
-        vcs.commit_index,
-        identity,
-        window_days=params.meeting_window_days,
-    )
-
-    if as_of_ms is None:
-        as_of_ms = max(
-            chain(
-                (c.timestamp_ms for c in commits),
-                (e.timestamp_ms for e in reviewed),
-                (c.timestamp_ms for c in credit),
-            ),
-            default=None,  # nothing to date: an unborn branch and no credit
-        )
-    ledgers = prepare_ledgers(events, snapshot.live_files, as_of_ms, credit=credit)
+    index = vcs.commit_index
+    credit = [
+        *vcs.credit,
+        *emit_review_events(reviews, index, identity, warnings=ingest_warnings),
+        *emit_meeting_events(meetings, index, identity, window_days=params.meeting_window_days),
+    ]
+    ledgers = prepare_ledgers((), snapshot.live_files, as_of_ms, credit=credit)
+    # every commit dates the run, so only an unborn branch has no default instant
+    as_of = None if as_of_ms is None and not commits else format_instant(ledgers.as_of_ms)
     project = Path(repo_path).resolve().name
-    as_of = None if as_of_ms is None else format_instant(as_of_ms)
 
     def single(algo: str) -> dict:
         warnings = list(ingest_warnings)
@@ -191,7 +173,7 @@ def run_analysis(
         }
     else:
         report = single(algorithm)
-    return AnalysisRun(report=report, sorted_events=events, meeting_credit=credit)
+    return AnalysisRun(report=report, credit=credit)
 
 
 def to_json(document: dict) -> str:

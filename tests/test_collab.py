@@ -17,7 +17,7 @@ from busfactor.collab import (
 from busfactor.errors import InputDataError
 from busfactor.gitvcs import CommitKnowledge
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import EventKind, MeetingCredit, credit_events
+from busfactor.model import Credit, EventKind, credit_events
 
 from conftest import day_ms
 
@@ -91,6 +91,12 @@ class TestParsing:
         with pytest.raises(InputDataError, match="email.*profile_ref"):
             parse_reviews(reviews_json(broken))
 
+    def test_actor_name_must_be_a_string(self):
+        broken = dict(REVIEW, reviewers=[{"name": 5, "email": "bob@example.com"}])
+        message = r"^review #0 reviewer #0: actor field 'name' must be a string$"
+        with pytest.raises(InputDataError, match=message):
+            parse_reviews(reviews_json(broken))
+
     def test_meeting_duration_must_be_positive(self):
         broken = dict(MEETING, duration_minutes=0)
         with pytest.raises(InputDataError, match="duration_minutes"):
@@ -156,11 +162,16 @@ def commit_index():
     }
 
 
+def spelled_out(credit):
+    """The per-file events that credit stands for."""
+    return list(credit_events(credit))
+
+
 class TestReviewEvents:
     def test_one_event_per_reviewer_commit_file(self):
         reviews = parse_reviews(reviews_json(REVIEW))
         index = make_index(RawActor(email="alice@example.com"), RawActor(email="bob@example.com"))
-        events = emit_review_events(reviews, commit_index(), index)
+        events = spelled_out(emit_review_events(reviews, commit_index(), index))
         assert [(e.kind, e.engineer_id, e.file_path, e.timestamp_ms, e.commit_ref) for e in events] == [
             (EventKind.REVIEW, "bob@example.com", "src/a.py", day_ms(2), "c1"),
             (EventKind.REVIEW, "bob@example.com", "src/b.py", day_ms(2), "c1"),
@@ -180,20 +191,20 @@ class TestReviewEvents:
             REVIEW,
             reviewers=[{"email": "bob@example.com"}, {"email": "BOB@example.com "}],
         )
-        events = emit_review_events(
+        events = spelled_out(emit_review_events(
             parse_reviews(reviews_json(review)),
             commit_index(),
             make_index(RawActor(email="bob@example.com")),
-        )
+        ))
         assert len(events) == 2  # two files, one deduped reviewer
 
     def test_duplicate_commit_ids_counted_once(self):
         review = dict(REVIEW, commit_ids=["c1", "c1"])
-        events = emit_review_events(
+        events = spelled_out(emit_review_events(
             parse_reviews(reviews_json(review)),
             commit_index(),
             make_index(RawActor(email="bob@example.com")),
-        )
+        ))
         assert len(events) == 2
 
     def test_unknown_commit_skipped_with_warning(self):
@@ -211,13 +222,10 @@ class TestReviewEvents:
     def test_reviewer_resolved_through_profile_ref(self):
         review = dict(REVIEW, reviewers=[{"profile_ref": "u42"}])
         index = make_index(RawActor(email="bob@example.com", profile_ref="u42"))
-        events = emit_review_events(parse_reviews(reviews_json(review)), commit_index(), index)
+        events = spelled_out(
+            emit_review_events(parse_reviews(reviews_json(review)), commit_index(), index)
+        )
         assert {e.engineer_id for e in events} == {"bob@example.com"}
-
-
-def spelled_out(credit):
-    """The per-file MEETING events that meeting credit stands for."""
-    return list(credit_events(credit))
 
 
 class TestMeetingEvents:
@@ -231,7 +239,7 @@ class TestMeetingEvents:
         # credits both attendees for c1, which stands for both of its files
         files = ("src/a.py", "src/b.py")
         attendees = ("alice@example.com", "carol@example.com")
-        assert credit == [MeetingCredit(attendees, "c1", day_ms(3), 45.0, files)]
+        assert credit == [Credit(attendees, "c1", day_ms(3), 45.0, files)]
         events = spelled_out(credit)
         expected = {
             ("alice@example.com", "src/a.py"),
@@ -245,7 +253,7 @@ class TestMeetingEvents:
         assert all(e.timestamp_ms == day_ms(3) for e in events)
         assert all(e.commit_ref == "c1" for e in events)
 
-    def test_credit_in_start_order_carries_the_commits_own_files(self):
+    def test_credit_in_meeting_order_carries_the_commits_own_files(self):
         # meeting input order: late, then two early ones that share a start
         meetings = parse_meetings(reviews_json(
             dict(MEETING, id="late", start=day_ms(5)),
@@ -258,10 +266,10 @@ class TestMeetingEvents:
             RawActor(email="alice@example.com"), RawActor(email="carol@example.com")
         )
         credit = emit_meeting_events(meetings, index, identity)
-        assert [(c.timestamp_ms, c.magnitude, c.attendees) for c in credit] == [
+        assert [(c.timestamp_ms, c.magnitude, c.engineers) for c in credit] == [
+            (day_ms(5), 45.0, ("alice@example.com", "carol@example.com")),
             (day_ms(1), 10.0, ("alice@example.com", "carol@example.com")),
             (day_ms(1), 20.0, ("carol@example.com", "alice@example.com")),
-            (day_ms(5), 45.0, ("alice@example.com", "carol@example.com")),
         ]
         assert all(c.file_paths is index[c.commit_ref].file_paths for c in credit)
 
@@ -273,7 +281,7 @@ class TestMeetingEvents:
         identity = make_index(*collect_actors([], meetings))
         credit = emit_meeting_events(meetings, commit_index(), identity)
         assert len(credit) == 1  # one match: alice's c1
-        assert credit[0].attendees == (
+        assert credit[0].engineers == (
             "alice@example.com", *(p["email"] for p in people)
         )  # deduplicated, in input order
         assert len(spelled_out(credit)) == 7 * 2  # attendees x c1's files

@@ -22,8 +22,8 @@ from busfactor.errors import ClockSkewError, ConfigError, InputDataError
 from busfactor.model import (
     AlgorithmParams,
     ContributionEvent,
+    Credit,
     EventKind,
-    MeetingCredit,
     credit_events,
 )
 
@@ -123,9 +123,9 @@ class TestMeetingTerm:
     def test_credit_folds_into_one_list_per_commit(self):
         files = ("a.txt", "b.txt")
         credit = [
-            MeetingCredit(("m",), "c1", AS_OF - 5, 60.0, files),
-            MeetingCredit(("m", "n"), "c1", AS_OF, 45.0, files),
-            MeetingCredit(("n",), "c1", AS_OF, 30.0, files),
+            Credit(("m",), "c1", AS_OF - 5, 60.0, files),
+            Credit(("m", "n"), "c1", AS_OF, 45.0, files),
+            Credit(("n",), "c1", AS_OF, 30.0, files),
         ]
         ledgers = build_ledgers([], credit)
         entries = ledgers["a.txt"].meetings["c1"]
@@ -139,13 +139,13 @@ class TestMeetingTerm:
 
     def test_credit_of_one_commit_naming_other_files_is_an_error(self):
         credit = [
-            MeetingCredit(("m",), "c1", 0, 120.0, ("a.txt",)),
-            MeetingCredit(("m",), "c1", 0, 120.0, ("a.txt", "b.txt")),
+            Credit(("m",), "c1", 0, 120.0, ("a.txt",)),
+            Credit(("m",), "c1", 0, 120.0, ("a.txt", "b.txt")),
         ]
         with pytest.raises(InputDataError, match="meeting credit for commit 'c1'"):
             build_ledgers([], credit)
         # equal files in another tuple are the same files
-        same = MeetingCredit(("n",), "c1", 0, 60.0, tuple(["a.txt"]))
+        same = Credit(("n",), "c1", 0, 60.0, tuple(["a.txt"]))
         assert same.file_paths is not credit[0].file_paths
         ledgers = build_ledgers([], [credit[0], same])
         assert ledgers["a.txt"].meetings == {"c1": [(("m",), 0, 120.0), (("n",), 0, 60.0)]}
@@ -155,33 +155,45 @@ class TestMeetingTerm:
         ids=["negative", "zero", "nan", "inf", "bool"],
     )
     def test_credit_minutes_meet_the_meeting_event_rule(self, minutes):
-        credit = [MeetingCredit(("m",), "c1", 0, minutes, ("a.txt",))]
+        credit = [Credit(("m",), "c1", 0, minutes, ("a.txt",))]
         with pytest.raises(InputDataError, match="meeting credit for commit 'c1': magnitude"):
             build_ledgers([], credit)
         with pytest.raises(ValueError):
             ContributionEvent(EventKind.MEETING, "m", "a.txt", 0, magnitude=minutes)
 
+    @pytest.mark.parametrize("minutes", ["60", None], ids=["str", "none"])
+    def test_credit_minutes_that_are_not_numbers_are_one_line_errors(self, minutes):
+        credit = [Credit(("m",), "c1", 0, minutes, ("a.txt",))]
+        message = (
+            r"^meeting credit for commit 'c1': magnitude must be a finite number > 0 "
+            rf"for meeting events, got {minutes!r}$"
+        )
+        with pytest.raises(InputDataError, match=message):
+            build_ledgers([], credit)
+        with pytest.raises(ValueError, match="magnitude must be a finite number > 0"):
+            ContributionEvent(EventKind.MEETING, "m", "a.txt", 0, magnitude=minutes)
+
     def test_attendees_of_one_credit_share_its_entry(self):
         files = ("a.txt", "b.txt")
         credit = [
-            MeetingCredit(("m", "n"), "c1", AS_OF - 5, 60.0, files),
-            MeetingCredit(("n",), "c1", AS_OF, 45.0, files),
-            MeetingCredit(("n", "m"), "c2", AS_OF, 30.0, ("b.txt",)),
+            Credit(("m", "n"), "c1", AS_OF - 5, 60.0, files),
+            Credit(("n",), "c1", AS_OF, 45.0, files),
+            Credit(("n", "m"), "c2", AS_OF, 30.0, ("b.txt",)),
         ]
         ledgers = build_ledgers([], credit)
         a, b = ledgers["a.txt"].meetings, ledgers["b.txt"].meetings
         assert a == {"c1": [(("m", "n"), AS_OF - 5, 60.0), (("n",), AS_OF, 45.0)]}
         assert b == {"c1": a["c1"], "c2": [(("n", "m"), AS_OF, 30.0)]}
         assert b["c1"] is a["c1"]
-        assert a["c1"][0][0] is credit[0].attendees
+        assert a["c1"][0][0] is credit[0].engineers
         # each attendee scores as if credited alone
-        alone = build_ledgers([], [MeetingCredit(("n",), *c[1:]) for c in credit])
+        alone = build_ledgers([], [Credit(("n",), *c[1:]) for c in credit])
         table = score_table(ledgers, AS_OF, PARAMS)
         assert table.raw[("n", "b.txt")] == score_table(alone, AS_OF, PARAMS).raw[("n", "b.txt")]
 
     def test_plain_meeting_events_and_credit_of_one_commit_both_count(self):
         events = [ContributionEvent(EventKind.MEETING, "m", "a.txt", AS_OF, 200.0, "c1")]
-        credit = [MeetingCredit(("m",), "c1", AS_OF, 200.0, ("a.txt",))]
+        credit = [Credit(("m",), "c1", AS_OF, 200.0, ("a.txt",))]
         ledgers = build_ledgers(events, credit)
         assert ledgers["a.txt"].meetings == {
             ("a.txt", "c1"): [(("m",), AS_OF, 200.0)],
@@ -361,14 +373,14 @@ meeting_minutes = st.floats(min_value=1, max_value=600)
 
 @st.composite
 def events_and_credit(draw):
-    """Events of every kind, and credit whose commits each name one file set."""
+    """Events and credit of every kind; the meeting credit of a commit names one file set."""
     files_of = {
         ref: tuple(draw(st.lists(st.sampled_from(FILES), min_size=1, max_size=3, unique=True)))
         for ref in COMMIT_REFS
     }
     credit = draw(st.lists(
         st.builds(
-            lambda attendees, ref, ts, minutes: MeetingCredit(
+            lambda attendees, ref, ts, minutes: Credit(
                 attendees, ref, ts, minutes, files_of[ref]
             ),
             attendee_tuples, st.sampled_from(COMMIT_REFS), timestamps, meeting_minutes,
@@ -386,11 +398,24 @@ def events_and_credit(draw):
         ),
         max_size=10,
     ))
-    first = draw(st.dictionaries(st.sampled_from(FILES), st.tuples(engineer_ids, timestamps)))
-    events += [
-        ContributionEvent(EventKind.FIRST_AUTHORSHIP, engineer, path, ts)
-        for path, (engineer, ts) in first.items()
-    ]
+    credit += draw(st.lists(
+        st.builds(
+            lambda kind, engineers, ref, ts, paths: Credit(engineers, ref, ts, 1.0, paths, kind),
+            st.sampled_from([EventKind.COMMIT, EventKind.REVIEW]), attendee_tuples,
+            st.sampled_from(COMMIT_REFS), timestamps,
+            st.lists(st.sampled_from(FILES), max_size=3, unique=True).map(tuple),
+        ),
+        max_size=6,
+    ))
+    # each file's first authorship is an event or a credit, never both
+    first = draw(st.dictionaries(
+        st.sampled_from(FILES), st.tuples(engineer_ids, timestamps, st.booleans())
+    ))
+    for path, (engineer, ts, as_credit) in first.items():
+        if as_credit:
+            credit.append(Credit((engineer,), "c1", ts, 1.0, (path,), EventKind.FIRST_AUTHORSHIP))
+        else:
+            events.append(ContributionEvent(EventKind.FIRST_AUTHORSHIP, engineer, path, ts))
     return events, credit
 
 
@@ -409,7 +434,10 @@ def test_meeting_ledgers_do_not_depend_on_order_or_on_spelling_credit_out(drawn,
     # a plain MEETING event sharing (file, commit) with credit is capped apart
     # from the credit here, and in one bucket with it once the credit is spelled out
     plain = {(e.file_path, e.commit_ref) for e in events if e.kind is EventKind.MEETING}
-    mixed = {e.file_path for e in credit_events(credit) if (e.file_path, e.commit_ref) in plain}
+    mixed = {
+        e.file_path for e in credit_events(credit)
+        if e.kind is EventKind.MEETING and (e.file_path, e.commit_ref) in plain
+    }
     for algorithm in ALGORITHMS:
         table = score_table(build_ledgers(events, credit), AS_OF, PARAMS, algorithm)
         shuffled = score_table(
@@ -421,6 +449,17 @@ def test_meeting_ledgers_do_not_depend_on_order_or_on_spelling_credit_out(drawn,
         assert spelled.files == table.files
         for path in set(table.files) - mixed:
             assert file_scores(spelled, path) == file_scores(table, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events_and_credit())
+def test_credit_other_than_meetings_builds_the_ledgers_of_its_events(drawn):
+    events, credit = drawn
+    others = [c for c in credit if c.kind is not EventKind.MEETING]
+    assert build_ledgers(events, others) == build_ledgers(events + list(credit_events(others)))
+    # credit is read once, so a generator loses nothing
+    assert build_ledgers(events, iter(credit)) == build_ledgers(events, credit)
+
 
 class TestTableAndAuthorship:
     def test_normalized_bounds_and_argmax(self):
@@ -625,14 +664,25 @@ class TestAnalyze:
         assert result.key_engineers == ("a",)
         assert result.coverage_trace == (0.0,)
 
+    def test_credit_of_an_unknown_kind_rejected(self):
+        # a str enum equals its value, so "meeting" would pass for EventKind.MEETING
+        credit = [Credit(("m",), "c7", 0, 60.0, ("a.txt",), "meeting")]
+        with pytest.raises(InputDataError, match=r"^credit for commit 'c7': unknown kind 'meeting'$"):
+            build_ledgers([], credit)
+
+    def test_first_authorship_credit_of_two_engineers_rejected(self):
+        credit = [Credit(("a", "b"), "c1", 0, 1.0, ("f.txt",), EventKind.FIRST_AUTHORSHIP)]
+        with pytest.raises(InputDataError, match="'f.txt' has more than one first_authorship"):
+            prepare_ledgers([], ["f.txt"], credit=credit)
+
     def test_credit_for_dead_file_rejected(self):
-        credit = [MeetingCredit(("m",), "c", 0, 60.0, ("ghost.txt",))]
+        credit = [Credit(("m",), "c", 0, 60.0, ("ghost.txt",))]
         with pytest.raises(InputDataError, match="'ghost.txt' that is not a live file"):
             prepare_ledgers([], ["real.txt"], 10, credit=credit)
 
     def test_inferred_live_files_include_files_named_only_by_credit(self):
         events = [ContributionEvent(EventKind.COMMIT, "a", "a.txt", day_ms(0))]
-        credit = [MeetingCredit(("m",), "c", 0, 60.0, ("b.txt",))]
+        credit = [Credit(("m",), "c", 0, 60.0, ("b.txt",))]
         ledgers = prepare_ledgers(events, None, credit=credit)
         assert ledgers.live_files == ("a.txt", "b.txt")
 

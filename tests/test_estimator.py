@@ -36,6 +36,11 @@ class TestFit:
         assert est.result_.algorithm == "multimodal"
         assert set(est.authors_) == {e.file_path for e in quarter_events()}
 
+    def test_none_is_an_input_error(self):
+        message = r"^expected a collection of contribution events, got None$"
+        with pytest.raises(InputDataError, match=message):
+            BusFactorEstimator().fit(None)
+
     def test_fit_returns_self(self):
         est = BusFactorEstimator()
         assert est.fit(quarter_events()) is est

@@ -214,3 +214,9 @@ def test_a_library_truth_without_a_finite_mean_is_an_input_error(estimates):
     message = "truth project 'p': field 'estimates' has no finite mean"
     with pytest.raises(InputDataError, match=message):
         evaluate_predictions([pred("p", 1)], [truth("p", estimates)])
+
+
+def test_an_absolute_error_past_the_largest_float_is_an_input_error():
+    # each number is finite, but their difference overflows to infinity
+    with pytest.raises(InputDataError, match=r"^project 'p': absolute error is not finite$"):
+        evaluate_predictions([ProjectPrediction("p", 10**308, ())], [truth("p", (-1.7e308,))])

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import eventlog_reference
 from busfactor.errors import InputDataError
-from busfactor.eventlog import FIELDS, read_event_log, write_event_log
+from busfactor.eventlog import FIELDS, events_from_records, read_event_log, write_event_log
 from busfactor.model import ContributionEvent, EventKind, canonical_order
 from eventlog_reference import event_to_record
 
@@ -73,6 +73,10 @@ class TestValidation:
         record["timestamp_ms"] = "2024-01-01"
         with pytest.raises(InputDataError, match="timestamp_ms"):
             read_event_log(io.StringIO(json.dumps(record)))
+
+    def test_record_that_is_not_an_object_rejected(self):
+        with pytest.raises(InputDataError, match=r"^line 1: record must be an object$"):
+            events_from_records([("line 1", [1, 2])])
 
     def test_boolean_timestamp_rejected(self):
         record = event_to_record(sample_events()[1])

@@ -27,7 +27,7 @@ from busfactor.errors import ClockSkewError
 from busfactor.eventlog import write_event_log
 from busfactor.gitvcs import CommitKnowledge, emit_vcs_events, snapshot_branch, traverse_branch
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import AlgorithmParams, ContributionEvent, EventKind, canonical_order
+from busfactor.model import AlgorithmParams, Credit, EventKind, canonical_order, credit_events
 from busfactor.pipeline import AnalysisRun
 
 from conftest import ALICE, BOB, day_ms
@@ -69,19 +69,19 @@ meetings_st = st.lists(
 )
 
 
-def vcs_events(commit_index) -> list[ContributionEvent]:
-    events = []
+def vcs_credit(commit_index) -> list[Credit]:
+    credit = []
     first: dict[str, tuple[int, str, str]] = {}
     for ref, k in commit_index.items():
+        credit.append(
+            Credit((k.author_id,), ref, k.timestamp_ms, 1.0, k.file_paths, EventKind.COMMIT)
+        )
         for path in k.file_paths:
-            events.append(
-                ContributionEvent(EventKind.COMMIT, k.author_id, path, k.timestamp_ms, commit_ref=ref)
-            )
             first[path] = min(first.get(path, (k.timestamp_ms, ref, k.author_id)),
                               (k.timestamp_ms, ref, k.author_id))
     for path, (ts, ref, author) in first.items():
-        events.append(ContributionEvent(EventKind.FIRST_AUTHORSHIP, author, path, ts, commit_ref=ref))
-    return canonical_order(events)
+        credit.append(Credit((author,), ref, ts, 1.0, (path,), EventKind.FIRST_AUTHORSHIP))
+    return credit
 
 
 def scored(run):
@@ -129,10 +129,11 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
         records, commit_index, identity, window_days=window_days
     )
     credit = emit_meeting_events(records, commit_index, identity, window_days=window_days)
-    plain = vcs_events(commit_index)
+    vcs = vcs_credit(commit_index)
+    plain = canonical_order(credit_events(vcs))
     everything = canonical_order(plain + reference)
 
-    run = AnalysisRun(report={}, sorted_events=plain, meeting_credit=credit)
+    run = AnalysisRun(report={}, credit=[*vcs, *credit])
     assert list(run.events) == everything
     dump = io.StringIO()
     write_event_log(run.events, dump)
@@ -145,8 +146,14 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
     folded = scored(
         lambda algo: analyze(prepare_ledgers(plain, FILES, as_of, credit=credit), PARAMS, algo)
     )
+    # a commit with no files dates the run, though it spells out no event
+    dated = [c for c in [*vcs, *credit] if c.file_paths]
+    from_credit = scored(
+        lambda algo: analyze(prepare_ledgers((), FILES, as_of, credit=dated), PARAMS, algo)
+    )
 
     assert folded == expected
+    assert from_credit == expected
 
 
 def test_cli_dump_equals_reference_writer_over_reference_events(tmp_path, mkrepo):

@@ -4,7 +4,7 @@ import pytest
 
 from busfactor import gitvcs
 from busfactor.cli import main
-from busfactor.errors import InputDataError, RepositoryError
+from busfactor.errors import ConfigError, InputDataError, RepositoryError
 from busfactor.gitvcs import (
     ChangeKind,
     FileChange,
@@ -451,6 +451,11 @@ class TestHeadResolution:
         run_analysis(single_owner_repo.path, branch=branch)
         assert len(calls) <= budget, calls
         assert sum("log" in cmd for cmd in calls) == 1, calls
+
+    def test_unknown_algorithm_is_a_config_error(self, single_owner_repo):
+        message = r"^unknown algorithm 'nope'; expected one of multimodal, baseline, both$"
+        with pytest.raises(ConfigError, match=message):
+            run_analysis(single_owner_repo.path, algorithm="nope")
 
     def test_detached_head_analyzes_the_checked_out_commit(self, quarter_owners_repo):
         on_main = run_analysis(quarter_owners_repo.path).report
