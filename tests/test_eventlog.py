@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import eventlog_reference
 from busfactor.errors import InputDataError
 from busfactor.eventlog import FIELDS, events_from_records, read_event_log, write_event_log
-from busfactor.model import ContributionEvent, EventKind, canonical_order
+from busfactor.model import ContributionEvent, Credit, EventKind, canonical_order, credit_events
+from busfactor.pipeline import AnalysisRun
 from eventlog_reference import event_to_record
 
 from conftest import day_ms
@@ -178,3 +180,79 @@ def test_writer_bytes_equal_the_reference(events):
     sink = io.StringIO()
     write_event_log(iter(events), sink)  # a one-pass stream, as ``AnalysisRun.events`` is
     assert sink.getvalue() == expected.getvalue()
+
+
+# Credit of every kind on a few instants, engineers, paths and refs, so that
+# credit ties on timestamp, one engineer sits in several credits of one
+# timestamp, and meetings tie on (engineer, path, ref) with only their input
+# order to tell them apart. Lists may repeat or be empty; a non-meeting
+# credit's magnitude is ignored, so it may be anything.
+pool = st.one_of(st.sampled_from(["a@x.io", "b@x.io", "src/a.py", "c1"]), names)
+
+
+@st.composite
+def credit_st(draw):
+    kind = draw(st.sampled_from(EventKind))
+    return Credit(
+        engineers=tuple(draw(st.lists(pool, max_size=4))),
+        commit_ref=draw(pool),
+        timestamp_ms=draw(st.sampled_from([0, day_ms(0), day_ms(1)]) | st.integers()),
+        magnitude=draw(minutes if kind is EventKind.MEETING
+                       else st.sampled_from([1.0, 1, 0, 2.5, math.nan])),
+        file_paths=tuple(draw(st.lists(pool, max_size=4))),
+        kind=kind,
+    )
+
+
+T = day_ms(1)
+FA, COMMIT, REVIEW, MEETING = EventKind
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(credit_st(), max_size=10))
+# all four kinds at one instant, one engineer in several credits of it
+@example([
+    Credit(("b@x.io",), "c2", T, 30.5, ("src/b.py", "src/a.py")),
+    Credit(("a@x.io",), "c1", T, 1.0, ("src/a.py",), COMMIT),
+    Credit(("b@x.io", "a@x.io"), "c1", T, 1.0, ("src/a.py",), REVIEW),
+    Credit(("a@x.io",), "c1", T, 1.0, ("src/a.py",), FA),
+    Credit(("a@x.io",), "c0", T, 1.0, ("src/a.py",), COMMIT),
+])
+# two meetings tied on the whole sort key; int and float minutes keep input order
+@example([
+    Credit(("a@x.io",), "c1", T, 45, ("src/a.py",)),
+    Credit(("a@x.io",), "c1", T, 30.5, ("src/a.py",)),
+    Credit(("a@x.io",), "c1", T, 45.0, ("src/a.py",)),
+])
+# unsorted and repeated engineers and paths
+@example([Credit(("b@x.io", "a@x.io", "b@x.io"), "c1", T, 60, ("q", "p", "q"))])
+# pathless credit, and a non-meeting magnitude that is not 1.0
+@example([
+    Credit(("a@x.io",), "c1", T, 1.0, (), COMMIT),
+    Credit(("a@x.io",), "c1", T, 2, ("p",), REVIEW),
+    Credit(("a@x.io",), "c1", 0, 15, ()),
+])
+# strings json escapes or ASCII-escapes
+@example([Credit((" \U0001f600", 'é"'), "\x00é", -1, 1e16, ('"\\', "/\x7f"))])
+def test_events_and_dump_follow_the_canonical_order_of_the_credit(credit):
+    expected = canonical_order(credit_events(credit))
+    run = AnalysisRun(report={}, credit=credit)
+    assert list(run.events) == expected
+    reference = io.StringIO()
+    eventlog_reference.write_event_log(expected, reference)
+    sink = io.StringIO()
+    write_event_log(run.events, sink)
+    assert sink.getvalue() == reference.getvalue()
+
+
+@pytest.mark.parametrize("minutes", [math.nan, math.inf, 0, True])
+def test_meeting_credit_with_bad_minutes_is_rejected(minutes):
+    credit = [
+        Credit(("a@x.io",), "c1", T, 1.0, ("src/a.py",), COMMIT),
+        Credit(("a@x.io",), "c1", T, minutes, ("src/a.py",)),
+    ]
+    run = AnalysisRun(report={}, credit=credit)
+    with pytest.raises(ValueError, match="finite number > 0 for meeting events"):
+        list(run.events)
+    with pytest.raises(ValueError, match="finite number > 0 for meeting events"):
+        write_event_log(run.events, io.StringIO())
