@@ -40,9 +40,11 @@ from .gitvcs import (
 from .identity import Engineer, IdentityIndex, RawActor, merge_identities
 from .model import (
     AlgorithmParams,
+    CanonicalEvents,
     ContributionEvent,
     Credit,
     EventKind,
+    canonical_blocks,
     canonical_order,
     credit_events,
     decay,
@@ -77,6 +79,7 @@ __all__ = [
     "BusFactorError",
     "BusFactorEstimator",
     "BusFactorResult",
+    "CanonicalEvents",
     "ClockSkewError",
     "ConfigError",
     "ContributionEvent",
@@ -94,6 +97,7 @@ __all__ = [
     "authorship",
     "build_ledgers",
     "bus_factor",
+    "canonical_blocks",
     "canonical_order",
     "credit_events",
     "decay",

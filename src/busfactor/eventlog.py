@@ -16,7 +16,7 @@ from typing import IO, Iterable
 
 from .errors import InputDataError
 from .inputs import field
-from .model import ContributionEvent, EventKind
+from .model import CanonicalEvents, ContributionEvent, EventKind, canonical_blocks
 
 FIELDS = ("kind", "engineer_id", "file_path", "timestamp_ms", "magnitude", "commit_ref")
 
@@ -29,27 +29,59 @@ class _Quoted(dict):
         return literal
 
 
+class _Heads(dict):
+    """Line heads ``{"kind":…,"engineer_id":…,"file_path":`` by (kind, engineer)."""
+
+    def __init__(self, quoted: _Quoted) -> None:
+        super().__init__()
+        self.quoted = quoted
+
+    def __missing__(self, key: tuple[EventKind, str]) -> str:
+        q = self.quoted
+        kind, engineer = key
+        head = self[key] = f'{{"kind":{q[kind]},"engineer_id":{q[engineer]},"file_path":'
+        return head
+
+
 def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | Path) -> None:
     """Write events one record per line, in the order given.
 
-    Each event is unpacked as the tuple it is, and a one-pass stream such
-    as ``AnalysisRun.events`` is written a chunk at a time, never held whole.
-    A line has the bytes ``json.dumps`` gives the record with compact
-    separators: strings ASCII-escaped, and numbers as ``repr`` prints them,
-    which is how json prints an int or a finite float.
+    A line is a head (kind and engineer) and a cell (file, timestamp,
+    magnitude and commit). ``AnalysisRun.events``, a ``CanonicalEvents``, is
+    written from its ``canonical_blocks``: no event is built, and each cell
+    is formatted once for every block that shares it. Any other stream is
+    written a line per event, a chunk at a time, so a one-pass stream is
+    never held whole. A line has the bytes ``json.dumps`` gives the record
+    with compact separators: strings ASCII-escaped, and numbers as ``repr``
+    prints them, which is how json prints an int or a finite float.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_event_log(events, fh)
         return
     q = _Quoted()
-    events = iter(events)
-    while chunk := list(islice(events, 4096)):  # one write per few thousand lines
-        sink.write("".join([
-            f'{{"kind":{q[kind]},"engineer_id":{q[engineer]},"file_path":{q[path]},'
-            f'"timestamp_ms":{timestamp_ms!r},"magnitude":{magnitude!r},"commit_ref":{q[ref]}}}\n'
-            for timestamp_ms, _, engineer, path, ref, kind, magnitude in chunk
-        ]))
+    heads = _Heads(q)
+
+    def cell(path: str, event) -> str:
+        return (f'{q[path]},"timestamp_ms":{event.timestamp_ms!r},'
+                f'"magnitude":{event.magnitude!r},"commit_ref":{q[event.commit_ref]}}}\n')
+
+    if not isinstance(events, CanonicalEvents):
+        events = iter(events)
+        while chunk := list(islice(events, 4096)):  # one write per few thousand lines
+            sink.write("".join([heads[e.kind, e.engineer_id] + cell(e.file_path, e) for e in chunk]))
+        return
+    parts: list[str] = []
+    lines = 0
+    for _, kind, engineer, cells in canonical_blocks(events.credit, cell):
+        head = heads[kind, engineer]
+        parts += head, head.join(cells)  # every cell ends its line
+        lines += len(cells)
+        if lines >= 4096:
+            sink.write("".join(parts))
+            parts.clear()
+            lines = 0
+    sink.write("".join(parts))
 
 
 def event_from_record(record, where: str) -> ContributionEvent:

@@ -3,8 +3,9 @@
 Timestamps are UTC epoch milliseconds throughout; decay ages are fractional
 days derived from millisecond differences. All types are immutable value
 objects, safe to share across workers. A ``ContributionEvent`` is an
-immutable tuple that starts with its ``SORT_KEY``, so the engine, the canonical sort
-and the event dump all read the one form.
+immutable tuple that starts with its ``SORT_KEY``, so the engine and the
+canonical sort read the one form; ``canonical_blocks`` puts the events of
+credit in that order without spelling each one out.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import groupby
 from numbers import Real
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError
@@ -165,6 +167,72 @@ def credit_events(credit) -> Iterator[ContributionEvent]:
         rank = KIND_ORDER[kind]
         for engineer in engineers:
             for path in paths:
+                yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
+
+
+_TIMESTAMP = attrgetter("timestamp_ms")
+
+
+def canonical_blocks(credit, cell) -> Iterator[tuple[int, EventKind, str, list]]:
+    """The events of ``credit`` in canonical order, as ``(timestamp_ms, kind,
+    engineer_id, cells)`` blocks.
+
+    A block holds the events of one timestamp, kind and engineer, in
+    ``SORT_KEY`` order; ``cells`` has one ``cell(path, credit)`` per event,
+    for the credit it comes from and its file. The credit is sorted stably
+    by timestamp, and the cells of one block by ``(path, commit_ref)``, ties
+    in input order, so the blocks spell out exactly ``canonical_order`` of
+    ``credit_events(credit)``. Blocks with the same credit share one list
+    (all attendees of a meeting do), which is built once. A MEETING credit's
+    minutes are checked once; every other cell sees magnitude 1.0.
+    """
+    for timestamp_ms, group in groupby(sorted(credit, key=_TIMESTAMP), key=_TIMESTAMP):
+        group = list(group)
+        members: dict[tuple[int, str], list[int]] = {}
+        for i, c in enumerate(group):
+            kind, magnitude = c.kind, c.magnitude
+            if kind is EventKind.MEETING:
+                check_meeting_minutes(magnitude)
+            elif magnitude.__class__ is not float or magnitude != 1.0:
+                group[i] = c._replace(magnitude=1.0)
+            rank = KIND_ORDER[kind]
+            for engineer in c.engineers:
+                members.setdefault((rank, engineer), []).append(i)
+        shared: dict[tuple[int, ...], list] = {}
+        for rank, engineer in sorted(members):
+            key = tuple(members[rank, engineer])
+            cells = shared.get(key)
+            if cells is None:
+                rows = sorted(
+                    (path, group[i].commit_ref, i) for i in key for path in group[i].file_paths
+                )
+                cells = shared[key] = [cell(path, group[i]) for path, _, i in rows]
+            if cells:
+                yield timestamp_ms, group[key[0]].kind, engineer, cells
+
+
+def _event_cell(path: str, credit: Credit) -> tuple:
+    return path, credit.commit_ref, credit.magnitude
+
+
+class CanonicalEvents:
+    """Every event of ``credit`` in canonical order, spelled out lazily.
+
+    Iterating walks ``canonical_blocks(credit, ...)`` afresh, one timestamp
+    at a time, so the whole log is never held at once; ``write_event_log``
+    formats the blocks themselves.
+    """
+
+    __slots__ = ("credit",)
+
+    def __init__(self, credit) -> None:
+        self.credit = credit
+
+    def __iter__(self) -> Iterator[ContributionEvent]:
+        new, event = tuple.__new__, ContributionEvent
+        for timestamp_ms, kind, engineer, cells in canonical_blocks(self.credit, _event_cell):
+            rank = KIND_ORDER[kind]
+            for path, ref, magnitude in cells:
                 yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
 
 

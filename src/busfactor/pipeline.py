@@ -7,10 +7,7 @@ inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import attrgetter
 from pathlib import Path
 
 from .collab import (
@@ -26,14 +23,8 @@ from .engine import ALGORITHMS, analyze, prepare_ledgers
 from .errors import ConfigError
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
-from .model import (
-    AlgorithmParams,
-    ContributionEvent,
-    Credit,
-    canonical_order,
-    credit_events,
-    format_instant,
-)
+# canonical_order is not called here; perfbench/probes.py wraps this binding
+from .model import AlgorithmParams, CanonicalEvents, Credit, canonical_order, format_instant
 
 ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
@@ -46,19 +37,14 @@ class AnalysisRun:
     credit: list[Credit]  # every channel's, in channel order
 
     @property
-    def events(self) -> Iterator[ContributionEvent]:
+    def events(self) -> CanonicalEvents:
         """Every contribution event of the run in canonical order, built lazily.
 
-        The credit is sorted stably by timestamp, and the events of each
-        timestamp are spelled out and sorted stably, so meetings tied on the
-        whole sort key keep their input order. The whole log is never held
-        at once.
+        The events are spelled out of ``canonical_blocks`` one timestamp at
+        a time, so the whole log is never held at once; meetings tied on the
+        whole sort key keep their input order.
         """
-        by_time = sorted(self.credit, key=attrgetter("timestamp_ms"))
-        return chain.from_iterable(
-            canonical_order(credit_events(group))
-            for _, group in groupby(by_time, key=attrgetter("timestamp_ms"))
-        )
+        return CanonicalEvents(self.credit)
 
 
 def _report_doc(

@@ -64,6 +64,6 @@ def test_traced_run_counts_both_engines_and_the_meeting_join(monkeypatch, tmp_pa
     assert 0 < metrics["collab.meeting_match_ratio"] <= 1
     assert metrics["collab.meeting_events"] > 0
     assert metrics["engine.ledger_s"] > 0 and metrics["engine.score_s"] > 0
-    # the events are sorted only as the dump writes them, one timestamp at a time
-    dumped = (tmp_path / "events").read_text(encoding="utf-8").splitlines()
-    assert metrics["model.sort_s"] > 0 and metrics["model.events"] == len(dumped)
+    # the dump orders credit cells by canonical_blocks, not events by canonical_order
+    assert "model.events" not in metrics
+    assert metrics["eventlog.bytes"] == (tmp_path / "events").stat().st_size
