@@ -62,9 +62,9 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
     q = _Quoted()
     heads = _Heads(q)
 
-    def cell(path: str, event) -> str:
-        return (f'{q[path]},"timestamp_ms":{event.timestamp_ms!r},'
-                f'"magnitude":{event.magnitude!r},"commit_ref":{q[event.commit_ref]}}}\n')
+    def cell(path: str, source) -> str:  # source: the line's Credit or ContributionEvent
+        return (f'{q[path]},"timestamp_ms":{source.timestamp_ms!r},'
+                f'"magnitude":{source.magnitude!r},"commit_ref":{q[source.commit_ref]}}}\n')
 
     if not isinstance(events, CanonicalEvents):
         events = iter(events)

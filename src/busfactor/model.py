@@ -151,6 +151,14 @@ class Credit(NamedTuple):
     kind: EventKind = EventKind.MEETING
 
 
+def _event_magnitude(kind: EventKind, magnitude) -> float:
+    """The magnitude of a credit's events: checked minutes for MEETING, else 1.0."""
+    if kind is EventKind.MEETING:
+        check_meeting_minutes(magnitude)
+        return magnitude
+    return 1.0
+
+
 def credit_events(credit) -> Iterator[ContributionEvent]:
     """The events of each credit: one per engineer and file, engineer by engineer.
 
@@ -160,10 +168,7 @@ def credit_events(credit) -> Iterator[ContributionEvent]:
     """
     new, event = tuple.__new__, ContributionEvent
     for engineers, ref, timestamp_ms, magnitude, paths, kind in credit:
-        if kind is EventKind.MEETING:
-            check_meeting_minutes(magnitude)
-        else:
-            magnitude = 1.0
+        magnitude = _event_magnitude(kind, magnitude)
         rank = KIND_ORDER[kind]
         for engineer in engineers:
             for path in paths:
@@ -190,12 +195,10 @@ def canonical_blocks(credit, cell) -> Iterator[tuple[int, EventKind, str, list]]
         group = list(group)
         members: dict[tuple[int, str], list[int]] = {}
         for i, c in enumerate(group):
-            kind, magnitude = c.kind, c.magnitude
-            if kind is EventKind.MEETING:
-                check_meeting_minutes(magnitude)
-            elif magnitude.__class__ is not float or magnitude != 1.0:
-                group[i] = c._replace(magnitude=1.0)
-            rank = KIND_ORDER[kind]
+            magnitude = _event_magnitude(c.kind, c.magnitude)
+            if magnitude.__class__ is not c.magnitude.__class__ or magnitude != c.magnitude:
+                group[i] = c._replace(magnitude=magnitude)
+            rank = KIND_ORDER[c.kind]
             for engineer in c.engineers:
                 members.setdefault((rank, engineer), []).append(i)
         shared: dict[tuple[int, ...], list] = {}
