@@ -48,6 +48,7 @@ from .model import (
     canonical_order,
     credit_events,
     decay,
+    event_credit,
     format_instant,
     parse_instant,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "emit_review_events",
     "emit_vcs_events",
     "evaluate_predictions",
+    "event_credit",
     "filter_meetings",
     "filter_reviews",
     "format_instant",

@@ -1,10 +1,10 @@
 """Knowledge scoring and bus-factor search.
 
-Turns contribution credit and events into per-engineer, per-file authorship
-scores and walks the greedy removal order to find how many engineers the
-project can lose before less than half of its files retain an author. A
-file's ledger keys meeting credit by commit ref (one list per commit, held by
-every file of it) and plain MEETING events by (file path, commit ref).
+Turns contribution credit into per-engineer, per-file authorship scores and
+walks the greedy removal order to find how many engineers the project can
+lose before less than half of its files retain an author. A file's ledger
+keys meeting credit by commit ref: each bucket holds the meeting credit of
+one commit that names the file.
 
 Two scoring algorithms live here. The multimodal one blends first authorship,
 commits, reviews, and meeting exposure, each exponentially decayed by age.
@@ -18,14 +18,12 @@ import math
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 from .errors import ClockSkewError, ConfigError, InputDataError
 from .inputs import warn
 from .model import (
     SORT_KEY,
     AlgorithmParams,
-    ContributionEvent,
     Credit,
     EventKind,
     age_days,
@@ -44,78 +42,75 @@ ALGORITHMS = ("multimodal", "baseline")
 
 @dataclass
 class FileLedger:
-    """Event buckets for one file, grouped the way scoring consumes them.
+    """Credit of one file, grouped the way scoring consumes it.
 
-    ``meetings`` maps the commit ref of meeting credit (one list per commit,
-    held by every file of it), or the ``(file path, commit ref)`` of plain
-    MEETING events, to ``[(attendees, timestamp_ms, minutes)]``; each
-    attendee's minutes under one key are capped at one unit of exposure.
+    ``meetings`` maps a commit ref to ``[(attendees, timestamp_ms, minutes)]``,
+    one entry per meeting credit of the commit that names the file; each
+    attendee's minutes under one ref are capped at one unit of exposure.
     """
 
     first_authorship: tuple[int, str] | None = None  # (timestamp_ms, engineer)
     commits: dict[str, list[int]] = field(default_factory=dict)
     reviews: dict[str, list[int]] = field(default_factory=dict)
-    meetings: dict[str | tuple[str, str], list[tuple]] = field(default_factory=dict)
+    meetings: dict[str, list[tuple]] = field(default_factory=dict)
 
     def participants(self) -> list[str]:
         meetings = self.meetings.values()
         return sorted(_engineers(self, [a for entries in meetings for a, _, _ in entries]))
 
 
-def build_ledgers(
-    events: Iterable[ContributionEvent], credit: Iterable[Credit] = ()
-) -> dict[str, FileLedger]:
-    """Group events and credit by file, rejecting duplicate first authorships.
+def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
+    """Group credit by file, reading it once and rejecting duplicate first authorships.
 
-    Each MEETING ``credit`` is appended once, as ``(engineers, start,
-    minutes)``, to the one list of its commit ref that every file of the
-    commit holds. Meeting credit whose minutes fail ``check_meeting_minutes``,
-    or that names other files than the first meeting credit of its commit,
-    and credit whose ``kind`` is not an ``EventKind``, is an
-    ``InputDataError``. Credit of every other kind counts as the events it
-    spells out. A plain MEETING event goes to the bucket of its ``(file,
-    commit)``. Each of ``events`` and ``credit`` is read once.
+    Every credit counts as the events ``credit_events`` spells out of it, in
+    their per-list order. A file's bucket for commit ``c`` holds one ``(engineers,
+    start, minutes)`` entry per MEETING credit of ``c`` naming the file; while
+    that credit names one file tuple, its files share one list. Minutes that
+    fail ``check_meeting_minutes``, or a ``kind`` not an ``EventKind``, are an
+    ``InputDataError``.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
-    shared: dict[str, tuple[tuple[str, ...], list]] = {}  # ref -> (its files, its entries)
-    spelled: list[Credit] = []
-    for item in credit:
-        engineers, ref, timestamp_ms, minutes, paths, kind = item
-        if kind is not EventKind.MEETING:
-            if not isinstance(kind, EventKind):
-                raise InputDataError(f"credit for commit {ref!r}: unknown kind {kind!r}")
-            spelled.append(item)
-            continue
-        try:
-            check_meeting_minutes(minutes)
-        except ValueError as exc:
-            raise InputDataError(f"meeting credit for commit {ref!r}: {exc}") from None
-        held = shared.get(ref)
-        if held is None:
-            held = shared[ref] = (paths, [])
+    shared: dict[str, tuple] = {}  # ref -> (its file tuple, the list its files share)
+    for engineers, ref, timestamp_ms, minutes, paths, kind in credit:
+        if kind is EventKind.MEETING:
+            try:
+                check_meeting_minutes(minutes)
+            except ValueError as exc:
+                raise InputDataError(f"meeting credit for commit {ref!r}: {exc}") from None
+            if not engineers:  # it spells out no event
+                continue
+            entry = (engineers, timestamp_ms, minutes)
+            held = shared.get(ref)
+            if held is None:  # a file named twice counts twice, so it gets its own list
+                unique = len(set(paths)) == len(paths)
+                held = shared[ref] = (paths, []) if unique else (None, None)
+                for path in held[0] or ():
+                    ledgers[path].meetings[ref] = held[1]
+            if paths is held[0] or paths == held[0]:
+                held[1].append(entry)
+                continue
+            if held[0] is not None:  # the files part: from now on each has its own list
+                shared[ref] = (None, None)
+                for path in held[0]:
+                    ledgers[path].meetings[ref] = list(held[1])
             for path in paths:
-                ledgers[path].meetings[ref] = held[1]
-        elif paths is not held[0] and paths != held[0]:
-            raise InputDataError(
-                f"meeting credit for commit {ref!r} names other files than earlier credit for it"
-            )
-        held[1].append((engineers, timestamp_ms, minutes))
-    for event in chain(events, credit_events(spelled)):
-        ledger = ledgers[event.file_path]
-        if event.kind is EventKind.FIRST_AUTHORSHIP:
-            if ledger.first_authorship is not None:
-                raise InputDataError(
-                    f"file {event.file_path!r} has more than one first_authorship event"
-                )
-            ledger.first_authorship = (event.timestamp_ms, event.engineer_id)
-        elif event.kind is EventKind.COMMIT:
-            ledger.commits.setdefault(event.engineer_id, []).append(event.timestamp_ms)
-        elif event.kind is EventKind.REVIEW:
-            ledger.reviews.setdefault(event.engineer_id, []).append(event.timestamp_ms)
+                ledgers[path].meetings.setdefault(ref, []).append(entry)
+        elif kind is EventKind.COMMIT or kind is EventKind.REVIEW:
+            for engineer in engineers:
+                for path in paths:
+                    ledger = ledgers[path]
+                    stamps_of = ledger.commits if kind is EventKind.COMMIT else ledger.reviews
+                    stamps_of.setdefault(engineer, []).append(timestamp_ms)
+        elif kind is EventKind.FIRST_AUTHORSHIP:
+            for engineer in engineers:
+                for path in paths:
+                    if ledgers[path].first_authorship is not None:
+                        raise InputDataError(
+                            f"file {path!r} has more than one first_authorship event"
+                        )
+                    ledgers[path].first_authorship = (timestamp_ms, engineer)
         else:
-            ledger.meetings.setdefault((event.file_path, event.commit_ref), []).append(
-                ((event.engineer_id,), event.timestamp_ms, event.magnitude)
-            )
+            raise InputDataError(f"credit for commit {ref!r}: unknown kind {kind!r}")
     return dict(ledgers)
 
 
@@ -373,7 +368,7 @@ def bus_factor(
 
 @dataclass(frozen=True)
 class Ledgers:
-    """Checked ledgers of one event set, with the files and the instant to score."""
+    """Checked ledgers of one credit set, with the files and the instant to score."""
 
     files: dict[str, FileLedger]
     live_files: tuple[str, ...]
@@ -381,37 +376,27 @@ class Ledgers:
 
 
 def prepare_ledgers(
-    events: Sequence[ContributionEvent],
-    live_files=None,
-    as_of_ms: int | None = None,
-    *,
-    credit: Sequence[Credit] = (),
+    credit: Sequence[Credit], live_files=None, as_of_ms: int | None = None
 ) -> Ledgers:
-    """Build the ledgers of events and credit once, then check them.
+    """Build the ledgers of ``credit`` once, then check them.
 
     ``live_files`` is the set of files the project currently contains; the
-    events and credit must only reference those, and the smallest file
-    outside them is named. When omitted it is inferred from the files the
-    ledgers hold. ``as_of_ms`` defaults to the newest event or credit
-    timestamp (a credit with no files counts too), or 0 with none. Anything
-    newer than it is a clock-skew error naming the earliest late event in
-    canonical order, among the events and the events of the credit.
+    credit must only name those, and the smallest file outside them is
+    named. When omitted it is inferred from the files the ledgers hold.
+    ``as_of_ms`` defaults to the newest credit timestamp (a credit with no
+    files counts too), or 0 with none. Anything newer than it is a
+    clock-skew error naming the earliest late event of the credit in
+    canonical order.
     """
-    files = build_ledgers(events, credit)
+    files = build_ledgers(credit)
     live_files = sorted(files if live_files is None else set(live_files))
     if stray := files.keys() - live_files:
         raise InputDataError(
             f"event references file {min(stray)!r} that is not a live file of the analyzed branch"
         )
     if as_of_ms is None:
-        as_of_ms = max(
-            chain((e.timestamp_ms for e in events), (c.timestamp_ms for c in credit)),
-            default=0,
-        )
-    late = chain(
-        (e for e in events if e.timestamp_ms > as_of_ms),
-        credit_events(c for c in credit if c.timestamp_ms > as_of_ms),
-    )
+        as_of_ms = max((c.timestamp_ms for c in credit), default=0)
+    late = credit_events(c for c in credit if c.timestamp_ms > as_of_ms)
     event = min(late, key=SORT_KEY, default=None)
     if event is not None:
         raise ClockSkewError(

@@ -12,7 +12,7 @@ import inspect
 from .engine import analyze, prepare_ledgers
 from .errors import InputDataError
 from .eventlog import events_from_records
-from .model import AlgorithmParams, parse_instant
+from .model import AlgorithmParams, event_credit, parse_instant
 
 
 class BusFactorEstimator:
@@ -102,7 +102,8 @@ class BusFactorEstimator:
 
         ``X`` is a collection of contribution events: ready-made events or
         mapping records, which go through the event-log schema, so they need
-        all six ``eventlog.FIELDS``; errors name a record as ``X[i]``.
+        all six ``eventlog.FIELDS``; errors name a record as ``X[i]``. Each
+        event is scored as its one-engineer, one-file ``event_credit``.
         ``live_files`` restricts and completes the file universe; without it
         the universe is whatever the events mention.
         """
@@ -110,7 +111,7 @@ class BusFactorEstimator:
             raise InputDataError("expected a collection of contribution events, got None")
         events = events_from_records((f"X[{i}]", item) for i, item in enumerate(X))
         params = self._algorithm_params()
-        ledgers = prepare_ledgers(events, live_files, self._resolve_as_of())
+        ledgers = prepare_ledgers(event_credit(events), live_files, self._resolve_as_of())
         table, result = analyze(ledgers, params, self.algorithm)
         self.params_ = params
         self.doa_ = table

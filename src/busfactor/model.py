@@ -3,14 +3,16 @@
 Timestamps are UTC epoch milliseconds throughout; decay ages are fractional
 days derived from millisecond differences. All types are immutable value
 objects, safe to share across workers. A ``ContributionEvent`` is an
-immutable tuple that starts with its ``SORT_KEY``, so the engine and the
-canonical sort read the one form; ``canonical_blocks`` puts the events of
-credit in that order without spelling each one out.
+immutable tuple that starts with its ``SORT_KEY``, the canonical order;
+``canonical_blocks`` puts the events of credit in that order without
+spelling each one out, and ``event_credit`` turns events into ``Credit``.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -120,11 +122,12 @@ class ContributionEvent(_EventFields):
 
 #: Real numbers, float and int first: checking the ``Real`` ABC alone costs ~10x.
 _REAL = (float, int, Real)
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_meeting_minutes(minutes) -> None:
-    """Reject meeting minutes that are a bool or not a finite real number > 0."""
-    if isinstance(minutes, bool) or not isinstance(minutes, _REAL) or not 0 < minutes < math.inf:
+    """Reject meeting minutes that are a bool or not a real number in (0, largest float]."""
+    if isinstance(minutes, bool) or not isinstance(minutes, _REAL) or not 0 < minutes <= _FLOAT_MAX:
         raise ValueError(
             f"magnitude must be a finite number > 0 for meeting events, got {minutes!r}"
         )
@@ -173,6 +176,15 @@ def credit_events(credit) -> Iterator[ContributionEvent]:
         for engineer in engineers:
             for path in paths:
                 yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
+
+
+def event_credit(events) -> list[Credit]:
+    """The one-engineer, one-file credit of each event, in order: ``credit_events``
+    inverted. The credit of one engineer, or of one file, shares its 1-tuple."""
+    one: dict[str, tuple[str]] = {}
+    return [tuple.__new__(Credit, (one.get(e) or one.setdefault(e, (e,)), ref, ts, magnitude,
+                                   one.get(p) or one.setdefault(p, (p,)), kind))
+            for ts, _, e, p, ref, kind, magnitude in events]
 
 
 _TIMESTAMP = attrgetter("timestamp_ms")
@@ -355,11 +367,28 @@ def age_days(timestamp_ms: int, as_of_ms: int) -> float:
     return (as_of_ms - timestamp_ms) / MS_PER_DAY
 
 
+#: ``YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]``, where ``*`` is
+#: any one character: the form ``datetime.fromisoformat`` reads on every
+#: CPython from 3.10 (later ones read more).
+_ISO_INSTANT = re.compile(
+    r"\d{4}-\d{2}-\d{2}"
+    r"(?:.\d{2}(?::\d{2}(?::\d{2}(?:\.\d{3}(?:\d{3})?)?)?)?"
+    r"(?:[+-]\d{2}:\d{2}(?::\d{2}(?:\.\d{6})?)?)?)?",
+    re.ASCII | re.DOTALL,
+)
+
+
 def parse_instant(text: str) -> int:
-    """Parse an ISO-8601 instant into epoch milliseconds (naive means UTC)."""
-    raw = text.strip()
+    """Parse an ISO-8601 instant into epoch milliseconds (naive means UTC).
+
+    ``Z`` stands for ``+00:00``. Only ``_ISO_INSTANT`` is read, so every
+    interpreter accepts the same strings.
+    """
+    raw = text.strip().replace("Z", "+00:00")
     try:
-        dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        if not _ISO_INSTANT.fullmatch(raw):
+            raise ValueError
+        dt = datetime.fromisoformat(raw)
     except ValueError:
         raise ValueError(f"not an ISO-8601 instant: {text!r}") from None
     if dt.tzinfo is None:

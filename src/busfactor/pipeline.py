@@ -137,7 +137,7 @@ def run_analysis(
         *emit_review_events(reviews, index, identity, warnings=ingest_warnings),
         *emit_meeting_events(meetings, index, identity, window_days=params.meeting_window_days),
     ]
-    ledgers = prepare_ledgers((), snapshot.live_files, as_of_ms, credit=credit)
+    ledgers = prepare_ledgers(credit, snapshot.live_files, as_of_ms)
     # every commit dates the run, so only an unborn branch has no default instant
     as_of = None if as_of_ms is None and not commits else format_instant(ledgers.as_of_ms)
     project = Path(repo_path).resolve().name

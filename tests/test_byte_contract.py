@@ -10,12 +10,16 @@ computed them (2.39); another git may detect renames differently.
 """
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from busfactor import BusFactorEstimator
 from busfactor.cli import main
+from busfactor.engine import ALGORITHMS
+from busfactor.eventlog import read_event_log
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,8 +55,8 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", sorted(DIGESTS))
-def test_report_and_dump_bytes_are_pinned(seed, monkeypatch, tmp_path):
+def analyze_tiny(seed, monkeypatch, tmp_path) -> tuple[Path, Path]:
+    """The report and event dump of the small workload of ``seed``."""
     workloads = load_workloads(monkeypatch)
     tiny = workloads.Shape(
         commits=80, files=12, authors=5, step_s=3600, merge_every=6, rename_every=9,
@@ -64,4 +68,29 @@ def test_report_and_dump_bytes_are_pinned(seed, monkeypatch, tmp_path):
             "--meetings", str(w.meetings), "--algorithm", "both",
             "--dump-events", str(dump), "--output", str(report)]
     assert main(argv) == 0
+    return report, dump
+
+
+@pytest.mark.parametrize("seed", sorted(DIGESTS))
+def test_report_and_dump_bytes_are_pinned(seed, monkeypatch, tmp_path):
+    report, dump = analyze_tiny(seed, monkeypatch, tmp_path)
     assert (sha256(report), sha256(dump)) == DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(DIGESTS))
+def test_the_dump_drives_the_estimator_to_the_report(seed, monkeypatch, tmp_path):
+    report_path, dump = analyze_tiny(seed, monkeypatch, tmp_path)
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    events = read_event_log(dump)
+    for algorithm in ALGORITHMS:
+        doc = report["results"][algorithm]
+        paths = [f["path"] for f in doc["files"]]
+        est = BusFactorEstimator(algorithm=algorithm, as_of=report["as_of"])
+        est.fit(events, live_files=paths)
+        assert est.bus_factor_ == doc["bus_factor"]
+        assert est.key_engineers_ == doc["key_engineers"]
+        assert est.coverage_trace_ == doc["coverage_trace"]
+        assert [
+            {"path": p, "authors": list(est.authors_[p]), "top_doa": est.doa_.file_max.get(p, 0.0)}
+            for p in paths
+        ] == [{k: f[k] for k in ("path", "authors", "top_doa")} for f in doc["files"]]

@@ -276,6 +276,32 @@ class TestAnalyzeReport:
         assert report["file_count"] == 2
 
 
+# --as-of strings: the form every CPython from 3.10 reads, then forms that
+# only 3.11 and later read, forms that 3.10 reads outside its documented
+# grammar, and strings no interpreter reads
+INSTANT_TEXTS = (
+    "2024-01-01", "2024-01-01T05", "2024-01-01T05:06", "2024-01-01 05:06:07",
+    "2024-01-01T05:06:07.123", "2024-01-01T05:06:07.123456Z", "2024-01-01T05-01:30",
+    "2024-01-01T05:06:07+01:30:15.123456", " 2024-01-01T00:00:00Z\n", "2024-01-01\ud80005:06",
+    "2024-01-01T00:00:00.5Z", "20240101T000000Z", "2024-W01-1", "2024-01-01T00:00:00,500",
+    "2024-01-01T0506", "2024-01-01T05:06+0130", "2024-01-01T05:06:07+01:30:15.123",
+    "2024-01-01T05:06.500", "2024-01-01T05:06:07x+01:00",
+    "2024-01-01T24:00", "2024-02-30", "\uff12\uff10\uff12\uff14-01-01", "yesterday", "",
+    "9999-12-31T23:59:59-01:00",
+)
+PARSE_INSTANTS = """
+import json, sys
+from busfactor.model import parse_instant
+out = []
+for text in json.load(sys.stdin):
+    try:
+        out.append(parse_instant(text))
+    except ValueError as exc:
+        out.append(str(exc))
+print(json.dumps(out))
+"""
+
+
 class TestAsOf:
     def test_flag_sets_instant(self, capsys, single_owner_repo):
         report = analyze_json(
@@ -290,6 +316,34 @@ class TestAsOf:
         )
         assert code == 1
         assert "--as-of" in err
+
+    @pytest.mark.parametrize("text", ["2024-01-01T00:00:00.5Z", "20240101T000000Z", "2024-W01-1"])
+    def test_forms_read_only_by_later_interpreters_are_usage_errors(
+        self, capsys, single_owner_repo, text
+    ):
+        code, out, err = run_cli(
+            capsys, "analyze", "--repo", str(single_owner_repo.path), "--as-of", text
+        )
+        assert (code, out) == (1, "")
+        assert err == f"busfactor: error: --as-of: not an ISO-8601 instant: {text!r}\n"
+
+    def test_instants_parse_alike_across_interpreters(self):
+        interpreters = other_interpreters()
+        if not interpreters:
+            pytest.skip("no other CPython 3.10-3.13 on PATH starts")
+        src = str(Path(busfactor.__file__).resolve().parents[1])
+        runs = {
+            python: subprocess.run(
+                [python, "-c", PARSE_INSTANTS], input=json.dumps(INSTANT_TEXTS),
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            )
+            for python in (sys.executable, *interpreters)
+        }
+        expected = json.loads(runs.pop(sys.executable).stdout)
+        assert sum(isinstance(r, int) for r in expected) == 10
+        for python, proc in runs.items():
+            assert proc.returncode == 0, (python, proc.stderr)
+            assert json.loads(proc.stdout) == expected, python
 
     def test_default_instant_is_the_newest_commit(self, capsys, mkrepo):
         # after a rebase or cherry-pick an ancestor can be newer than the head

@@ -25,6 +25,7 @@ from busfactor.model import (
     Credit,
     EventKind,
     credit_events,
+    event_credit,
 )
 
 from conftest import day_ms
@@ -127,7 +128,7 @@ class TestMeetingTerm:
             Credit(("m", "n"), "c1", AS_OF, 45.0, files),
             Credit(("n",), "c1", AS_OF, 30.0, files),
         ]
-        ledgers = build_ledgers([], credit)
+        ledgers = build_ledgers(credit)
         entries = ledgers["a.txt"].meetings["c1"]
         # one entry per credit, in credit order, which emit_meeting_events
         # gives in start order
@@ -137,27 +138,38 @@ class TestMeetingTerm:
         assert ledgers["b.txt"].meetings == {"c1": entries}
         assert ledgers["b.txt"].meetings["c1"] is entries
 
-    def test_credit_of_one_commit_naming_other_files_is_an_error(self):
+    def test_credit_of_one_commit_naming_other_files_joins_the_bucket_of_each(self):
         credit = [
             Credit(("m",), "c1", 0, 120.0, ("a.txt",)),
-            Credit(("m",), "c1", 0, 120.0, ("a.txt", "b.txt")),
+            Credit(("n",), "c1", 0, 60.0, ("a.txt", "b.txt")),
+            Credit(("o",), "c1", 0, 30.0, ("c.txt",)),
         ]
-        with pytest.raises(InputDataError, match="meeting credit for commit 'c1'"):
-            build_ledgers([], credit)
-        # equal files in another tuple are the same files
+        ledgers = build_ledgers(credit)
+        assert ledgers["a.txt"].meetings == {"c1": [(("m",), 0, 120.0), (("n",), 0, 60.0)]}
+        assert ledgers["b.txt"].meetings == {"c1": [(("n",), 0, 60.0)]}
+        assert ledgers["c.txt"].meetings == {"c1": [(("o",), 0, 30.0)]}
+        # equal files in another tuple are the same files, and share one list
         same = Credit(("n",), "c1", 0, 60.0, tuple(["a.txt"]))
         assert same.file_paths is not credit[0].file_paths
-        ledgers = build_ledgers([], [credit[0], same])
+        ledgers = build_ledgers([credit[0], same])
         assert ledgers["a.txt"].meetings == {"c1": [(("m",), 0, 120.0), (("n",), 0, 60.0)]}
 
+    def test_a_file_named_twice_by_meeting_credit_counts_twice(self):
+        credit = [Credit(("m",), "c1", AS_OF, 100.0, ("a.txt", "b.txt", "a.txt"))]
+        ledgers = build_ledgers(credit)
+        assert ledgers["a.txt"].meetings == {"c1": [(("m",), AS_OF, 100.0)] * 2}
+        assert ledgers["b.txt"].meetings == {"c1": [(("m",), AS_OF, 100.0)]}
+        spelled = build_ledgers(event_credit(credit_events(credit)))
+        assert score_table(ledgers, AS_OF, PARAMS).raw == score_table(spelled, AS_OF, PARAMS).raw
+
     @pytest.mark.parametrize(
-        "minutes", [-60.0, 0.0, math.nan, math.inf, True],
-        ids=["negative", "zero", "nan", "inf", "bool"],
+        "minutes", [-60.0, 0.0, math.nan, math.inf, True, 10**400],
+        ids=["negative", "zero", "nan", "inf", "bool", "past-float"],
     )
     def test_credit_minutes_meet_the_meeting_event_rule(self, minutes):
         credit = [Credit(("m",), "c1", 0, minutes, ("a.txt",))]
         with pytest.raises(InputDataError, match="meeting credit for commit 'c1': magnitude"):
-            build_ledgers([], credit)
+            build_ledgers(credit)
         with pytest.raises(ValueError):
             ContributionEvent(EventKind.MEETING, "m", "a.txt", 0, magnitude=minutes)
 
@@ -169,7 +181,7 @@ class TestMeetingTerm:
             rf"for meeting events, got {minutes!r}$"
         )
         with pytest.raises(InputDataError, match=message):
-            build_ledgers([], credit)
+            build_ledgers(credit)
         with pytest.raises(ValueError, match="magnitude must be a finite number > 0"):
             ContributionEvent(EventKind.MEETING, "m", "a.txt", 0, magnitude=minutes)
 
@@ -180,36 +192,34 @@ class TestMeetingTerm:
             Credit(("n",), "c1", AS_OF, 45.0, files),
             Credit(("n", "m"), "c2", AS_OF, 30.0, ("b.txt",)),
         ]
-        ledgers = build_ledgers([], credit)
+        ledgers = build_ledgers(credit)
         a, b = ledgers["a.txt"].meetings, ledgers["b.txt"].meetings
         assert a == {"c1": [(("m", "n"), AS_OF - 5, 60.0), (("n",), AS_OF, 45.0)]}
         assert b == {"c1": a["c1"], "c2": [(("n", "m"), AS_OF, 30.0)]}
         assert b["c1"] is a["c1"]
         assert a["c1"][0][0] is credit[0].engineers
         # each attendee scores as if credited alone
-        alone = build_ledgers([], [Credit(("n",), *c[1:]) for c in credit])
+        alone = build_ledgers([Credit(("n",), *c[1:]) for c in credit])
         table = score_table(ledgers, AS_OF, PARAMS)
         assert table.raw[("n", "b.txt")] == score_table(alone, AS_OF, PARAMS).raw[("n", "b.txt")]
 
-    def test_plain_meeting_events_and_credit_of_one_commit_both_count(self):
+    def test_plain_meeting_events_and_credit_of_one_commit_share_one_cap(self):
         events = [ContributionEvent(EventKind.MEETING, "m", "a.txt", AS_OF, 200.0, "c1")]
-        credit = [Credit(("m",), "c1", AS_OF, 200.0, ("a.txt",))]
-        ledgers = build_ledgers(events, credit)
-        assert ledgers["a.txt"].meetings == {
-            ("a.txt", "c1"): [(("m",), AS_OF, 200.0)],
-            "c1": [(("m",), AS_OF, 200.0)],
-        }
-        # each bucket is capped on its own: 200/240 twice, not min(1, 400/240)
+        credit = [*event_credit(events), Credit(("m",), "c1", AS_OF, 200.0, ("a.txt",))]
+        ledgers = build_ledgers(credit)
+        assert ledgers["a.txt"].meetings == {"c1": [(("m",), AS_OF, 200.0)] * 2}
+        # one bucket, capped once: min(1, 400/240), as two events would be
         table = score_table(ledgers, AS_OF, PARAMS)
-        assert table.raw[("m", "a.txt")] == math.fsum([200.0 / 240.0] * 2)
+        assert table.raw[("m", "a.txt")] == 1.0
+        assert table.raw == score_table(build_ledgers(event_credit(events * 2)), AS_OF, PARAMS).raw
 
     def test_file_local_buckets_of_one_commit_scored_apart(self):
         events = [
             ContributionEvent(EventKind.MEETING, "m", "a.txt", AS_OF, 600.0, "c1"),
             ContributionEvent(EventKind.MEETING, "m", "b.txt", AS_OF - HALF_LIFE_MS, 240.0, "c1"),
         ]
-        ledgers = build_ledgers(events)
-        assert ledgers["a.txt"].meetings == {("a.txt", "c1"): [(("m",), AS_OF, 600.0)]}
+        ledgers = build_ledgers(event_credit(events))
+        assert ledgers["a.txt"].meetings == {"c1": [(("m",), AS_OF, 600.0)]}
         table = score_table(ledgers, AS_OF, PARAMS)
         assert table.raw[("m", "a.txt")] == pytest.approx(1.0, abs=1e-12)
         assert table.raw[("m", "b.txt")] == pytest.approx(0.5, abs=1e-9)
@@ -278,9 +288,9 @@ ledger_strategy = st.builds(
     first_authorship=st.none() | st.tuples(timestamps, engineer_ids),
     commits=st.dictionaries(engineer_ids, st.lists(timestamps, max_size=4), max_size=3),
     reviews=st.dictionaries(engineer_ids, st.lists(timestamps, max_size=4), max_size=3),
-    # credit keys and a plain MEETING event key, with attendees to share
+    # commit refs, with attendees to share
     meetings=st.dictionaries(
-        st.sampled_from(["c1", "c2", ("f", "c1")]),
+        st.sampled_from(["c1", "c2", "c3"]),
         st.lists(
             st.tuples(
                 st.lists(engineer_ids, min_size=1, max_size=3, unique=True).map(tuple),
@@ -367,23 +377,26 @@ def test_score_is_the_exactly_rounded_sum_of_its_terms(led, params):
 
 FILES = ("f0", "f1", "f2")
 COMMIT_REFS = ("c1", "c2", "c3")
-attendee_tuples = st.lists(engineer_ids, min_size=1, max_size=3, unique=True).map(tuple)
+attendee_tuples = st.lists(engineer_ids, max_size=3, unique=True).map(tuple)  # may be empty
 meeting_minutes = st.floats(min_value=1, max_value=600)
 
 
 @st.composite
 def events_and_credit(draw):
-    """Events and credit of every kind; the meeting credit of a commit names one file set."""
+    """Credit of every kind, some of it the one-engineer, one-file credit of
+    events. The meeting credit of a commit names its usual file tuple or
+    files of its own, which may overlap it, miss it or repeat a file."""
     files_of = {
         ref: tuple(draw(st.lists(st.sampled_from(FILES), min_size=1, max_size=3, unique=True)))
         for ref in COMMIT_REFS
     }
     credit = draw(st.lists(
         st.builds(
-            lambda attendees, ref, ts, minutes: Credit(
-                attendees, ref, ts, minutes, files_of[ref]
+            lambda attendees, ref, ts, minutes, paths: Credit(
+                attendees, ref, ts, minutes, files_of[ref] if paths is None else paths
             ),
             attendee_tuples, st.sampled_from(COMMIT_REFS), timestamps, meeting_minutes,
+            st.one_of(st.none(), st.lists(st.sampled_from(FILES), max_size=3).map(tuple)),
         ),
         max_size=8,
     ))
@@ -416,49 +429,32 @@ def events_and_credit(draw):
             credit.append(Credit((engineer,), "c1", ts, 1.0, (path,), EventKind.FIRST_AUTHORSHIP))
         else:
             events.append(ContributionEvent(EventKind.FIRST_AUTHORSHIP, engineer, path, ts))
-    return events, credit
-
-
-def file_scores(table, path):
-    return {k: v for k, v in table.raw.items() if k[1] == path}, table.file_max[path]
+    return event_credit(events) + credit
 
 
 @settings(max_examples=200, deadline=None)
 @given(events_and_credit(), st.randoms(use_true_random=False))
-def test_meeting_ledgers_do_not_depend_on_order_or_on_spelling_credit_out(drawn, rng):
-    events, credit = drawn
-    shuffled_events, shuffled_credit = list(events), list(credit)
-    rng.shuffle(shuffled_events)
-    rng.shuffle(shuffled_credit)
-    spelled_out = events + list(credit_events(credit))
-    # a plain MEETING event sharing (file, commit) with credit is capped apart
-    # from the credit here, and in one bucket with it once the credit is spelled out
-    plain = {(e.file_path, e.commit_ref) for e in events if e.kind is EventKind.MEETING}
-    mixed = {
-        e.file_path for e in credit_events(credit)
-        if e.kind is EventKind.MEETING and (e.file_path, e.commit_ref) in plain
-    }
+def test_credit_scores_like_its_events_in_any_order(credit, rng):
+    shuffled = list(credit)
+    rng.shuffle(shuffled)
+    spelled = [event_credit(credit_events(c)) for c in (credit, shuffled)]
+    assert list(credit_events(spelled[0])) == list(credit_events(credit))
     for algorithm in ALGORITHMS:
-        table = score_table(build_ledgers(events, credit), AS_OF, PARAMS, algorithm)
-        shuffled = score_table(
-            build_ledgers(shuffled_events, shuffled_credit), AS_OF, PARAMS, algorithm
-        )
-        assert shuffled.raw == table.raw
-        assert shuffled.file_max == table.file_max
-        spelled = score_table(build_ledgers(spelled_out), AS_OF, PARAMS, algorithm)
-        assert spelled.files == table.files
-        for path in set(table.files) - mixed:
-            assert file_scores(spelled, path) == file_scores(table, path)
+        table = score_table(build_ledgers(credit), AS_OF, PARAMS, algorithm)
+        for other in (shuffled, *spelled):
+            scored = score_table(build_ledgers(other), AS_OF, PARAMS, algorithm)
+            assert scored.files == table.files
+            assert scored.raw == table.raw
+            assert scored.file_max == table.file_max
 
 
 @settings(max_examples=200, deadline=None)
 @given(events_and_credit())
-def test_credit_other_than_meetings_builds_the_ledgers_of_its_events(drawn):
-    events, credit = drawn
+def test_credit_other_than_meetings_builds_the_ledgers_of_its_events(credit):
     others = [c for c in credit if c.kind is not EventKind.MEETING]
-    assert build_ledgers(events, others) == build_ledgers(events + list(credit_events(others)))
+    assert build_ledgers(others) == build_ledgers(event_credit(credit_events(others)))
     # credit is read once, so a generator loses nothing
-    assert build_ledgers(events, iter(credit)) == build_ledgers(events, credit)
+    assert build_ledgers(iter(credit)) == build_ledgers(credit)
 
 
 class TestTableAndAuthorship:
@@ -628,19 +624,19 @@ class TestAnalyze:
     def test_event_for_dead_file_rejected(self):
         events = [ContributionEvent(EventKind.COMMIT, "a", "ghost.txt", day_ms(0))]
         with pytest.raises(InputDataError, match="ghost.txt"):
-            prepare_ledgers(events, ["real.txt"])
+            prepare_ledgers(event_credit(events), ["real.txt"])
 
     def test_event_newer_than_as_of_is_clock_skew(self):
         events = [ContributionEvent(EventKind.COMMIT, "a", "f.txt", day_ms(10))]
         with pytest.raises(ClockSkewError, match="as-of|as_of|instant"):
-            prepare_ledgers(events, ["f.txt"], day_ms(5))
+            prepare_ledgers(event_credit(events), ["f.txt"], day_ms(5))
 
     def test_as_of_defaults_to_newest_event(self):
         events = [
             ContributionEvent(EventKind.FIRST_AUTHORSHIP, "a", "f.txt", day_ms(0)),
             ContributionEvent(EventKind.COMMIT, "a", "f.txt", day_ms(0)),
         ]
-        table, _ = analyze(prepare_ledgers(events, ["f.txt"]))
+        table, _ = analyze(prepare_ledgers(event_credit(events), ["f.txt"]))
         assert table.raw_score("a", "f.txt") == pytest.approx(4.0 + 2.4 * math.log(2), abs=1e-9)
 
     def test_duplicate_first_authorship_rejected(self):
@@ -649,14 +645,14 @@ class TestAnalyze:
             ContributionEvent(EventKind.FIRST_AUTHORSHIP, "b", "f.txt", day_ms(1)),
         ]
         with pytest.raises(InputDataError, match="first_authorship"):
-            prepare_ledgers(events, ["f.txt"])
+            prepare_ledgers(event_credit(events), ["f.txt"])
 
     def test_live_files_without_events_count_in_denominator(self):
         events = [
             ContributionEvent(EventKind.FIRST_AUTHORSHIP, "a", "f.txt", day_ms(0)),
             ContributionEvent(EventKind.COMMIT, "a", "f.txt", day_ms(0)),
         ]
-        table, result = analyze(prepare_ledgers(events, ["f.txt", "silent.txt"]))
+        table, result = analyze(prepare_ledgers(event_credit(events), ["f.txt", "silent.txt"]))
         assert result.file_count == 2
         assert result.initially_uncovered == 1
         # initial coverage 0.5 meets the threshold, so the walk removes a
@@ -668,22 +664,22 @@ class TestAnalyze:
         # a str enum equals its value, so "meeting" would pass for EventKind.MEETING
         credit = [Credit(("m",), "c7", 0, 60.0, ("a.txt",), "meeting")]
         with pytest.raises(InputDataError, match=r"^credit for commit 'c7': unknown kind 'meeting'$"):
-            build_ledgers([], credit)
+            build_ledgers(credit)
 
     def test_first_authorship_credit_of_two_engineers_rejected(self):
         credit = [Credit(("a", "b"), "c1", 0, 1.0, ("f.txt",), EventKind.FIRST_AUTHORSHIP)]
         with pytest.raises(InputDataError, match="'f.txt' has more than one first_authorship"):
-            prepare_ledgers([], ["f.txt"], credit=credit)
+            prepare_ledgers(credit, ["f.txt"])
 
     def test_credit_for_dead_file_rejected(self):
         credit = [Credit(("m",), "c", 0, 60.0, ("ghost.txt",))]
         with pytest.raises(InputDataError, match="'ghost.txt' that is not a live file"):
-            prepare_ledgers([], ["real.txt"], 10, credit=credit)
+            prepare_ledgers(credit, ["real.txt"], 10)
 
     def test_inferred_live_files_include_files_named_only_by_credit(self):
         events = [ContributionEvent(EventKind.COMMIT, "a", "a.txt", day_ms(0))]
         credit = [Credit(("m",), "c", 0, 60.0, ("b.txt",))]
-        ledgers = prepare_ledgers(events, None, credit=credit)
+        ledgers = prepare_ledgers(event_credit(events) + credit)
         assert ledgers.live_files == ("a.txt", "b.txt")
 
     def test_smallest_stray_file_is_named(self):
@@ -692,7 +688,7 @@ class TestAnalyze:
             for path in ("z.txt", "a.txt", "live.txt")
         ]
         with pytest.raises(InputDataError, match="'a.txt' that is not a live file"):
-            prepare_ledgers(events, ["live.txt"])
+            prepare_ledgers(event_credit(events), ["live.txt"])
 
 
 def test_clock_skew_names_the_earliest_late_event_in_canonical_order():
@@ -702,5 +698,5 @@ def test_clock_skew_names_the_earliest_late_event_in_canonical_order():
         ContributionEvent(EventKind.FIRST_AUTHORSHIP, "a", "f.txt", day_ms(0)),
     ]
     with pytest.raises(ClockSkewError) as excinfo:
-        prepare_ledgers(events, None, day_ms(1))
+        prepare_ledgers(event_credit(events), None, day_ms(1))
     assert str(excinfo.value).startswith(f"event at {day_ms(5)} (commit by 'b' on 'f.txt')")

@@ -216,3 +216,10 @@ class TestParamsProtocol:
 def test_unparsable_as_of_string_is_an_input_error():
     with pytest.raises(InputDataError, match="^as_of: not an ISO-8601 instant: 'garbage'$"):
         BusFactorEstimator(as_of="garbage").fit(quarter_events())
+
+
+@pytest.mark.parametrize("text", ["2024-01-01T00:00:00.5Z", "20240101T000000Z", "2024-W01-1"])
+def test_as_of_forms_read_only_by_later_interpreters_are_input_errors(text):
+    with pytest.raises(InputDataError) as excinfo:
+        BusFactorEstimator(as_of=text).fit(quarter_events())
+    assert str(excinfo.value) == f"as_of: not an ISO-8601 instant: {text!r}"

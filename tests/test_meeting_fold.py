@@ -27,7 +27,9 @@ from busfactor.errors import ClockSkewError
 from busfactor.eventlog import write_event_log
 from busfactor.gitvcs import CommitKnowledge, emit_vcs_events, snapshot_branch, traverse_branch
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import AlgorithmParams, Credit, EventKind, canonical_order, credit_events
+from busfactor.model import (
+    AlgorithmParams, Credit, EventKind, canonical_order, credit_events, event_credit,
+)
 from busfactor.pipeline import AnalysisRun
 
 from conftest import ALICE, BOB, day_ms
@@ -141,15 +143,17 @@ def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_s
 
     as_of = None if as_of_step is None else instant(as_of_step)
     expected = scored(
-        lambda algo: analyze(prepare_ledgers(everything, FILES, as_of), PARAMS, algo)
+        lambda algo: analyze(prepare_ledgers(event_credit(everything), FILES, as_of), PARAMS, algo)
     )
     folded = scored(
-        lambda algo: analyze(prepare_ledgers(plain, FILES, as_of, credit=credit), PARAMS, algo)
+        lambda algo: analyze(
+            prepare_ledgers(event_credit(plain) + credit, FILES, as_of), PARAMS, algo
+        )
     )
     # a commit with no files dates the run, though it spells out no event
     dated = [c for c in [*vcs, *credit] if c.file_paths]
     from_credit = scored(
-        lambda algo: analyze(prepare_ledgers((), FILES, as_of, credit=dated), PARAMS, algo)
+        lambda algo: analyze(prepare_ledgers(dated, FILES, as_of), PARAMS, algo)
     )
 
     assert folded == expected
