@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .errors import ClockSkewError, ConfigError, InputDataError
 from .inputs import warn
 from .model import (
-    SORT_KEY,
     AlgorithmParams,
     Credit,
     EventKind,
     age_days,
+    canonical_blocks,
     check_meeting_minutes,
-    credit_events,
     decay,
 )
 
@@ -46,7 +45,8 @@ class FileLedger:
 
     ``meetings`` maps a commit ref to ``[(attendees, timestamp_ms, minutes)]``,
     one entry per meeting credit of the commit that names the file; each
-    attendee's minutes under one ref are capped at one unit of exposure.
+    attendee's minutes under one ref are capped at one unit of exposure. The
+    files that one commit's credit names with one file tuple share one list.
     """
 
     first_authorship: tuple[int, str] | None = None  # (timestamp_ms, engineer)
@@ -62,39 +62,23 @@ class FileLedger:
 def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
     """Group credit by file, reading it once and rejecting duplicate first authorships.
 
-    Every credit counts as the events ``credit_events`` spells out of it, in
-    their per-list order. A file's bucket for commit ``c`` holds one ``(engineers,
-    start, minutes)`` entry per MEETING credit of ``c`` naming the file; while
-    that credit names one file tuple, its files share one list. Minutes that
-    fail ``check_meeting_minutes``, or a ``kind`` not an ``EventKind``, are an
-    ``InputDataError``.
+    Every credit counts as the events ``credit_events`` spells out of it.
+    MEETING credit is grouped by commit and file tuple; each file of a group
+    gets its ``(engineers, start, minutes)`` entries as the one shared list,
+    joined only where two groups of a commit, or one twice, name the file.
+    Minutes that fail ``check_meeting_minutes``, or a ``kind`` not an
+    ``EventKind``, are an ``InputDataError``.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
-    shared: dict[str, tuple] = {}  # ref -> (its file tuple, the list its files share)
+    groups: defaultdict[tuple, list] = defaultdict(list)  # (ref, file tuple) -> meeting entries
     for engineers, ref, timestamp_ms, minutes, paths, kind in credit:
         if kind is EventKind.MEETING:
             try:
                 check_meeting_minutes(minutes)
             except ValueError as exc:
                 raise InputDataError(f"meeting credit for commit {ref!r}: {exc}") from None
-            if not engineers:  # it spells out no event
-                continue
-            entry = (engineers, timestamp_ms, minutes)
-            held = shared.get(ref)
-            if held is None:  # a file named twice counts twice, so it gets its own list
-                unique = len(set(paths)) == len(paths)
-                held = shared[ref] = (paths, []) if unique else (None, None)
-                for path in held[0] or ():
-                    ledgers[path].meetings[ref] = held[1]
-            if paths is held[0] or paths == held[0]:
-                held[1].append(entry)
-                continue
-            if held[0] is not None:  # the files part: from now on each has its own list
-                shared[ref] = (None, None)
-                for path in held[0]:
-                    ledgers[path].meetings[ref] = list(held[1])
-            for path in paths:
-                ledgers[path].meetings.setdefault(ref, []).append(entry)
+            if engineers:  # else it spells out no event
+                groups[ref, tuple(paths)].append((engineers, timestamp_ms, minutes))
         elif kind is EventKind.COMMIT or kind is EventKind.REVIEW:
             for engineer in engineers:
                 for path in paths:
@@ -111,6 +95,11 @@ def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
                     ledgers[path].first_authorship = (timestamp_ms, engineer)
         else:
             raise InputDataError(f"credit for commit {ref!r}: unknown kind {kind!r}")
+    for (ref, paths), entries in groups.items():
+        for path in paths:
+            meetings = ledgers[path].meetings
+            held = meetings.get(ref)
+            meetings[ref] = entries if held is None else held + entries
     return dict(ledgers)
 
 
@@ -376,18 +365,21 @@ class Ledgers:
 
 
 def prepare_ledgers(
-    credit: Sequence[Credit], live_files=None, as_of_ms: int | None = None
+    credit: Iterable[Credit], live_files=None, as_of_ms: int | None = None
 ) -> Ledgers:
     """Build the ledgers of ``credit`` once, then check them.
 
+    ``credit`` that is not a list or a tuple is read into a list once.
     ``live_files`` is the set of files the project currently contains; the
     credit must only name those, and the smallest file outside them is
     named. When omitted it is inferred from the files the ledgers hold.
     ``as_of_ms`` defaults to the newest credit timestamp (a credit with no
     files counts too), or 0 with none. Anything newer than it is a
-    clock-skew error naming the earliest late event of the credit in
-    canonical order.
+    clock-skew error naming the first event of ``canonical_blocks`` of the
+    late credit.
     """
+    if not isinstance(credit, (list, tuple)):
+        credit = list(credit)
     files = build_ledgers(credit)
     live_files = sorted(files if live_files is None else set(live_files))
     if stray := files.keys() - live_files:
@@ -396,14 +388,12 @@ def prepare_ledgers(
         )
     if as_of_ms is None:
         as_of_ms = max((c.timestamp_ms for c in credit), default=0)
-    late = credit_events(c for c in credit if c.timestamp_ms > as_of_ms)
-    event = min(late, key=SORT_KEY, default=None)
-    if event is not None:
+    late = [c for c in credit if c.timestamp_ms > as_of_ms]
+    for timestamp_ms, kind, engineer, paths in canonical_blocks(late, lambda path, _: path):
         raise ClockSkewError(
-            f"event at {event.timestamp_ms} ({event.kind.value} by "
-            f"{event.engineer_id!r} on {event.file_path!r}) is newer than "
-            f"the analysis instant {as_of_ms}; pass a later --as-of or fix "
-            f"the event timestamps"
+            f"event at {timestamp_ms} ({kind.value} by {engineer!r} on {paths[0]!r}) "
+            f"is newer than the analysis instant {as_of_ms}; pass a later --as-of "
+            f"or fix the event timestamps"
         )
     return Ledgers(files=files, live_files=tuple(live_files), as_of_ms=as_of_ms)
 

@@ -8,6 +8,7 @@ file without a live repository.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -16,9 +17,11 @@ from typing import IO, Iterable
 
 from .errors import InputDataError
 from .inputs import field
-from .model import CanonicalEvents, ContributionEvent, EventKind, canonical_blocks
+from .model import (
+    CanonicalEvents, ContributionEvent, EventKind, canonical_blocks, check_meeting_minutes,
+)
 
-FIELDS = ("kind", "engineer_id", "file_path", "timestamp_ms", "magnitude", "commit_ref")
+FIELDS = ContributionEvent._fields
 
 
 class _Quoted(dict):
@@ -43,6 +46,27 @@ class _Heads(dict):
         return head
 
 
+def _json_numbers(source, magnitude: bool):
+    """``source`` (a Credit or an event) with its timestamp, and its magnitude
+    when ``magnitude``, as the plain int or float ``json.dumps`` writes for an
+    int or finite float of any class; any other number is a ValueError."""
+    ts, m = source.timestamp_ms, source.magnitude
+    if ts.__class__ is int and (not magnitude or m.__class__ is float or m.__class__ is int):
+        return source
+    if source.kind is EventKind.MEETING:
+        check_meeting_minutes(m)  # bad minutes get the message the ledgers give them
+    changes = {"timestamp_ms": ts, "magnitude": m} if magnitude else {"timestamp_ms": ts}
+    for name, value in changes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            raise ValueError(
+                f"event log {name} must be an int or a finite float, got {type(value).__name__}"
+            )
+        changes[name] = int(value) if isinstance(value, int) else float(value)
+    return source._replace(**changes)
+
+
 def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | Path) -> None:
     """Write events one record per line, in the order given.
 
@@ -53,7 +77,7 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
     written a line per event, a chunk at a time, so a one-pass stream is
     never held whole. A line has the bytes ``json.dumps`` gives the record
     with compact separators: strings ASCII-escaped, and numbers as ``repr``
-    prints them, which is how json prints an int or a finite float.
+    prints a plain int or float, made so once per credit or event.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
@@ -69,11 +93,15 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
     if not isinstance(events, CanonicalEvents):
         events = iter(events)
         while chunk := list(islice(events, 4096)):  # one write per few thousand lines
-            sink.write("".join([heads[e.kind, e.engineer_id] + cell(e.file_path, e) for e in chunk]))
+            sink.write("".join([
+                heads[e.kind, e.engineer_id] + cell(e.file_path, _json_numbers(e, True))
+                for e in chunk
+            ]))
         return
+    credit = [_json_numbers(c, c.kind is EventKind.MEETING) for c in events.credit]
     parts: list[str] = []
     lines = 0
-    for _, kind, engineer, cells in canonical_blocks(events.credit, cell):
+    for _, kind, engineer, cells in canonical_blocks(credit, cell):
         head = heads[kind, engineer]
         parts += head, head.join(cells)  # every cell ends its line
         lines += len(cells)

@@ -2,10 +2,10 @@
 
 Timestamps are UTC epoch milliseconds throughout; decay ages are fractional
 days derived from millisecond differences. All types are immutable value
-objects, safe to share across workers. A ``ContributionEvent`` is an
-immutable tuple that starts with its ``SORT_KEY``, the canonical order;
-``canonical_blocks`` puts the events of credit in that order without
-spelling each one out, and ``event_credit`` turns events into ``Credit``.
+objects, safe to share across workers. A ``ContributionEvent`` is a tuple
+of the event log's fields; ``SORT_KEY`` is the canonical order,
+``canonical_blocks`` puts the events of credit in it without spelling each
+one out, and ``event_credit`` turns events into ``Credit``.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import groupby
 from numbers import Real
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError
@@ -61,17 +61,12 @@ class Engineer:
 
 
 class _EventFields(NamedTuple):
-    timestamp_ms: int
-    kind_rank: int  # KIND_ORDER[kind]
+    kind: EventKind
     engineer_id: str
     file_path: str
-    commit_ref: str
-    kind: EventKind
-    magnitude: float
-
-
-#: The canonical order of events: (timestamp, kind, engineer, file, commit).
-SORT_KEY = itemgetter(0, 1, 2, 3, 4)
+    timestamp_ms: int
+    magnitude: float = 1.0
+    commit_ref: str = ""
 
 
 class ContributionEvent(_EventFields):
@@ -81,8 +76,9 @@ class ContributionEvent(_EventFields):
     ``commit_ref`` names the commit the event attaches to; for MEETING events
     it is the commit the meeting was associated with.
 
-    An event is the immutable tuple ``(timestamp_ms, kind_rank, engineer_id,
-    file_path, commit_ref, kind, magnitude)``, its ``SORT_KEY`` first.
+    An event is the tuple ``(kind, engineer_id, file_path, timestamp_ms,
+    magnitude, commit_ref)`` of the log's fields in constructor order, and
+    ``_make`` and ``_replace`` check what the constructor checks.
     """
 
     __slots__ = ()
@@ -91,33 +87,26 @@ class ContributionEvent(_EventFields):
         cls, kind: EventKind, engineer_id: str, file_path: str, timestamp_ms: int,
         magnitude: float = 1.0, commit_ref: str = "",
     ) -> "ContributionEvent":
+        if kind.__class__ is not EventKind:  # a str equal to a kind's value is not one
+            raise ValueError(f"kind must be an EventKind, got {kind!r}")
         if kind is EventKind.MEETING:
             check_meeting_minutes(magnitude)
         elif magnitude != 1.0 or isinstance(magnitude, bool):
             raise ValueError(f"magnitude must be 1.0 for {kind.value} events")
-        rank = KIND_ORDER[kind]
         return tuple.__new__(
-            cls, (timestamp_ms, rank, engineer_id, file_path, commit_ref, kind, magnitude)
+            cls, (kind, engineer_id, file_path, timestamp_ms, magnitude, commit_ref)
         )
-
-    def __getnewargs__(self) -> tuple:
-        """The constructor arguments, so ``pickle`` and ``copy`` rebuild the event."""
-        return (self.kind, self.engineer_id, self.file_path, self.timestamp_ms,
-                self.magnitude, self.commit_ref)
 
     @classmethod
     def _make(cls, fields) -> "ContributionEvent":
-        """The event of the seven fields, built and checked by the constructor."""
-        timestamp_ms, rank, engineer_id, file_path, commit_ref, kind, magnitude = fields
-        event = cls(kind, engineer_id, file_path, timestamp_ms, magnitude, commit_ref)
-        if rank != event.kind_rank:
-            raise ValueError(f"kind_rank must be {event.kind_rank} for {kind.value} events")
-        return event
+        """The event of the six fields, built and checked by the constructor."""
+        return cls(*fields)
 
-    def _replace(self, **changes) -> "ContributionEvent":
-        """A copy with ``changes``, built by the constructor (``kind_rank`` follows ``kind``)."""
-        fields = {k: v for k, v in zip(self._fields, self) if k != "kind_rank"}
-        return type(self)(**{**fields, **changes})
+
+def SORT_KEY(event: ContributionEvent) -> tuple:
+    """The canonical order of events: (timestamp, kind rank, engineer, file, commit)."""
+    kind, engineer_id, file_path, timestamp_ms, _, commit_ref = event
+    return timestamp_ms, KIND_ORDER[kind], engineer_id, file_path, commit_ref
 
 
 #: Real numbers, float and int first: checking the ``Real`` ABC alone costs ~10x.
@@ -128,9 +117,12 @@ _FLOAT_MAX = sys.float_info.max
 def check_meeting_minutes(minutes) -> None:
     """Reject meeting minutes that are a bool or not a real number in (0, largest float]."""
     if isinstance(minutes, bool) or not isinstance(minutes, _REAL) or not 0 < minutes <= _FLOAT_MAX:
-        raise ValueError(
-            f"magnitude must be a finite number > 0 for meeting events, got {minutes!r}"
-        )
+        try:
+            shown = repr(minutes)
+        except ValueError:  # an int past the digits str() prints, such as 10**5000
+            where = "above the largest float" if minutes > 0 else "below 0"
+            shown = f"{type(minutes).__name__} {where}"
+        raise ValueError(f"magnitude must be a finite number > 0 for meeting events, got {shown}")
 
 
 def canonical_order(events) -> list[ContributionEvent]:
@@ -172,10 +164,9 @@ def credit_events(credit) -> Iterator[ContributionEvent]:
     new, event = tuple.__new__, ContributionEvent
     for engineers, ref, timestamp_ms, magnitude, paths, kind in credit:
         magnitude = _event_magnitude(kind, magnitude)
-        rank = KIND_ORDER[kind]
         for engineer in engineers:
             for path in paths:
-                yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
+                yield new(event, (kind, engineer, path, timestamp_ms, magnitude, ref))
 
 
 def event_credit(events) -> list[Credit]:
@@ -184,7 +175,7 @@ def event_credit(events) -> list[Credit]:
     one: dict[str, tuple[str]] = {}
     return [tuple.__new__(Credit, (one.get(e) or one.setdefault(e, (e,)), ref, ts, magnitude,
                                    one.get(p) or one.setdefault(p, (p,)), kind))
-            for ts, _, e, p, ref, kind, magnitude in events]
+            for kind, e, p, ts, magnitude, ref in events]
 
 
 _TIMESTAMP = attrgetter("timestamp_ms")
@@ -235,20 +226,20 @@ class CanonicalEvents:
 
     Iterating walks ``canonical_blocks(credit, ...)`` afresh, one timestamp
     at a time, so the whole log is never held at once; ``write_event_log``
-    formats the blocks themselves.
+    formats the blocks themselves. Credit that is not a list or a tuple (a
+    generator, say) is read into a list once, so every walk sees all of it.
     """
 
     __slots__ = ("credit",)
 
     def __init__(self, credit) -> None:
-        self.credit = credit
+        self.credit = credit if isinstance(credit, (list, tuple)) else list(credit)
 
     def __iter__(self) -> Iterator[ContributionEvent]:
         new, event = tuple.__new__, ContributionEvent
         for timestamp_ms, kind, engineer, cells in canonical_blocks(self.credit, _event_cell):
-            rank = KIND_ORDER[kind]
             for path, ref, magnitude in cells:
-                yield new(event, (timestamp_ms, rank, engineer, path, ref, kind, magnitude))
+                yield new(event, (kind, engineer, path, timestamp_ms, magnitude, ref))
 
 
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")

@@ -154,6 +154,18 @@ class TestMeetingTerm:
         ledgers = build_ledgers([credit[0], same])
         assert ledgers["a.txt"].meetings == {"c1": [(("m",), 0, 120.0), (("n",), 0, 60.0)]}
 
+    def test_meeting_credit_naming_its_files_in_a_list_scores_like_a_tuple(self):
+        listed = [
+            Credit(("m", "n"), "c1", AS_OF, 60.0, ["a.txt", "b.txt"]),
+            Credit(("n",), "c1", AS_OF, 45.0, ["a.txt", "b.txt"]),
+        ]
+        ledgers = build_ledgers(listed)
+        tupled = build_ledgers([c._replace(file_paths=tuple(c.file_paths)) for c in listed])
+        assert ledgers == tupled
+        # equal lists are one (commit, file tuple) group, whose files share one list
+        assert ledgers["a.txt"].meetings["c1"] is ledgers["b.txt"].meetings["c1"]
+        assert score_table(ledgers, AS_OF, PARAMS).raw == score_table(tupled, AS_OF, PARAMS).raw
+
     def test_a_file_named_twice_by_meeting_credit_counts_twice(self):
         credit = [Credit(("m",), "c1", AS_OF, 100.0, ("a.txt", "b.txt", "a.txt"))]
         ledgers = build_ledgers(credit)
@@ -163,8 +175,8 @@ class TestMeetingTerm:
         assert score_table(ledgers, AS_OF, PARAMS).raw == score_table(spelled, AS_OF, PARAMS).raw
 
     @pytest.mark.parametrize(
-        "minutes", [-60.0, 0.0, math.nan, math.inf, True, 10**400],
-        ids=["negative", "zero", "nan", "inf", "bool", "past-float"],
+        "minutes", [-60.0, 0.0, math.nan, math.inf, True, 10**400, 10**5000],
+        ids=["negative", "zero", "nan", "inf", "bool", "past-float", "past-str-limit"],
     )
     def test_credit_minutes_meet_the_meeting_event_rule(self, minutes):
         credit = [Credit(("m",), "c1", 0, minutes, ("a.txt",))]
@@ -700,3 +712,18 @@ def test_clock_skew_names_the_earliest_late_event_in_canonical_order():
     with pytest.raises(ClockSkewError) as excinfo:
         prepare_ledgers(event_credit(events), None, day_ms(1))
     assert str(excinfo.value).startswith(f"event at {day_ms(5)} (commit by 'b' on 'f.txt')")
+
+
+def test_credit_read_once_is_checked_like_its_list():
+    credit = [
+        Credit(("a",), "c1", day_ms(10), 1.0, ("f.txt",), EventKind.COMMIT),
+        Credit(("a",), "c0", 0, 1.0, ("f.txt",), EventKind.FIRST_AUTHORSHIP),
+    ]
+    ledgers = prepare_ledgers(iter(credit))
+    assert ledgers == prepare_ledgers(credit)
+    assert ledgers.as_of_ms == day_ms(10)
+    assert analyze(ledgers)[1] == analyze(prepare_ledgers(credit))[1]
+    late = f"^event at {day_ms(10)} \\(commit by 'a' on 'f.txt'\\) is newer than the analysis instant 5;"
+    for passed in (credit, iter(credit), tuple(credit)):
+        with pytest.raises(ClockSkewError, match=late):
+            prepare_ledgers(passed, None, 5)

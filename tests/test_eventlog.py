@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 import eventlog_reference
 from busfactor.errors import InputDataError
 from busfactor.eventlog import FIELDS, events_from_records, read_event_log, write_event_log
-from busfactor.model import ContributionEvent, Credit, EventKind, canonical_order, credit_events
+from busfactor.model import (
+    CanonicalEvents,
+    ContributionEvent,
+    Credit,
+    EventKind,
+    canonical_order,
+    credit_events,
+)
 from busfactor.pipeline import AnalysisRun
 from eventlog_reference import event_to_record
 
@@ -256,3 +264,55 @@ def test_meeting_credit_with_bad_minutes_is_rejected(minutes):
         list(run.events)
     with pytest.raises(ValueError, match="finite number > 0 for meeting events"):
         write_event_log(run.events, io.StringIO())
+
+
+def test_canonical_events_of_a_generator_are_walked_afresh():
+    credit = [
+        Credit(("b@x.io", "a@x.io"), "c1", T, 30.0, ("src/a.py",)),
+        Credit(("a@x.io",), "c0", 0, 1.0, ("src/a.py",), COMMIT),
+    ]
+    expected = list(CanonicalEvents(credit))
+    assert len(expected) == 3
+    events = CanonicalEvents(c for c in credit)
+    assert list(events) == expected
+    assert list(events) == expected
+    assert CanonicalEvents(credit).credit is credit  # a list is not copied
+
+
+class _Minutes(float):
+    def __repr__(self) -> str:
+        return f"_Minutes({float(self)!r})"
+
+
+class _Stamp(int):
+    def __repr__(self) -> str:
+        return f"_Stamp({int(self)!r})"
+
+
+def test_number_subclasses_are_written_as_json_writes_them():
+    credit = [
+        Credit(("a@x.io",), "c1", _Stamp(T), _Minutes(30.0), ("src/a.py",)),
+        Credit(("a@x.io",), "c1", _Stamp(T), 1.0, ("src/a.py",), COMMIT),
+    ]
+    run = AnalysisRun(report={}, credit=credit)
+    events = list(run.events)
+    reference = io.StringIO()
+    eventlog_reference.write_event_log(events, reference)
+    assert "_Minutes" not in reference.getvalue() and "_Stamp" not in reference.getvalue()
+    for written in (run.events, events):  # the block path, and the per-event path
+        sink = io.StringIO()
+        write_event_log(written, sink)
+        assert sink.getvalue() == reference.getvalue()
+        assert read_event_log(io.StringIO(sink.getvalue())) == events
+
+
+@pytest.mark.parametrize("field", ["timestamp_ms", "magnitude"])
+def test_numbers_json_cannot_write_are_rejected(field):
+    credit = [Credit(("a@x.io",), "c1", T, 30.0, ("src/a.py",))._replace(**{field: Fraction(1, 2)})]
+    run = AnalysisRun(report={}, credit=credit)
+    with pytest.raises(TypeError):
+        json.dumps(event_to_record(next(iter(run.events))))
+    message = f"^event log {field} must be an int or a finite float, got Fraction$"
+    for written in (run.events, list(run.events)):
+        with pytest.raises(ValueError, match=message):
+            write_event_log(written, io.StringIO())

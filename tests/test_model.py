@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from busfactor.errors import ClockSkewError, ConfigError
+from busfactor.eventlog import FIELDS
 from busfactor.model import (
     KIND_ORDER,
     MS_PER_DAY,
@@ -84,17 +85,21 @@ class TestContributionEvent:
         with pytest.raises(ValueError):
             ContributionEvent(EventKind.COMMIT, "a", "f", day_ms(0), magnitude=2.0)
 
-    @pytest.mark.parametrize("minutes", [float("inf"), float("nan"), True])
+    @pytest.mark.parametrize("minutes", [
+        float("inf"), float("nan"), True, pytest.param(10**5000, id="past-str-limit"),
+    ])
     def test_meeting_magnitude_is_a_finite_number(self, minutes):
         with pytest.raises(ValueError, match="finite number > 0"):
             ContributionEvent(EventKind.MEETING, "a", "f", day_ms(0), magnitude=minutes)
 
-    def test_event_starts_with_the_sort_key_and_round_trips(self):
+    def test_event_is_in_log_order_and_round_trips(self):
         event = ContributionEvent(EventKind.MEETING, "a", "f", day_ms(1), 30.5, "c1")
-        key = (day_ms(1), KIND_ORDER[EventKind.MEETING], "a", "f", "c1")
-        assert SORT_KEY(event) == key
-        assert event == (*key, EventKind.MEETING, 30.5)
-        assert ContributionEvent(*event.__getnewargs__()) == event
+        assert tuple(event) == (EventKind.MEETING, "a", "f", day_ms(1), 30.5, "c1")
+        assert ContributionEvent._fields == FIELDS
+        assert event._asdict() == dict(zip(FIELDS, event))
+        assert not hasattr(event, "kind_rank")
+        assert SORT_KEY(event) == (day_ms(1), KIND_ORDER[EventKind.MEETING], "a", "f", "c1")
+        assert ContributionEvent(*event) == event
 
     @pytest.mark.parametrize("kind", list(EventKind))
     def test_event_survives_pickle_and_copy(self, kind):
@@ -115,20 +120,26 @@ class TestContributionEvent:
         commit = ContributionEvent(EventKind.COMMIT, "a", "f", day_ms(1), commit_ref="c1")
         review = commit._replace(kind=EventKind.REVIEW)
         assert review == ContributionEvent(EventKind.REVIEW, "a", "f", day_ms(1), commit_ref="c1")
-        assert review.kind_rank == KIND_ORDER[EventKind.REVIEW]
         assert type(review) is ContributionEvent
         # the review now sorts after a commit at the same instant
         other = ContributionEvent(EventKind.COMMIT, "z", "f", day_ms(1))
         assert canonical_order([review, other]) == [other, review]
         assert ContributionEvent._make(tuple(review)) == review
-        with pytest.raises(ValueError, match="magnitude"):
+        assert type(ContributionEvent._make(tuple(review))) is ContributionEvent
+        with pytest.raises(ValueError, match="magnitude must be 1.0 for commit events"):
             commit._replace(magnitude=2.0)
-        with pytest.raises(TypeError, match="kind_rank"):
+        with pytest.raises(ValueError, match="finite number > 0 for meeting events"):
+            ContributionEvent._make((EventKind.MEETING, *commit[1:4], -1.0, "c1"))
+        with pytest.raises(ValueError, match="unexpected field names"):
             commit._replace(kind_rank=0)
-        with pytest.raises(ValueError, match="kind_rank must be 2"):
-            ContributionEvent._make((*review[:1], 1, *review[2:]))
-        with pytest.raises(ValueError, match="magnitude"):
-            ContributionEvent._make((*commit[:6], -1.0))
+        # a str equal to a kind's value is not a kind
+        for kind in ("review", None):
+            with pytest.raises(ValueError, match="kind must be an EventKind"):
+                commit._replace(kind=kind)
+            with pytest.raises(ValueError, match="kind must be an EventKind"):
+                ContributionEvent._make((kind, *commit[1:]))
+            with pytest.raises(ValueError, match="kind must be an EventKind"):
+                ContributionEvent(kind, "a", "f", day_ms(1))
 
     def test_canonical_order_is_time_kind_engineer_file(self):
         ts = day_ms(1)
