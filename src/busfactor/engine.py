@@ -27,7 +27,7 @@ from .model import (
     EventKind,
     age_days,
     canonical_blocks,
-    check_meeting_minutes,
+    checked_timestamp,
     decay,
 )
 
@@ -66,17 +66,12 @@ def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
     MEETING credit is grouped by commit and file tuple; each file of a group
     gets its ``(engineers, start, minutes)`` entries as the one shared list,
     joined only where two groups of a commit, or one twice, name the file.
-    Minutes that fail ``check_meeting_minutes``, or a ``kind`` not an
-    ``EventKind``, are an ``InputDataError``.
+    The ``Credit`` constructor has checked each credit's kind and numbers.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     groups: defaultdict[tuple, list] = defaultdict(list)  # (ref, file tuple) -> meeting entries
     for engineers, ref, timestamp_ms, minutes, paths, kind in credit:
         if kind is EventKind.MEETING:
-            try:
-                check_meeting_minutes(minutes)
-            except ValueError as exc:
-                raise InputDataError(f"meeting credit for commit {ref!r}: {exc}") from None
             if engineers:  # else it spells out no event
                 groups[ref, tuple(paths)].append((engineers, timestamp_ms, minutes))
         elif kind is EventKind.COMMIT or kind is EventKind.REVIEW:
@@ -85,7 +80,7 @@ def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
                     ledger = ledgers[path]
                     stamps_of = ledger.commits if kind is EventKind.COMMIT else ledger.reviews
                     stamps_of.setdefault(engineer, []).append(timestamp_ms)
-        elif kind is EventKind.FIRST_AUTHORSHIP:
+        else:  # FIRST_AUTHORSHIP
             for engineer in engineers:
                 for path in paths:
                     if ledgers[path].first_authorship is not None:
@@ -93,8 +88,6 @@ def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
                             f"file {path!r} has more than one first_authorship event"
                         )
                     ledgers[path].first_authorship = (timestamp_ms, engineer)
-        else:
-            raise InputDataError(f"credit for commit {ref!r}: unknown kind {kind!r}")
     for (ref, paths), entries in groups.items():
         for path in paths:
             meetings = ledgers[path].meetings
@@ -373,11 +366,16 @@ def prepare_ledgers(
     ``live_files`` is the set of files the project currently contains; the
     credit must only name those, and the smallest file outside them is
     named. When omitted it is inferred from the files the ledgers hold.
-    ``as_of_ms`` defaults to the newest credit timestamp (a credit with no
-    files counts too), or 0 with none. Anything newer than it is a
-    clock-skew error naming the first event of ``canonical_blocks`` of the
-    late credit.
+    ``as_of_ms`` must be an int, as a credit timestamp must; it defaults to
+    the newest credit timestamp (a credit with no files counts too), or 0
+    with none. Anything newer than it is a clock-skew error naming the first
+    event of ``canonical_blocks`` of the late credit.
     """
+    if as_of_ms is not None:
+        try:
+            as_of_ms = checked_timestamp(as_of_ms, "as_of_ms")
+        except ValueError as exc:
+            raise InputDataError(str(exc)) from None
     if not isinstance(credit, (list, tuple)):
         credit = list(credit)
     files = build_ledgers(credit)

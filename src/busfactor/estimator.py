@@ -83,19 +83,14 @@ class BusFactorEstimator:
     def _algorithm_params(self) -> AlgorithmParams:
         return AlgorithmParams(**{n: getattr(self, n) for n in AlgorithmParams.field_names()})
 
-    def _resolve_as_of(self) -> int | None:
-        if self.as_of is None:
-            return None
-        if isinstance(self.as_of, str):
-            try:
-                return parse_instant(self.as_of)
-            except ValueError as exc:
-                raise InputDataError(f"as_of: {exc}") from None
-        if isinstance(self.as_of, int) and not isinstance(self.as_of, bool):
+    def _resolve_as_of(self):
+        """``as_of`` with a string parsed; ``prepare_ledgers`` checks any other value."""
+        if not isinstance(self.as_of, str):
             return self.as_of
-        raise InputDataError(
-            "as_of must be an ISO-8601 string or epoch milliseconds"
-        )
+        try:
+            return parse_instant(self.as_of)
+        except ValueError as exc:
+            raise InputDataError(f"as_of: {exc}") from None
 
     def fit(self, X, y=None, *, live_files=None):
         """Score the events and run the abandonment walk.

@@ -8,18 +8,14 @@ file without a live repository.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Mapping
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import InputDataError
 from .inputs import field
-from .model import (
-    CanonicalEvents, ContributionEvent, EventKind, canonical_blocks, check_meeting_minutes,
-)
+from .model import CanonicalEvents, ContributionEvent, EventKind, canonical_blocks
 
 FIELDS = ContributionEvent._fields
 
@@ -46,38 +42,17 @@ class _Heads(dict):
         return head
 
 
-def _json_numbers(source, magnitude: bool):
-    """``source`` (a Credit or an event) with its timestamp, and its magnitude
-    when ``magnitude``, as the plain int or float ``json.dumps`` writes for an
-    int or finite float of any class; any other number is a ValueError."""
-    ts, m = source.timestamp_ms, source.magnitude
-    if ts.__class__ is int and (not magnitude or m.__class__ is float or m.__class__ is int):
-        return source
-    if source.kind is EventKind.MEETING:
-        check_meeting_minutes(m)  # bad minutes get the message the ledgers give them
-    changes = {"timestamp_ms": ts, "magnitude": m} if magnitude else {"timestamp_ms": ts}
-    for name, value in changes.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not math.isfinite(value)
-        ):
-            raise ValueError(
-                f"event log {name} must be an int or a finite float, got {type(value).__name__}"
-            )
-        changes[name] = int(value) if isinstance(value, int) else float(value)
-    return source._replace(**changes)
-
-
 def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | Path) -> None:
     """Write events one record per line, in the order given.
 
     A line is a head (kind and engineer) and a cell (file, timestamp,
-    magnitude and commit). ``AnalysisRun.events``, a ``CanonicalEvents``, is
-    written from its ``canonical_blocks``: no event is built, and each cell
-    is formatted once for every block that shares it. Any other stream is
-    written a line per event, a chunk at a time, so a one-pass stream is
-    never held whole. A line has the bytes ``json.dumps`` gives the record
-    with compact separators: strings ASCII-escaped, and numbers as ``repr``
-    prints a plain int or float, made so once per credit or event.
+    magnitude and commit), written from one stream of blocks: the
+    ``canonical_blocks`` of ``AnalysisRun.events``, a ``CanonicalEvents``,
+    which builds no event and formats each cell once for every block that
+    shares it, or else a block per event, read one at a time, so a one-pass
+    stream is never held whole. A line has the bytes ``json.dumps`` gives
+    the record with compact separators: strings ASCII-escaped, and numbers
+    as ``repr`` prints the plain ints and floats the record constructors store.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
@@ -90,22 +65,17 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
         return (f'{q[path]},"timestamp_ms":{source.timestamp_ms!r},'
                 f'"magnitude":{source.magnitude!r},"commit_ref":{q[source.commit_ref]}}}\n')
 
-    if not isinstance(events, CanonicalEvents):
-        events = iter(events)
-        while chunk := list(islice(events, 4096)):  # one write per few thousand lines
-            sink.write("".join([
-                heads[e.kind, e.engineer_id] + cell(e.file_path, _json_numbers(e, True))
-                for e in chunk
-            ]))
-        return
-    credit = [_json_numbers(c, c.kind is EventKind.MEETING) for c in events.credit]
+    if isinstance(events, CanonicalEvents):
+        blocks = canonical_blocks(events.credit, cell)
+    else:
+        blocks = ((e.timestamp_ms, e.kind, e.engineer_id, [cell(e.file_path, e)]) for e in events)
     parts: list[str] = []
     lines = 0
-    for _, kind, engineer, cells in canonical_blocks(credit, cell):
+    for _, kind, engineer, cells in blocks:
         head = heads[kind, engineer]
         parts += head, head.join(cells)  # every cell ends its line
         lines += len(cells)
-        if lines >= 4096:
+        if lines >= 4096:  # one write per few thousand lines
             sink.write("".join(parts))
             parts.clear()
             lines = 0
@@ -127,10 +97,10 @@ def event_from_record(record, where: str) -> ContributionEvent:
             engineer_id=field(record, "engineer_id", str, where),
             file_path=field(record, "file_path", str, where),
             timestamp_ms=field(record, "timestamp_ms", int, where),
-            magnitude=float(field(record, "magnitude", (int, float), where)),
+            magnitude=field(record, "magnitude", (int, float), where),
             commit_ref=field(record, "commit_ref", str, where),
         )
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise InputDataError(f"{where}: field 'magnitude' invalid: {exc}") from None
 
 

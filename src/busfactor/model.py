@@ -5,7 +5,9 @@ days derived from millisecond differences. All types are immutable value
 objects, safe to share across workers. A ``ContributionEvent`` is a tuple
 of the event log's fields; ``SORT_KEY`` is the canonical order,
 ``canonical_blocks`` puts the events of credit in it without spelling each
-one out, and ``event_credit`` turns events into ``Credit``.
+one out, and ``event_credit`` turns events into ``Credit``. The two record
+constructors own a contribution's kind, timestamp and magnitude: nothing
+downstream checks them again.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import groupby
-from numbers import Real
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -77,8 +78,9 @@ class ContributionEvent(_EventFields):
     it is the commit the meeting was associated with.
 
     An event is the tuple ``(kind, engineer_id, file_path, timestamp_ms,
-    magnitude, commit_ref)`` of the log's fields in constructor order, and
-    ``_make`` and ``_replace`` check what the constructor checks.
+    magnitude, commit_ref)`` of the log's fields in constructor order. The
+    constructor checks them as ``Credit``'s does, and ``_make``,
+    ``_replace``, pickle and copy go through it.
     """
 
     __slots__ = ()
@@ -87,12 +89,7 @@ class ContributionEvent(_EventFields):
         cls, kind: EventKind, engineer_id: str, file_path: str, timestamp_ms: int,
         magnitude: float = 1.0, commit_ref: str = "",
     ) -> "ContributionEvent":
-        if kind.__class__ is not EventKind:  # a str equal to a kind's value is not one
-            raise ValueError(f"kind must be an EventKind, got {kind!r}")
-        if kind is EventKind.MEETING:
-            check_meeting_minutes(magnitude)
-        elif magnitude != 1.0 or isinstance(magnitude, bool):
-            raise ValueError(f"magnitude must be 1.0 for {kind.value} events")
+        timestamp_ms, magnitude = _checked_numbers(kind, timestamp_ms, magnitude)
         return tuple.__new__(
             cls, (kind, engineer_id, file_path, timestamp_ms, magnitude, commit_ref)
         )
@@ -109,14 +106,12 @@ def SORT_KEY(event: ContributionEvent) -> tuple:
     return timestamp_ms, KIND_ORDER[kind], engineer_id, file_path, commit_ref
 
 
-#: Real numbers, float and int first: checking the ``Real`` ABC alone costs ~10x.
-_REAL = (float, int, Real)
 _FLOAT_MAX = sys.float_info.max
 
 
 def check_meeting_minutes(minutes) -> None:
-    """Reject meeting minutes that are a bool or not a real number in (0, largest float]."""
-    if isinstance(minutes, bool) or not isinstance(minutes, _REAL) or not 0 < minutes <= _FLOAT_MAX:
+    """Reject meeting minutes that are a bool or not an int or float in (0, largest float]."""
+    if isinstance(minutes, bool) or not isinstance(minutes, (float, int)) or not 0 < minutes <= _FLOAT_MAX:
         try:
             shown = repr(minutes)
         except ValueError:  # an int past the digits str() prints, such as 10**5000
@@ -130,14 +125,32 @@ def canonical_order(events) -> list[ContributionEvent]:
     return sorted(events, key=SORT_KEY)
 
 
-class Credit(NamedTuple):
-    """One contribution of ``engineers`` to the files of one commit, from any channel.
+def checked_timestamp(value, name: str = "timestamp_ms") -> int:
+    """``value`` as a plain int; a bool or anything not an int is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value if value.__class__ is int else int(value)
 
-    It stands for a ``kind`` event of each engineer on each of ``file_paths``;
-    ``credit_events`` spells those events out. ``magnitude`` is a meeting's
-    minutes; the events of every other kind have magnitude 1.0.
-    """
 
+def _checked_numbers(kind: EventKind, timestamp_ms, magnitude) -> tuple[int, float]:
+    """The stored ``(timestamp_ms, magnitude)`` of a ``kind`` contribution: the
+    plain int, and for a MEETING the plain int or float of minutes that pass
+    ``check_meeting_minutes``, else 1.0, which the magnitude must equal."""
+    if kind.__class__ is not EventKind:  # a str equal to a kind's value is not one
+        raise ValueError(f"kind must be an EventKind, got {kind!r}")
+    if timestamp_ms.__class__ is not int:
+        timestamp_ms = checked_timestamp(timestamp_ms)
+    if kind is not EventKind.MEETING:
+        if magnitude != 1.0 or isinstance(magnitude, bool):
+            raise ValueError(f"magnitude must be 1.0 for {kind.value} events")
+        return timestamp_ms, 1.0
+    if magnitude.__class__ is float and 0.0 < magnitude <= _FLOAT_MAX:  # the common case, inline
+        return timestamp_ms, magnitude
+    check_meeting_minutes(magnitude)
+    return timestamp_ms, float(magnitude) if isinstance(magnitude, float) else int(magnitude)
+
+
+class _CreditFields(NamedTuple):
     engineers: tuple[str, ...]
     commit_ref: str
     timestamp_ms: int
@@ -146,24 +159,39 @@ class Credit(NamedTuple):
     kind: EventKind = EventKind.MEETING
 
 
-def _event_magnitude(kind: EventKind, magnitude) -> float:
-    """The magnitude of a credit's events: checked minutes for MEETING, else 1.0."""
-    if kind is EventKind.MEETING:
-        check_meeting_minutes(magnitude)
-        return magnitude
-    return 1.0
+class Credit(_CreditFields):
+    """One contribution of ``engineers`` to the files of one commit, from any channel.
+
+    It stands for a ``kind`` event of each engineer on each of ``file_paths``;
+    ``credit_events`` spells those events out. ``magnitude`` is a meeting's
+    minutes, and 1.0 for every other kind. The constructor checks ``kind``,
+    ``timestamp_ms`` and ``magnitude`` by the rule events follow, and
+    ``_make``, ``_replace``, pickle and copy go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, engineers: tuple[str, ...], commit_ref: str, timestamp_ms: int, magnitude: float,
+        file_paths: tuple[str, ...], kind: EventKind = EventKind.MEETING,
+    ) -> "Credit":
+        timestamp_ms, magnitude = _checked_numbers(kind, timestamp_ms, magnitude)
+        return tuple.__new__(cls, (engineers, commit_ref, timestamp_ms, magnitude, file_paths, kind))
+
+    @classmethod
+    def _make(cls, fields) -> "Credit":
+        """The credit of the six fields, built and checked by the constructor."""
+        return cls(*fields)
 
 
 def credit_events(credit) -> Iterator[ContributionEvent]:
     """The events of each credit: one per engineer and file, engineer by engineer.
 
-    The rows skip the constructor's per-event checks: a MEETING credit's
-    minutes are checked once and are its rows' magnitude; every other row's
-    magnitude is 1.0, whatever its credit's ``magnitude`` holds.
+    The rows skip the event constructor: each holds its credit's kind,
+    timestamp and magnitude, which the ``Credit`` constructor checked.
     """
     new, event = tuple.__new__, ContributionEvent
     for engineers, ref, timestamp_ms, magnitude, paths, kind in credit:
-        magnitude = _event_magnitude(kind, magnitude)
         for engineer in engineers:
             for path in paths:
                 yield new(event, (kind, engineer, path, timestamp_ms, magnitude, ref))
@@ -191,16 +219,12 @@ def canonical_blocks(credit, cell) -> Iterator[tuple[int, EventKind, str, list]]
     by timestamp, and the cells of one block by ``(path, commit_ref)``, ties
     in input order, so the blocks spell out exactly ``canonical_order`` of
     ``credit_events(credit)``. Blocks with the same credit share one list
-    (all attendees of a meeting do), which is built once. A MEETING credit's
-    minutes are checked once; every other cell sees magnitude 1.0.
+    (all attendees of a meeting do), which is built once.
     """
     for timestamp_ms, group in groupby(sorted(credit, key=_TIMESTAMP), key=_TIMESTAMP):
         group = list(group)
         members: dict[tuple[int, str], list[int]] = {}
         for i, c in enumerate(group):
-            magnitude = _event_magnitude(c.kind, c.magnitude)
-            if magnitude.__class__ is not c.magnitude.__class__ or magnitude != c.magnitude:
-                group[i] = c._replace(magnitude=magnitude)
             rank = KIND_ORDER[c.kind]
             for engineer in c.engineers:
                 members.setdefault((rank, engineer), []).append(i)

@@ -24,7 +24,9 @@ from .errors import ConfigError
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
 # canonical_order is not called here; perfbench/probes.py wraps this binding
-from .model import AlgorithmParams, CanonicalEvents, Credit, canonical_order, format_instant
+from .model import (
+    INSTANT_RANGE_MS, AlgorithmParams, CanonicalEvents, Credit, canonical_order, format_instant,
+)
 
 ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
@@ -107,6 +109,9 @@ def run_analysis(
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHM_CHOICES)}"
         )
+    # an int subclass would make ``in`` walk the range; prepare_ledgers rejects other types
+    if isinstance(as_of_ms, int) and int(as_of_ms) not in INSTANT_RANGE_MS:
+        raise ConfigError("as_of_ms is outside the years 1-9999 UTC")
     if params is None:
         params = AlgorithmParams()
 

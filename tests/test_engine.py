@@ -179,21 +179,16 @@ class TestMeetingTerm:
         ids=["negative", "zero", "nan", "inf", "bool", "past-float", "past-str-limit"],
     )
     def test_credit_minutes_meet_the_meeting_event_rule(self, minutes):
-        credit = [Credit(("m",), "c1", 0, minutes, ("a.txt",))]
-        with pytest.raises(InputDataError, match="meeting credit for commit 'c1': magnitude"):
-            build_ledgers(credit)
+        with pytest.raises(ValueError, match="^magnitude must be a finite number > 0 for meeting"):
+            Credit(("m",), "c1", 0, minutes, ("a.txt",))
         with pytest.raises(ValueError):
             ContributionEvent(EventKind.MEETING, "m", "a.txt", 0, magnitude=minutes)
 
     @pytest.mark.parametrize("minutes", ["60", None], ids=["str", "none"])
     def test_credit_minutes_that_are_not_numbers_are_one_line_errors(self, minutes):
-        credit = [Credit(("m",), "c1", 0, minutes, ("a.txt",))]
-        message = (
-            r"^meeting credit for commit 'c1': magnitude must be a finite number > 0 "
-            rf"for meeting events, got {minutes!r}$"
-        )
-        with pytest.raises(InputDataError, match=message):
-            build_ledgers(credit)
+        message = rf"^magnitude must be a finite number > 0 for meeting events, got {minutes!r}$"
+        with pytest.raises(ValueError, match=message):
+            Credit(("m",), "c1", 0, minutes, ("a.txt",))
         with pytest.raises(ValueError, match="magnitude must be a finite number > 0"):
             ContributionEvent(EventKind.MEETING, "m", "a.txt", 0, magnitude=minutes)
 
@@ -643,6 +638,12 @@ class TestAnalyze:
         with pytest.raises(ClockSkewError, match="as-of|as_of|instant"):
             prepare_ledgers(event_credit(events), ["f.txt"], day_ms(5))
 
+    @pytest.mark.parametrize("as_of_ms", [math.nan, "5", True], ids=["nan", "str", "bool"])
+    def test_as_of_must_be_an_int(self, as_of_ms):
+        credit = [Credit(("a",), "c1", 0, 1.0, ("f.txt",), EventKind.COMMIT)]
+        with pytest.raises(InputDataError, match=f"^as_of_ms must be an int, got {as_of_ms!r}$"):
+            prepare_ledgers(credit, None, as_of_ms)
+
     def test_as_of_defaults_to_newest_event(self):
         events = [
             ContributionEvent(EventKind.FIRST_AUTHORSHIP, "a", "f.txt", day_ms(0)),
@@ -674,9 +675,8 @@ class TestAnalyze:
 
     def test_credit_of_an_unknown_kind_rejected(self):
         # a str enum equals its value, so "meeting" would pass for EventKind.MEETING
-        credit = [Credit(("m",), "c7", 0, 60.0, ("a.txt",), "meeting")]
-        with pytest.raises(InputDataError, match=r"^credit for commit 'c7': unknown kind 'meeting'$"):
-            build_ledgers(credit)
+        with pytest.raises(ValueError, match=r"^kind must be an EventKind, got 'meeting'$"):
+            Credit(("m",), "c7", 0, 60.0, ("a.txt",), "meeting")
 
     def test_first_authorship_credit_of_two_engineers_rejected(self):
         credit = [Credit(("a", "b"), "c1", 0, 1.0, ("f.txt",), EventKind.FIRST_AUTHORSHIP)]

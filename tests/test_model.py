@@ -1,18 +1,24 @@
 import copy
+import io
 import math
 import pickle
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from busfactor.errors import ClockSkewError, ConfigError
-from busfactor.eventlog import FIELDS
+from busfactor.eventlog import FIELDS, write_event_log
 from busfactor.model import (
     KIND_ORDER,
     MS_PER_DAY,
     SORT_KEY,
     AlgorithmParams,
+    CanonicalEvents,
     ContributionEvent,
+    Credit,
     EventKind,
     age_days,
     canonical_order,
@@ -158,6 +164,88 @@ class TestContributionEvent:
         b = ContributionEvent(EventKind.COMMIT, "b", "a.txt", day_ms(0))
         a2 = ContributionEvent(EventKind.COMMIT, "a", "b.txt", day_ms(0))
         assert canonical_order([b, a, a2]) == [a2, a, b]
+
+
+def _event(kind, timestamp_ms, magnitude):
+    return ContributionEvent(kind, "a", "f", timestamp_ms, magnitude, "c1")
+
+
+def _credit(kind, timestamp_ms, magnitude):
+    return Credit(("a",), "c1", timestamp_ms, magnitude, ("f",), kind)
+
+
+BUILDS = [pytest.param(_event, id="event"), pytest.param(_credit, id="credit")]
+
+
+class _Stamp(int):
+    pass
+
+
+class _Minutes(float):
+    pass
+
+
+class TestRecordRule:
+    """``ContributionEvent`` and ``Credit`` hold kind, timestamp and magnitude to one rule."""
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize(
+        "timestamp_ms", ["7", 1.5, math.nan, True, Fraction(1, 2)],
+        ids=["str", "float", "nan", "bool", "fraction"],
+    )
+    def test_timestamps_must_be_ints(self, build, timestamp_ms):
+        message = "^" + re.escape(f"timestamp_ms must be an int, got {timestamp_ms!r}") + "$"
+        good = build(EventKind.COMMIT, day_ms(0), 1.0)
+        fields = {**good._asdict(), "timestamp_ms": timestamp_ms}
+        forged = tuple.__new__(type(good), fields.values())  # skips the constructor
+        for make in (
+            lambda: build(EventKind.COMMIT, timestamp_ms, 1.0),
+            lambda: type(good)._make(fields.values()),
+            lambda: good._replace(timestamp_ms=timestamp_ms),
+            lambda: pickle.loads(pickle.dumps(forged)),
+            lambda: copy.copy(forged),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    def test_a_str_timestamp_fails_when_the_event_is_built(self):
+        # it used to build, and fitting the estimator on it ended in a TypeError traceback
+        with pytest.raises(ValueError, match="^timestamp_ms must be an int, got '7'$"):
+            ContributionEvent(EventKind.COMMIT, "a", "f", "7")
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_number_subclasses_are_stored_as_plain_numbers(self, build):
+        meeting = build(EventKind.MEETING, _Stamp(5), _Minutes(30.5))
+        assert type(meeting.timestamp_ms) is int and meeting.timestamp_ms == 5
+        assert type(meeting.magnitude) is float and meeting.magnitude == 30.5
+        assert type(build(EventKind.MEETING, 5, _Stamp(30)).magnitude) is int
+        assert type(build(EventKind.COMMIT, 5, 1).magnitude) is float
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("kind", [EventKind.FIRST_AUTHORSHIP, EventKind.COMMIT, EventKind.REVIEW])
+    @pytest.mark.parametrize("magnitude", [2.5, 0, math.nan, True, "1", None])
+    def test_other_kinds_take_magnitude_one_only(self, build, kind, magnitude):
+        # a Credit used to count any of these as 1.0
+        with pytest.raises(ValueError, match=f"^magnitude must be 1.0 for {kind.value} events$"):
+            build(kind, 0, magnitude)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("minutes", [Fraction(1, 2), Decimal("30")], ids=["fraction", "decimal"])
+    def test_minutes_are_an_int_or_a_float(self, build, minutes):
+        with pytest.raises(ValueError, match="^magnitude must be a finite number > 0 for meeting"):
+            build(EventKind.MEETING, 0, minutes)
+
+    @pytest.mark.parametrize("kind", [EventKind.FIRST_AUTHORSHIP, EventKind.COMMIT, EventKind.REVIEW])
+    def test_an_event_and_its_credit_write_the_same_bytes(self, kind):
+        event, credit = _event(kind, 0, 1), _credit(kind, 0, 1)
+        assert event.magnitude == credit.magnitude == 1.0
+        assert type(event.magnitude) is type(credit.magnitude) is float
+        written = []
+        for events in ([event], CanonicalEvents([credit])):
+            sink = io.StringIO()
+            write_event_log(events, sink)
+            written.append(sink.getvalue())
+        assert written[0] == written[1] and '"magnitude":1.0,' in written[0]
 
 
 class TestAlgorithmParams:

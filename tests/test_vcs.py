@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,7 @@ from busfactor.gitvcs import (
     traverse_branch,
 )
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import EventKind
+from busfactor.model import INSTANT_RANGE_MS, EventKind
 from busfactor.pipeline import run_analysis
 
 from conftest import ALICE, BOB, CAROL, day_ms
@@ -456,6 +457,15 @@ class TestHeadResolution:
         message = r"^unknown algorithm 'nope'; expected one of multimodal, baseline, both$"
         with pytest.raises(ConfigError, match=message):
             run_analysis(single_owner_repo.path, algorithm="nope")
+
+    @pytest.mark.parametrize("as_of_ms", [10**30, -(10**30), INSTANT_RANGE_MS.stop])
+    def test_as_of_outside_the_printable_years_is_a_config_error(self, single_owner_repo, as_of_ms):
+        with pytest.raises(ConfigError, match=r"^as_of_ms is outside the years 1-9999 UTC$"):
+            run_analysis(single_owner_repo.path, as_of_ms=as_of_ms)
+
+    def test_as_of_that_is_not_an_int_is_an_input_error(self, single_owner_repo):
+        with pytest.raises(InputDataError, match=r"^as_of_ms must be an int, got nan$"):
+            run_analysis(single_owner_repo.path, as_of_ms=math.nan)
 
     def test_detached_head_analyzes_the_checked_out_commit(self, quarter_owners_repo):
         on_main = run_analysis(quarter_owners_repo.path).report
