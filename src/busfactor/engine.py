@@ -357,6 +357,16 @@ class Ledgers:
     as_of_ms: int
 
 
+def checked_as_of(as_of_ms, name: str = "as_of_ms") -> int | None:
+    """``as_of_ms`` as a plain int, or None; any other value is an InputDataError naming ``name``."""
+    if as_of_ms is None:
+        return None
+    try:
+        return checked_timestamp(as_of_ms, name)
+    except ValueError as exc:
+        raise InputDataError(str(exc)) from None
+
+
 def prepare_ledgers(
     credit: Iterable[Credit], live_files=None, as_of_ms: int | None = None
 ) -> Ledgers:
@@ -371,11 +381,7 @@ def prepare_ledgers(
     with none. Anything newer than it is a clock-skew error naming the first
     event of ``canonical_blocks`` of the late credit.
     """
-    if as_of_ms is not None:
-        try:
-            as_of_ms = checked_timestamp(as_of_ms, "as_of_ms")
-        except ValueError as exc:
-            raise InputDataError(str(exc)) from None
+    as_of_ms = checked_as_of(as_of_ms)
     if not isinstance(credit, (list, tuple)):
         credit = list(credit)
     files = build_ledgers(credit)

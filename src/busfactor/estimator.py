@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import inspect
 
-from .engine import analyze, prepare_ledgers
+from .engine import analyze, checked_as_of, prepare_ledgers
 from .errors import InputDataError
 from .eventlog import events_from_records
 from .model import AlgorithmParams, event_credit, parse_instant
@@ -83,10 +83,10 @@ class BusFactorEstimator:
     def _algorithm_params(self) -> AlgorithmParams:
         return AlgorithmParams(**{n: getattr(self, n) for n in AlgorithmParams.field_names()})
 
-    def _resolve_as_of(self):
-        """``as_of`` with a string parsed; ``prepare_ledgers`` checks any other value."""
+    def _resolve_as_of(self) -> int | None:
+        """``as_of`` as epoch milliseconds, an ISO-8601 string parsed."""
         if not isinstance(self.as_of, str):
-            return self.as_of
+            return checked_as_of(self.as_of, "as_of")
         try:
             return parse_instant(self.as_of)
         except ValueError as exc:

@@ -138,14 +138,11 @@ def _checked_numbers(kind: EventKind, timestamp_ms, magnitude) -> tuple[int, flo
     ``check_meeting_minutes``, else 1.0, which the magnitude must equal."""
     if kind.__class__ is not EventKind:  # a str equal to a kind's value is not one
         raise ValueError(f"kind must be an EventKind, got {kind!r}")
-    if timestamp_ms.__class__ is not int:
-        timestamp_ms = checked_timestamp(timestamp_ms)
+    timestamp_ms = checked_timestamp(timestamp_ms)
     if kind is not EventKind.MEETING:
         if magnitude != 1.0 or isinstance(magnitude, bool):
             raise ValueError(f"magnitude must be 1.0 for {kind.value} events")
         return timestamp_ms, 1.0
-    if magnitude.__class__ is float and 0.0 < magnitude <= _FLOAT_MAX:  # the common case, inline
-        return timestamp_ms, magnitude
     check_meeting_minutes(magnitude)
     return timestamp_ms, float(magnitude) if isinstance(magnitude, float) else int(magnitude)
 

@@ -19,7 +19,7 @@ from .collab import (
     parse_meetings,
     parse_reviews,
 )
-from .engine import ALGORITHMS, analyze, prepare_ledgers
+from .engine import ALGORITHMS, analyze, checked_as_of, prepare_ledgers
 from .errors import ConfigError
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
@@ -109,8 +109,8 @@ def run_analysis(
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHM_CHOICES)}"
         )
-    # an int subclass would make ``in`` walk the range; prepare_ledgers rejects other types
-    if isinstance(as_of_ms, int) and int(as_of_ms) not in INSTANT_RANGE_MS:
+    as_of_ms = checked_as_of(as_of_ms)
+    if as_of_ms is not None and as_of_ms not in INSTANT_RANGE_MS:
         raise ConfigError("as_of_ms is outside the years 1-9999 UTC")
     if params is None:
         params = AlgorithmParams()

@@ -213,6 +213,11 @@ class TestParamsProtocol:
         assert cloned.get_params() == est.get_params()
 
 
+def test_as_of_of_another_type_is_an_input_error_naming_as_of():
+    with pytest.raises(InputDataError, match=r"^as_of must be an int, got 3.5$"):
+        BusFactorEstimator(as_of=3.5).fit(quarter_events())
+
+
 def test_unparsable_as_of_string_is_an_input_error():
     with pytest.raises(InputDataError, match="^as_of: not an ISO-8601 instant: 'garbage'$"):
         BusFactorEstimator(as_of="garbage").fit(quarter_events())

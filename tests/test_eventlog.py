@@ -319,8 +319,6 @@ def test_number_subclasses_are_written_as_json_writes_them():
 @pytest.mark.parametrize("field", ["timestamp_ms", "magnitude"])
 def test_numbers_json_cannot_write_are_rejected(field):
     credit = Credit(("a@x.io",), "c1", T, 30.0, ("src/a.py",))
-    with pytest.raises(TypeError):
-        json.dumps(Fraction(1, 2))
     message = {"timestamp_ms": r"^timestamp_ms must be an int, got Fraction\(1, 2\)$",
                "magnitude": r"finite number > 0 for meeting events, got Fraction\(1, 2\)$"}[field]
     with pytest.raises(ValueError, match=message):

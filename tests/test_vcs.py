@@ -463,9 +463,10 @@ class TestHeadResolution:
         with pytest.raises(ConfigError, match=r"^as_of_ms is outside the years 1-9999 UTC$"):
             run_analysis(single_owner_repo.path, as_of_ms=as_of_ms)
 
-    def test_as_of_that_is_not_an_int_is_an_input_error(self, single_owner_repo):
+    def test_as_of_that_is_not_an_int_is_an_input_error(self, tmp_path):
+        # checked before git runs: the directory is not a repository
         with pytest.raises(InputDataError, match=r"^as_of_ms must be an int, got nan$"):
-            run_analysis(single_owner_repo.path, as_of_ms=math.nan)
+            run_analysis(tmp_path, as_of_ms=math.nan)
 
     def test_detached_head_analyzes_the_checked_out_commit(self, quarter_owners_repo):
         on_main = run_analysis(quarter_owners_repo.path).report
