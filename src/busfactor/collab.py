@@ -2,9 +2,11 @@
 
 Both channels arrive as JSON arrays and are joined to the commit history:
 reviews attach to the exact commits they approved, meetings attach to the
-commits their attendees authored nearby in time. Each channel produces one
-credit per (review or meeting, commit) match, which stands for its events on
-the head-live files of that commit.
+commits their attendees authored nearby in time. A commit is its COMMIT
+credit in ``commit_index``, authored by ``engineers[0]``. Each channel
+produces one credit per (review or meeting, commit) match, which stands for
+its events on the head-live files of that commit; a record's numbers pass
+the ``Credit`` check once, and its matches carry the checked numbers.
 
 Every actor names an email or a profile ref that is not blank, and resolves
 through an ``IdentityIndex`` that must be built from every actor passed in.
@@ -15,7 +17,6 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .errors import InputDataError
-from .gitvcs import CommitKnowledge
 from .identity import IdentityIndex, RawActor
 from .inputs import field, instant, load_json, warn
 from .model import (
@@ -157,7 +158,7 @@ def _resolve_ids(actors, identity: IdentityIndex) -> tuple[str, ...]:
 
 def emit_review_events(
     reviews: list[ReviewRecord],
-    commit_index: dict[str, CommitKnowledge],
+    commit_index: dict[str, Credit],
     identity: IdentityIndex,
     *,
     warnings: list[str] | None = None,
@@ -168,31 +169,34 @@ def emit_review_events(
     commit's author (no self-reviews), and the commit's own ``file_paths``
     tuple; a commit with no such reviewer or no live file earns none. Commit
     ids that never reached the analyzed branch are skipped with a warning.
+    ``completed_at_ms`` must pass the ``Credit`` check, matched or not.
     """
     credit: list[Credit] = []
+    new, review = tuple.__new__, EventKind.REVIEW
     for review_id, reviewers, commit_ids, completed_at_ms, _ in reviews:
+        completed_at_ms = Credit((), "", completed_at_ms, 1.0, (), review).timestamp_ms
         reviewer_ids = _resolve_ids(reviewers, identity)
         for commit_id in dict.fromkeys(commit_ids):
-            knowledge = commit_index.get(commit_id)
-            if knowledge is None:
+            commit = commit_index.get(commit_id)
+            if commit is None:
                 warn(
                     warnings,
                     f"review {review_id!r} references commit {commit_id} "
                     f"not on the analyzed branch; skipped",
                 )
                 continue
-            author_id, _, paths = knowledge
-            engineers = tuple(e for e in reviewer_ids if e != author_id)
+            author, paths = commit.engineers[0], commit.file_paths
+            engineers = tuple(e for e in reviewer_ids if e != author)
             if engineers and paths:
                 credit.append(
-                    Credit(engineers, commit_id, completed_at_ms, 1.0, paths, EventKind.REVIEW)
+                    new(Credit, (engineers, commit_id, completed_at_ms, 1.0, paths, review))
                 )
     return credit
 
 
 def emit_meeting_events(
     meetings: list[MeetingRecord],
-    commit_index: dict[str, CommitKnowledge],
+    commit_index: dict[str, Credit],
     identity: IdentityIndex,
     *,
     window_days: int = AlgorithmParams.meeting_window_days,
@@ -205,29 +209,29 @@ def emit_meeting_events(
     the meeting's deduplicated attendees in input order and the commit's
     own ``file_paths`` tuple (a commit without live files earns none). The
     credit comes meeting by meeting in input order, each meeting's commits
-    by timestamp, then commit id.
+    by timestamp, then commit id. ``start_ms`` and ``duration_minutes`` must
+    pass the ``Credit`` check, matched or not.
     """
     if not meetings:
         return []  # nothing to join: skip sorting the history
     window_ms = window_days * int(MS_PER_DAY)
-    timeline = sorted(  # commit ids are unique, so no two knowledges are compared
-        (k.timestamp_ms, commit_id, k)
-        for commit_id, k in commit_index.items()
-        if k.file_paths
+    timeline = sorted(  # commit ids are unique, so no two credits are compared
+        (commit.timestamp_ms, commit_id, commit)
+        for commit_id, commit in commit_index.items()
+        if commit.file_paths
     )
     stamps = [ts for ts, _, _ in timeline]
     credit: list[Credit] = []
-    for meeting in meetings:
-        attendees = _resolve_ids(meeting.participants, identity)
+    new, meeting_kind = tuple.__new__, EventKind.MEETING
+    for _, participants, start, minutes, _ in meetings:
+        _, _, start, minutes, _, _ = Credit((), "", start, minutes, (), meeting_kind)
+        attendees = _resolve_ids(participants, identity)
         authors = set(attendees)
-        lo = bisect_left(stamps, meeting.start_ms - window_ms)
-        hi = bisect_right(stamps, meeting.start_ms + window_ms)
+        lo = bisect_left(stamps, start - window_ms)
+        hi = bisect_right(stamps, start + window_ms)
         credit.extend(
-            Credit(
-                attendees, commit_id, meeting.start_ms,
-                meeting.duration_minutes, k.file_paths, EventKind.MEETING,
-            )
-            for _, commit_id, k in timeline[lo:hi]
-            if k.author_id in authors
+            new(Credit, (attendees, commit_id, start, minutes, commit.file_paths, meeting_kind))
+            for _, commit_id, commit in timeline[lo:hi]
+            if commit.engineers[0] in authors
         )
     return credit

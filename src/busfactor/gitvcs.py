@@ -6,6 +6,9 @@ for the files live at its head. Merge commits contribute only the paths whose
 content differs from every parent (the conflict resolutions); a rename moves
 a file's history to its new path, and a pure rename contributes nothing.
 Commit authors resolve through an ``IdentityIndex`` built from all of them.
+A commit's one record is its COMMIT credit, which ``commit_index`` maps to.
+Git prints UTF-8 and root-relative paths whatever the user's config, so a
+``repo_path`` inside a work tree reads the whole repository.
 """
 from __future__ import annotations
 
@@ -59,17 +62,10 @@ class BranchSnapshot(NamedTuple):
     live_files: frozenset[str]
 
 
-class CommitKnowledge(NamedTuple):
-    """Per-commit summary the review/meeting channels attach to."""
-
-    author_id: str
-    timestamp_ms: int
-    file_paths: tuple[str, ...]
-
-
 class VcsIngestion(NamedTuple):
     credit: list[Credit]
-    commit_index: dict[str, CommitKnowledge]
+    #: commit id -> that commit's COMMIT credit, the very object in ``credit``
+    commit_index: dict[str, Credit]
 
     @property
     def events(self) -> list[ContributionEvent]:
@@ -110,9 +106,7 @@ def _git(repo_path, *args: str, allowed: tuple[int, ...] = ()) -> tuple[int, str
 
 def _query(repo_path, *args: str) -> str | None:
     """Answer of a git query, or None when git says no (exit status 1)."""
-    code, out = _git(repo_path, *args, allowed=(1, 128))
-    if code == 128:
-        raise RepositoryError(f"not a git repository: {repo_path}")
+    code, out = _git(repo_path, *args, allowed=(1,))
     return out.strip() if code == 0 else None
 
 
@@ -231,14 +225,16 @@ def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
     The order is a deterministic depth-first topological order ending with
     the head. Each record carries its changed files: rename detection for
     ordinary commits, the intersection over parents for merges. One
-    ``git log`` lists every commit, a merge once per parent.
+    ``git log`` lists every commit, a merge once per parent, with its names
+    in UTF-8 and its paths relative to the root, whatever the user's config.
     """
     head = _resolve_head(repo_path, branch or default_branch(repo_path))
     if head is None:
         return []
     _, out = _git(
         repo_path, "log", head, "--name-status", "-z", "--root", "--diff-merges=separate",
-        f"--find-renames={RENAME_THRESHOLD}", "--format=%x01%H%x00%P%x00%ae%x00%an%x00%at",
+        "--encoding=UTF-8", "--no-relative", f"--find-renames={RENAME_THRESHOLD}",
+        "--format=%x01%H%x00%P%x00%ae%x00%an%x00%at",
     )
     records: dict[str, CommitRecord] = {}
     parents_of: dict[str, tuple[str, ...]] = {}
@@ -257,14 +253,14 @@ def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
 
 
 def snapshot_branch(repo_path, head: str | None) -> BranchSnapshot:
-    """The file paths present at ``head``; none when the branch is unborn (None).
+    """The file paths present at ``head`` from its root; none when unborn (None).
 
     ``head`` is the commit ``traverse_branch`` ended with, so the snapshot
     and the history read the same commit.
     """
     if head is None:
         return BranchSnapshot(live_files=frozenset())
-    _, out = _git(repo_path, "ls-tree", "-r", "-z", "--name-only", head)
+    _, out = _git(repo_path, "ls-tree", "-r", "-z", "--full-tree", "--name-only", head)
     return BranchSnapshot(live_files=frozenset(p for p in out.split("\x00") if p))
 
 
@@ -295,13 +291,13 @@ def emit_vcs_events(
     history to the new path without adding knowledge; files absent from the
     head snapshot are dropped. The credit comes in fold order: first
     authorships by path, then one COMMIT credit per commit in history order,
-    which shares its ``file_paths`` with the commit's ``commit_index`` entry.
-    A commit with no live file still gets one, with no files: it dates the run.
+    which is also the commit's ``commit_index`` entry. A commit with no live
+    file still gets one, with no files: it dates the run.
 
     ``identity`` must be built from every commit author; each distinct
     (name, email) pair is resolved once. An author with a blank email is the
     engineer ``merge_identities`` made of its name, and the first one of each
-    raw email string is named in one warning.
+    raw email string is named in one warning that says so.
     """
     state: dict[str, _FileState] = {}
     engineer_of: dict[tuple[str, str], tuple[str]] = {}
@@ -318,8 +314,8 @@ def emit_vcs_events(
                 blank_warned.add(email)
                 warn(
                     warnings,
-                    f"author <{email}> missing from identity map; "
-                    f"attributed to new engineer '{author[0]}'",
+                    f"author <{email}> has a blank email; "
+                    f"merged by name into engineer '{author[0]}'",
                 )
         touched: list[str] = []
         folded.append((author, commit_id, ts, touched))
@@ -354,7 +350,7 @@ def emit_vcs_events(
 
     commit_index = {}
     for author, commit_id, ts, touched in folded:
-        paths = tuple(touched)
-        commit_index[commit_id] = new(CommitKnowledge, (author[0], ts, paths))
-        credit.append(new(Credit, (author, commit_id, ts, 1.0, paths, commit)))
+        record = new(Credit, (author, commit_id, ts, 1.0, tuple(touched), commit))
+        credit.append(record)
+        commit_index[commit_id] = record
     return VcsIngestion(credit, commit_index)

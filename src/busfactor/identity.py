@@ -2,11 +2,12 @@
 
 Raw actors observed in commits, reviews, and meetings are collapsed into
 canonical Engineers: two actors belong to the same person when they share a
-normalized email or a stripped profile ref, transitively. Blank keys join
-nothing, so actors with neither key (commit authors with an empty email)
-merge by their stripped name. An ``IdentityIndex`` built from the engineers
-resolves every actor they were merged from, and raises for an actor that
-shares no key with any of them.
+key, transitively. One rule (``_keys``) gives an actor's keys: its
+normalized email and its stripped profile ref, each unless blank, and with
+neither (a commit author with an empty email) its stripped name. Merging
+unions by those keys, and an ``IdentityIndex`` built from the engineers
+resolves an actor by the first of them it indexes, and raises for an actor
+that shares no key with any of them.
 """
 from __future__ import annotations
 
@@ -37,6 +38,14 @@ def _engineer_id(emails: set[str], profile_refs: set[str], names: set[str]) -> s
         if pool:
             return min(pool)
     return "unknown"
+
+
+def _keys(actor: RawActor) -> list[tuple[str, str]]:
+    """The ``(kind, key)`` pairs ``actor`` merges and resolves by, in the order
+    they are tried: its normalized email and stripped profile ref, each unless
+    blank; with neither, its stripped name."""
+    keys = [k for k in (("email", normalize_email(actor.email)), ("ref", _ref(actor))) if k[1]]
+    return keys or [("name", actor.name.strip())]
 
 
 def _distinct_ids(engineers: list[Engineer]) -> list[Engineer]:
@@ -84,23 +93,19 @@ class _UnionFind:
 
 
 def merge_identities(raw_actors) -> list[Engineer]:
-    """Collapse actors sharing an email or profile ref into canonical Engineers.
+    """Collapse actors that share a key (``_keys``), transitively, into Engineers.
 
-    Emails are lowercased and trimmed, and profile refs trimmed, before
-    comparison; the closure is transitive over both keys. A key that trims
-    to "" joins nothing, so actors with neither key merge by their stripped
-    name (``unknown`` when blank). Ids are unique (``_distinct_ids``). The
-    result is sorted by engineer id and is independent of input order.
-    Idempotent: feeding the output identities back in yields the same partition.
+    An engineer's id is its smallest email, else profile ref, else name
+    (``unknown`` with none); ids are unique (``_distinct_ids``). The result
+    is sorted by engineer id and is independent of input order. Idempotent:
+    feeding the output identities back in yields the same partition.
     """
     actors = list(raw_actors)
     uf = _UnionFind()
     first: dict[tuple[str, str], int] = {}  # (kind, key) -> first actor holding it
     for i, actor in enumerate(actors):
         uf.add(i)
-        # a blank key joins nothing; an actor with neither key joins by name
-        keys = [k for k in (("email", normalize_email(actor.email)), ("ref", _ref(actor))) if k[1]]
-        for key in keys or [("name", actor.name.strip())]:
+        for key in _keys(actor):
             uf.union(i, first.setdefault(key, i))
 
     groups: dict[int, list[RawActor]] = {}
@@ -131,28 +136,20 @@ class IdentityIndex:
     """
 
     def __init__(self, engineers) -> None:
-        self._by_email: dict[str, str] = {}
-        self._by_profile: dict[str, str] = {}
-        self._by_name: dict[str, str] = {}  # engineers with neither key
+        self._ids: dict[tuple[str, str], str] = {}  # an actor's key -> engineer id
         for eng in engineers:
-            self._by_email.update(dict.fromkeys(eng.emails, eng.id))
-            self._by_profile.update(dict.fromkeys(eng.profile_refs, eng.id))
-            if not (eng.emails or eng.profile_refs):
-                self._by_name.update(dict.fromkeys(eng.names or ("",), eng.id))
+            keys = [*(("email", e) for e in eng.emails), *(("ref", r) for r in eng.profile_refs)]
+            # an engineer with neither key was merged by name
+            keys = keys or [("name", n) for n in eng.names or ("",)]
+            self._ids.update(dict.fromkeys(keys, eng.id))
 
     def resolve(self, actor: RawActor) -> str:
-        """The engineer id of ``actor``: by its normalized email, then its
-        stripped profile ref, and by its stripped name when it has neither.
+        """The engineer id of the first key of ``actor`` (``_keys``) the index holds.
 
         Raises InputDataError for an actor the index was not built from.
         """
-        email, ref = normalize_email(actor.email), _ref(actor)
-        if email or ref:
-            found = self._by_email.get(email)
-            if found is None:
-                found = self._by_profile.get(ref)
-        else:
-            found = self._by_name.get(actor.name.strip())
-        if found is None:
-            raise InputDataError(f"{actor!r} is not in the identity index")
-        return found
+        for key in _keys(actor):
+            found = self._ids.get(key)
+            if found is not None:
+                return found
+        raise InputDataError(f"{actor!r} is not in the identity index")

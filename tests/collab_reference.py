@@ -32,7 +32,7 @@ def emit_meeting_events(
                 attendee_ids.append(engineer)
         attendees = set(attendee_ids)
         for commit_id, knowledge in commit_index.items():
-            if knowledge.author_id not in attendees:
+            if knowledge.engineers[0] not in attendees:
                 continue
             if abs(meeting.start_ms - knowledge.timestamp_ms) > window_ms:
                 continue

@@ -34,7 +34,7 @@ def emit_review_events(reviews, commit_index, identity):
                 continue
             knowledge = commit_index[commit_id]
             for engineer in reviewer_ids:
-                if engineer == knowledge.author_id:
+                if engineer == knowledge.engineers[0]:
                     continue
                 for path in knowledge.file_paths:
                     events.append(

@@ -570,8 +570,8 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines() == [
-            "busfactor: WARNING: author <> missing from identity map; "
-            "attributed to new engineer 'Nobody'"
+            "busfactor: WARNING: author <> has a blank email; "
+            "merged by name into engineer 'Nobody'"
         ]
 
     def test_second_blank_email_author_is_its_own_engineer_without_a_second_warning(
@@ -583,7 +583,7 @@ class TestExitCodes:
         repo.commit("edit", {"a.txt": "a2\n"}, author=("Nobody", ""), day=2)
         proc = fresh_cli(sys.executable, "analyze", "--repo", str(repo.path))
         assert proc.returncode == 0, proc.stderr
-        warning = "author <> missing from identity map; attributed to new engineer 'Nobody'"
+        warning = "author <> has a blank email; merged by name into engineer 'Nobody'"
         assert proc.stderr == f"busfactor: WARNING: {warning}\n"
         report = json.loads(proc.stdout)
         assert report["warnings"] == [warning]
@@ -775,7 +775,7 @@ class TestCollaborationChannels:
             "--reviews", reviews, "--meetings", meetings, "--dump-events", str(dump),
         )
         assert proc.returncode == 0, proc.stderr
-        assert "missing from identity map" not in proc.stderr
+        assert "has a blank email" not in proc.stderr
         assert json.loads(proc.stdout)["warnings"] == []
         by_kind = {}
         for event in read_event_log(dump):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,6 @@ from busfactor.collab import (
     parse_reviews,
 )
 from busfactor.errors import InputDataError
-from busfactor.gitvcs import CommitKnowledge
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
 from busfactor.model import Credit, EventKind, credit_events
 
@@ -147,18 +147,15 @@ class TestFilters:
         assert [m.id for m in kept] == ["b"]
 
 
+def commit_credit(author, ref, timestamp_ms, file_paths):
+    """The COMMIT credit a history gives commit ``ref``."""
+    return Credit((author,), ref, timestamp_ms, 1.0, file_paths, EventKind.COMMIT)
+
+
 def commit_index():
     return {
-        "c1": CommitKnowledge(
-            author_id="alice@example.com",
-            timestamp_ms=day_ms(0),
-            file_paths=("src/a.py", "src/b.py"),
-        ),
-        "c2": CommitKnowledge(
-            author_id="bob@example.com",
-            timestamp_ms=day_ms(1),
-            file_paths=("src/c.py",),
-        ),
+        "c1": commit_credit("alice@example.com", "c1", day_ms(0), ("src/a.py", "src/b.py")),
+        "c2": commit_credit("bob@example.com", "c2", day_ms(1), ("src/c.py",)),
     }
 
 
@@ -299,7 +296,7 @@ class TestMeetingEvents:
     def test_commit_without_live_files_earns_no_credit(self):
         index_with_gone = dict(
             commit_index(),
-            c0=CommitKnowledge(author_id="alice@example.com", timestamp_ms=day_ms(2), file_paths=()),
+            c0=commit_credit("alice@example.com", "c0", day_ms(2), ()),
         )
         credit = emit_meeting_events(
             parse_meetings(reviews_json(MEETING)),
@@ -344,3 +341,39 @@ class TestMeetingEvents:
             window_days=30,
         ))
         assert len(events) == 4
+
+
+class TestEachRecordCheckedOnce:
+    """A review's or meeting's numbers pass the ``Credit`` check once, matched or not,
+    and every match carries the checked numbers."""
+
+    @pytest.mark.parametrize("commit_ids", [("c1",), ("ghost",), ()])
+    def test_review_with_a_bool_instant_raises_matched_or_not(self, commit_ids):
+        bob = RawActor(email="bob@example.com")
+        review = ReviewRecord("R1", (bob,), commit_ids, True, "merged")
+        with pytest.raises(ValueError, match="timestamp_ms must be an int, got True"):
+            emit_review_events([review], commit_index(), make_index(bob))
+
+    @pytest.mark.parametrize("start", [day_ms(3), day_ms(100)])  # one match, and none
+    def test_meeting_with_nan_minutes_raises_matched_or_not(self, start):
+        alice = RawActor(email="alice@example.com")
+        meeting = MeetingRecord("m1", (alice,), start, math.nan, "sync")
+        with pytest.raises(ValueError, match="magnitude must be a finite number > 0"):
+            emit_meeting_events([meeting], commit_index(), make_index(alice))
+
+    def test_every_match_carries_the_checked_numbers(self):
+        class Stamp(int):
+            pass
+
+        alice, bob = RawActor(email="alice@example.com"), RawActor(email="bob@example.com")
+        index = make_index(alice, bob)
+        meeting = MeetingRecord("m1", (alice, bob), Stamp(day_ms(1)), 30, "sync")
+        review = ReviewRecord("R1", (alice, bob), ("c1", "c2"), Stamp(day_ms(2)), "merged")
+        credit = [
+            *emit_meeting_events([meeting], commit_index(), index),
+            *emit_review_events([review], commit_index(), index),
+        ]
+        assert [c.commit_ref for c in credit] == ["c1", "c2", "c1", "c2"]
+        assert {type(c.timestamp_ms) for c in credit} == {int}
+        assert [c.magnitude for c in credit] == [30, 30, 1.0, 1.0]
+        assert type(credit[0].magnitude) is int

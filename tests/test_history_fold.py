@@ -219,5 +219,7 @@ def test_one_pass_read_and_fold_match_the_naive_oracles(history):
         for e in canonical_order(ingestion.events)
     ] == expected.events
     assert {c: k.file_paths for c, k in ingestion.commit_index.items()} == expected.file_paths
-    assert {c: k.author_id for c, k in ingestion.commit_index.items()} == author_of
+    assert {c: k.engineers for c, k in ingestion.commit_index.items()} == {
+        c: (author,) for c, author in author_of.items()
+    }
     assert warnings == expected.warnings

@@ -8,12 +8,12 @@ from busfactor.errors import InputDataError
 from busfactor.gitvcs import (
     BranchSnapshot,
     ChangeKind,
-    CommitKnowledge,
     CommitRecord,
     FileChange,
     emit_vcs_events,
 )
 from busfactor.identity import Engineer, IdentityIndex, RawActor, merge_identities
+from busfactor.model import Credit, EventKind
 
 
 class TestMerging:
@@ -232,7 +232,7 @@ class TestIdentityIndex:
     def test_emitters_reject_an_actor_outside_the_index(self, emit):
         index = IdentityIndex(merge_identities([RawActor(name="A", email="a@example.com")]))
         zed = RawActor(name="Zed", email="zed@example.com")
-        knowledge = {"c1": CommitKnowledge("a@example.com", 0, ("a.txt",))}
+        knowledge = {"c1": Credit(("a@example.com",), "c1", 0, 1.0, ("a.txt",), EventKind.COMMIT)}
         added = (FileChange("a.txt", ChangeKind.ADDED),)
         calls = {
             "vcs": lambda: emit_vcs_events(

@@ -25,7 +25,7 @@ from busfactor.collab import (
 from busfactor.engine import ALGORITHMS, analyze, prepare_ledgers
 from busfactor.errors import ClockSkewError
 from busfactor.eventlog import write_event_log
-from busfactor.gitvcs import CommitKnowledge, emit_vcs_events, snapshot_branch, traverse_branch
+from busfactor.gitvcs import emit_vcs_events, snapshot_branch, traverse_branch
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
 from busfactor.model import (
     AlgorithmParams, Credit, EventKind, canonical_order, credit_events, event_credit,
@@ -72,15 +72,13 @@ meetings_st = st.lists(
 
 
 def vcs_credit(commit_index) -> list[Credit]:
-    credit = []
+    """The COMMIT credit of the index, then a first authorship of each path."""
+    credit = list(commit_index.values())
     first: dict[str, tuple[int, str, str]] = {}
     for ref, k in commit_index.items():
-        credit.append(
-            Credit((k.author_id,), ref, k.timestamp_ms, 1.0, k.file_paths, EventKind.COMMIT)
-        )
         for path in k.file_paths:
-            first[path] = min(first.get(path, (k.timestamp_ms, ref, k.author_id)),
-                              (k.timestamp_ms, ref, k.author_id))
+            first[path] = min(first.get(path, (k.timestamp_ms, ref, k.engineers[0])),
+                              (k.timestamp_ms, ref, k.engineers[0]))
     for path, (ts, ref, author) in first.items():
         credit.append(Credit((author,), ref, ts, 1.0, (path,), EventKind.FIRST_AUTHORSHIP))
     return credit
@@ -116,10 +114,9 @@ def reference_dump(events) -> str:
 def test_fold_matches_per_file_reference(commits, meetings, window_days, as_of_step):
     identity = IdentityIndex(merge_identities(ACTORS))
     commit_index = {
-        f"c{i}": CommitKnowledge(
-            author_id=identity.resolve(actor),
-            timestamp_ms=instant(step),
-            file_paths=tuple(sorted(files)),
+        f"c{i}": Credit(
+            (identity.resolve(actor),), f"c{i}", instant(step), 1.0, tuple(sorted(files)),
+            EventKind.COMMIT,
         )
         for i, (actor, step, files) in enumerate(commits)
     }

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import review_reference
 from busfactor.collab import ReviewRecord, emit_review_events, filter_reviews
-from busfactor.gitvcs import CommitKnowledge
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import canonical_order, credit_events
+from busfactor.model import Credit, EventKind, canonical_order, credit_events
 
 from conftest import day_ms
 
@@ -50,7 +49,10 @@ reviews_st = st.lists(
 def test_review_join_matches_reference(commits, reviews):
     identity = IdentityIndex(merge_identities(ACTORS))
     commit_index = {
-        ref: CommitKnowledge(identity.resolve(actor), day_ms(step), tuple(sorted(files)))
+        ref: Credit(
+            (identity.resolve(actor),), ref, day_ms(step), 1.0, tuple(sorted(files)),
+            EventKind.COMMIT,
+        )
         for ref, (actor, step, files) in zip(COMMITS, commits)
     }
     records = [

@@ -213,7 +213,10 @@ class TestTraversal:
     def test_non_repository_is_an_error(self, tmp_path):
         plain = tmp_path / "plain"
         plain.mkdir()
-        with pytest.raises(RepositoryError, match="not a git repository"):
+        # git's own reason, from its first stderr line
+        with pytest.raises(
+            RepositoryError, match=r"git rev-parse --verify failed in .*: fatal: not a git repository"
+        ):
             traverse_branch(plain, "main")
 
     def test_default_branch_detected(self, single_owner_repo):
@@ -418,10 +421,18 @@ class TestEmission:
         first = repo.commit("one", {"a.txt": "1\n"}, author=ALICE, day=0)
         second = repo.commit("two", {"a.txt": "2\n", "b.txt": "1\n"}, author=BOB, day=1)
         ingestion, _, _ = ingest(repo.path, "main")
-        assert ingestion.commit_index[first].author_id == "alice@example.com"
+        assert ingestion.commit_index[first].engineers == ("alice@example.com",)
         assert ingestion.commit_index[first].file_paths == ("a.txt",)
         assert ingestion.commit_index[second].file_paths == ("a.txt", "b.txt")
         assert ingestion.commit_index[second].timestamp_ms == day_ms(1)
+
+    def test_commit_index_holds_each_commits_own_commit_credit(self, merge_conflict_repo):
+        ingestion, _, commits = ingest(merge_conflict_repo.path, "main")
+        commit_credit = [c for c in ingestion.credit if c.kind is EventKind.COMMIT]
+        assert [c.commit_ref for c in commit_credit] == [c.id for c in commits]
+        assert list(ingestion.commit_index) == [c.id for c in commits]
+        for credit in commit_credit:
+            assert ingestion.commit_index[credit.commit_ref] is credit
 
     def test_unknown_author_is_an_error(self, mkrepo):
         repo = mkrepo()
