@@ -8,6 +8,7 @@ error, 3 repository error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -201,6 +202,21 @@ def _run_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector off, since a run makes
+    no cyclic garbage; the caller's collector state is restored on every exit.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _main(argv) -> int:
     logging.basicConfig(
         level=logging.WARNING, format="busfactor: %(levelname)s: %(message)s"
     )

@@ -8,10 +8,13 @@ a file's history to its new path, and a pure rename contributes nothing.
 Commit authors resolve through an ``IdentityIndex`` built from all of them.
 A commit's one record is its COMMIT credit, which ``commit_index`` maps to.
 Git prints UTF-8 and root-relative paths whatever the user's config, so a
-``repo_path`` inside a work tree reads the whole repository.
+``repo_path`` inside a work tree reads the whole repository. Git runs with
+``GIT_FLUSH=0``, so it buffers its output instead of flushing each commit
+into the pipe.
 """
 from __future__ import annotations
 
+import os
 import subprocess
 from enum import Enum
 from typing import NamedTuple
@@ -84,6 +87,7 @@ def _git(repo_path, *args: str, allowed: tuple[int, ...] = ()) -> tuple[int, str
         proc = subprocess.run(
             ["git", *args],
             cwd=str(repo_path), capture_output=True,
+            env={**os.environ, "GIT_FLUSH": "0"},
         )
     except FileNotFoundError:
         raise RepositoryError(f"repository path does not exist: {repo_path}") from None

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -8,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import busfactor
+from busfactor import gitvcs
 from busfactor.cli import main
 from busfactor.eventlog import read_event_log
 from busfactor.gitvcs import traverse_branch
 from busfactor.model import AlgorithmParams, format_instant
+from busfactor.pipeline import run_analysis
 
 from conftest import ALICE, BOB, CAROL, DAVE, build_big_repo, day_ms
 
@@ -1227,3 +1230,61 @@ def test_a_lone_surrogate_in_the_evaluation_report_is_one_line(capsys, tmp_path,
     )
     assert (code, out, err) == (2, "", SURROGATE_ERROR)
     assert not target.exists()
+
+
+@pytest.fixture
+def collector():
+    """Give the collector back in the state the test found it."""
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("error, exit_code", [
+    (None, 0),
+    (busfactor.ConfigError, 1),
+    (busfactor.InputDataError, 2),
+    (busfactor.RepositoryError, 3),
+])
+def test_main_runs_the_command_without_the_collector_and_restores_it(
+    capsys, monkeypatch, collector, single_owner_repo, caller_collects, error, exit_code
+):
+    seen = []
+
+    def recording_run(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if error is not None:
+            raise error("it went wrong")
+        return run_analysis(*args, **kwargs)
+
+    monkeypatch.setattr(busfactor.cli, "run_analysis", recording_run)
+    (gc.enable if caller_collects else gc.disable)()
+    code, _, _ = run_cli(capsys, "analyze", "--repo", str(single_owner_repo.path))
+    assert (code, seen, gc.isenabled()) == (exit_code, [False], caller_collects)
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector_after_a_usage_exit(capsys, collector, caller_collects):
+    (gc.enable if caller_collects else gc.disable)()
+    with pytest.raises(SystemExit):
+        main(["analyze"])
+    assert gc.isenabled() is caller_collects
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["enabled", "disabled"])
+def test_run_analysis_leaves_the_collector_alone(
+    monkeypatch, collector, single_owner_repo, caller_collects
+):
+    seen = []
+    real_run = gitvcs.subprocess.run
+
+    def recording_run(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(gitvcs.subprocess, "run", recording_run)
+    (gc.enable if caller_collects else gc.disable)()
+    run_analysis(single_owner_repo.path)
+    assert seen and set(seen) == {caller_collects}
+    assert gc.isenabled() is caller_collects

@@ -1,5 +1,6 @@
 """The report does not depend on where in the work tree ``--repo`` points or
-on the user's git configuration.
+on the user's git configuration, nor on whether the user asks git to flush
+its output (``GIT_FLUSH=1``).
 
 The sweep gives git a configuration of its own: ``GIT_CONFIG_GLOBAL`` names a
 file that sets one output-shaping key, and ``GIT_CONFIG_NOSYSTEM=1`` leaves
@@ -85,3 +86,12 @@ def test_git_config_does_not_change_the_report(
     mailmap.write_text("Someone Else <else@example.com> Zoë <zoe@example.com>\n", encoding="utf-8")
     use_git_config(monkeypatch, tmp_path, (key, value), ("mailmap.file", str(mailmap)))
     assert report_bytes(tmp_path, repo_path) == plain
+
+
+def test_a_flushing_user_environment_does_not_change_the_report(
+    tmp_path, monkeypatch, nested_repo
+):
+    use_git_config(monkeypatch, tmp_path)
+    plain = report_bytes(tmp_path, nested_repo.path)
+    monkeypatch.setenv("GIT_FLUSH", "1")
+    assert report_bytes(tmp_path, nested_repo.path) == plain

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -453,16 +454,22 @@ class TestHeadResolution:
     @pytest.mark.parametrize("branch, budget", [(None, 4), ("main", 3)])
     def test_git_call_budget(self, monkeypatch, single_owner_repo, branch, budget):
         calls = []
+        envs = []
         real_run = gitvcs.subprocess.run
 
         def counting_run(cmd, *args, **kwargs):
             calls.append(cmd)
+            envs.append(kwargs.get("env"))
             return real_run(cmd, *args, **kwargs)
 
         monkeypatch.setattr(gitvcs.subprocess, "run", counting_run)
+        # git buffers its output whatever the user asks, and keeps the rest of the environment
+        monkeypatch.setenv("GIT_FLUSH", "1")
+        monkeypatch.setenv("BUSFACTOR_TEST_MARKER", "kept")
         run_analysis(single_owner_repo.path, branch=branch)
         assert len(calls) <= budget, calls
         assert sum("log" in cmd for cmd in calls) == 1, calls
+        assert envs == [{**os.environ, "GIT_FLUSH": "0"}] * len(calls)
 
     def test_unknown_algorithm_is_a_config_error(self, single_owner_repo):
         message = r"^unknown algorithm 'nope'; expected one of multimodal, baseline, both$"
