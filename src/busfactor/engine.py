@@ -126,7 +126,13 @@ class _PassMemo(dict):
             for engineer in attendees:
                 terms[engineer].append(term)
         mte = self.params.mte_minutes  # min(1.0, w), without a call per weight
-        weights = {e: w if (w := math.fsum(t) / mte) < 1.0 else 1.0 for e, t in terms.items()}
+        weights = {}
+        for engineer, decayed in terms.items():
+            try:
+                w = math.fsum(decayed) / mte
+            except OverflowError:  # a sum past the largest float passes every finite mte
+                w = 1.0
+            weights[engineer] = w if w < 1.0 else 1.0
         self.weighed[key] = (entries, weights)
         return weights
 

@@ -7,6 +7,7 @@ file without a live repository.
 """
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
@@ -18,28 +19,6 @@ from .inputs import field
 from .model import CanonicalEvents, ContributionEvent, EventKind, canonical_blocks
 
 FIELDS = ContributionEvent._fields
-
-
-class _Quoted(dict):
-    """JSON literals of the strings written so far; ids and paths repeat."""
-
-    def __missing__(self, text: str) -> str:
-        literal = self[text] = encode_basestring_ascii(text)
-        return literal
-
-
-class _Heads(dict):
-    """Line heads ``{"kind":…,"engineer_id":…,"file_path":`` by (kind, engineer)."""
-
-    def __init__(self, quoted: _Quoted) -> None:
-        super().__init__()
-        self.quoted = quoted
-
-    def __missing__(self, key: tuple[EventKind, str]) -> str:
-        q = self.quoted
-        kind, engineer = key
-        head = self[key] = f'{{"kind":{q[kind]},"engineer_id":{q[engineer]},"file_path":'
-        return head
 
 
 def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | Path) -> None:
@@ -58,12 +37,11 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
         with open(sink, "w", encoding="utf-8") as fh:
             write_event_log(events, fh)
         return
-    q = _Quoted()
-    heads = _Heads(q)
+    q = functools.cache(encode_basestring_ascii)  # ids and paths repeat
 
     def cell(path: str, source) -> str:  # source: the line's Credit or ContributionEvent
-        return (f'{q[path]},"timestamp_ms":{source.timestamp_ms!r},'
-                f'"magnitude":{source.magnitude!r},"commit_ref":{q[source.commit_ref]}}}\n')
+        return (f'{q(path)},"timestamp_ms":{source.timestamp_ms!r},'
+                f'"magnitude":{source.magnitude!r},"commit_ref":{q(source.commit_ref)}}}\n')
 
     if isinstance(events, CanonicalEvents):
         blocks = canonical_blocks(events.credit, cell)
@@ -72,7 +50,7 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
     parts: list[str] = []
     lines = 0
     for _, kind, engineer, cells in blocks:
-        head = heads[kind, engineer]
+        head = f'{{"kind":{q(kind)},"engineer_id":{q(engineer)},"file_path":'
         parts += head, head.join(cells)  # every cell ends its line
         lines += len(cells)
         if lines >= 4096:  # one write per few thousand lines

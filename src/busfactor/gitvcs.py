@@ -80,19 +80,28 @@ def _git(repo_path, *args: str, allowed: tuple[int, ...] = ()) -> tuple[int, str
     """Run one git command in the repository: its exit status and stdout.
 
     Exit statuses other than 0 and ``allowed`` raise RepositoryError, and so
-    does output that is not UTF-8.
+    do output that is not UTF-8 and a git that cannot start (not on PATH, or
+    the repository path cannot be entered).
     """
     command = f"git {' '.join(args[:2])}"
+    cwd = str(repo_path)
     try:
         proc = subprocess.run(
             ["git", *args],
-            cwd=str(repo_path), capture_output=True,
+            cwd=cwd, capture_output=True,
             env={**os.environ, "GIT_FLUSH": "0"},
         )
-    except FileNotFoundError:
-        raise RepositoryError(f"repository path does not exist: {repo_path}") from None
-    except NotADirectoryError:
-        raise RepositoryError(f"not a git repository: {repo_path}") from None
+    except OSError as exc:
+        # subprocess names the directory it could not enter, else the program
+        if exc.filename != cwd:
+            message = f"cannot run git ({exc.strerror}); git 2.31 or newer must be on PATH"
+        elif isinstance(exc, FileNotFoundError):
+            message = f"repository path does not exist: {repo_path}"
+        elif isinstance(exc, NotADirectoryError):
+            message = f"not a git repository: {repo_path}"
+        else:
+            message = f"cannot open repository {repo_path}: {exc.strerror}"
+        raise RepositoryError(message) from None
     if proc.returncode not in (0, *allowed):
         detail = proc.stderr.decode("utf-8", "replace").strip().splitlines()
         raise RepositoryError(
@@ -293,10 +302,12 @@ def emit_vcs_events(
     earliest add of a file identity (earliest timestamp, commit id breaking
     ties) additionally yields the first authorship. Renames move accumulated
     history to the new path without adding knowledge; files absent from the
-    head snapshot are dropped. The credit comes in fold order: first
-    authorships by path, then one COMMIT credit per commit in history order,
-    which is also the commit's ``commit_index`` entry. A commit with no live
-    file still gets one, with no files: it dates the run.
+    head snapshot are dropped. A live file whose history earns no credit
+    (absent from it, or only a pure rename of a path a sibling branch
+    deleted) is named in a warning and gets none. The credit comes in fold
+    order: first authorships by path, then one COMMIT credit per commit in
+    history order, which is also the commit's ``commit_index`` entry. A
+    commit with no live file still gets one, with no files: it dates the run.
 
     ``identity`` must be built from every commit author; each distinct
     (name, email) pair is resolved once. An author with a blank email is the
@@ -343,7 +354,7 @@ def emit_vcs_events(
     credit = []
     for path in sorted(snapshot.live_files):
         entry = state.get(path)
-        if entry is None:
+        if entry is None or not entry.commits:  # an add always comes with its commit
             warn(warnings, f"file {path!r} present at head but absent from history")
             continue
         if entry.adds:

@@ -41,7 +41,7 @@ def fold(commits, diffs, author_of, live_files) -> Fold:
     file_paths: dict[str, list[str]] = {commit.id: [] for commit in commits}
     warnings = []
     for path in sorted(live_files):
-        if path not in touches:
+        if not touches.get(path):
             warnings.append(f"file {path!r} present at head but absent from history")
             continue
         adds = [(ts, commit, who) for added, who, ts, commit in touches[path] if added]

@@ -7,6 +7,7 @@ score that depends on summation order, or on the interpreter's ``sum``,
 disagrees with this one.
 """
 import math
+import sys
 from fractions import Fraction
 
 from busfactor.model import age_days, decay
@@ -14,6 +15,14 @@ from busfactor.model import age_days, decay
 
 def exact_sum(terms) -> float:
     return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+def capped_weight(bucket, mte_minutes: float) -> float:
+    """``min(1, sum / mte_minutes)``; a sum at or past the largest float is 1."""
+    total = sum(map(Fraction, bucket), Fraction(0))
+    if total >= Fraction(sys.float_info.max):
+        return 1.0
+    return min(1.0, float(total) / mte_minutes)
 
 
 def doa_reference(ledger, engineer_id: str, as_of_ms: int, params) -> float:
@@ -38,9 +47,7 @@ def doa_reference(ledger, engineer_id: str, as_of_ms: int, params) -> float:
         [m * decayed(ts) for attendees, ts, m in entries if e in attendees]
         for entries in ledger.meetings.values()
     ]
-    meetings = exact_sum(
-        min(1.0, exact_sum(bucket) / params.mte_minutes) for bucket in buckets if bucket
-    )
+    meetings = exact_sum(capped_weight(bucket, params.mte_minutes) for bucket in buckets if bucket)
     return exact_sum((
         params.fa_weight * fa,
         params.dl_weight * dl[e],

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -549,6 +550,33 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", "--repo", str(path))
         assert code == 3
         assert err == f"busfactor: error: not a git repository: {path}\n"
+
+    def test_git_not_on_path(self, capsys, monkeypatch, single_owner_repo, tmp_path):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        code, out, err = run_cli(capsys, "analyze", "--repo", str(single_owner_repo.path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "busfactor: error: cannot run git (No such file or directory); "
+            "git 2.31 or newer must be on PATH\n"
+        )
+
+    def test_missing_repository_named_git(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "analyze", "--repo", "git")
+        assert (code, out) == (3, "")
+        assert err == "busfactor: error: repository path does not exist: git\n"
+
+    def test_repository_git_cannot_enter(self, capsys, monkeypatch, single_owner_repo):
+        # what a user who may not search the directory meets
+        path = str(single_owner_repo.path)
+
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(gitvcs.subprocess, "run", refused)
+        code, out, err = run_cli(capsys, "analyze", "--repo", path)
+        assert (code, out) == (3, "")
+        assert err == f"busfactor: error: cannot open repository {path}: Permission denied\n"
 
     def test_non_utf8_path_is_a_repository_error(self, capsys, mkrepo):
         repo = mkrepo("latin1")
@@ -1171,6 +1199,27 @@ def test_weights_that_make_a_score_infinite_are_a_config_error(capsys, mkrepo, p
     assert err == (
         "busfactor: error: scores reach infinity at file 'f.txt'; lower the algorithm weights\n"
     )
+
+
+def test_meeting_minutes_past_the_largest_float_cap_the_bucket(capsys, tmp_path, mkrepo):
+    # two meetings of 1e308 minutes sum past the largest float, two of 1e307
+    # do not; either bucket weighs its cap, 1, so the reports agree
+    repo = mkrepo("long-meetings")
+    repo.commit("add", {"f.txt": "one\n"}, author=ALICE, day=0)
+    reports = []
+    for minutes in (1e307, 1e308):
+        meetings = write_json(tmp_path, f"meetings-{minutes}.json", [
+            {"id": f"m{i}", "participants": [{"email": ALICE[1]}], "start": day_ms(0),
+             "duration_minutes": minutes, "title": "design sync"}
+            for i in range(2)
+        ])
+        reports.append(analyze_json(capsys, repo, "--meetings", meetings))
+    assert reports[1] == reports[0]
+    # first authorship, one commit, the capped meeting and the crowd term
+    top_doa = 3.0 + 1.0 + 1.0 + 2.4 * math.log1p(1.0)
+    assert reports[1]["files"] == [
+        {"path": "f.txt", "authors": [ALICE[1]], "top_doa": pytest.approx(top_doa)}
+    ]
 
 
 @pytest.mark.parametrize("predicted, estimates, message", [

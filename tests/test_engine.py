@@ -117,6 +117,18 @@ class TestMeetingTerm:
         led = ledger(meetings={"c1": [(("m",), AS_OF - HALF_LIFE_MS, 240.0)]})
         assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("mte", [1e-3, 240.0, 1.7e308])
+    def test_a_bucket_whose_sum_passes_the_largest_float_weighs_one(self, mte):
+        # 2e308 minutes overflow a float sum; the weight is the cap, as it is
+        # for the exact sum
+        params = AlgorithmParams(mte_minutes=mte)
+        led = ledger(meetings={"c1": [(("m",), AS_OF, 1e308), (("m", "n"), AS_OF, 1e308)]})
+        for engineer in ("m", "n"):
+            expected = doa_reference(led, engineer, AS_OF, params)
+            assert doa_multimodal(led, engineer, AS_OF, params) == expected
+        assert doa_reference(led, "m", AS_OF, params) == 1.0
+        assert score_table({"f": led}, AS_OF, params).raw[("m", "f")] == 1.0
+
     def test_each_commit_bucket_caps_independently(self):
         led = ledger(meetings={"c1": [(("m",), AS_OF, 600.0)], "c2": [(("m",), AS_OF, 600.0)]})
         assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(2.0, abs=1e-12)

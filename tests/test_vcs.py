@@ -303,6 +303,31 @@ class TestRenames:
         ]
         assert [e.file_path for e in bob_commits] == ["new.txt"]
 
+    def test_pure_rename_of_a_path_deleted_on_main_earns_no_credit_and_warns(self, mkrepo):
+        # main's delete is folded before the side's rename, which so moves no
+        # history: y is live with no commit that added or edited it
+        repo = mkrepo()
+        repo.commit("base", {"x": "x body\n", "keep.txt": "k\n"}, author=ALICE, day=0)
+        repo.git("checkout", "-q", "-b", "ren")
+        repo.git("mv", "x", "y")
+        repo.git("commit", "-q", "-m", "rename", author=BOB, day=1)
+        repo.git("checkout", "-q", "main")
+        repo.commit("delete", None, author=ALICE, day=1, delete=["x"])
+        repo.merge("merge ren", ["ren"], author=ALICE, day=2, resolve={"y": "x body\n"})
+        commits = traverse_branch(repo.path, "main")
+        warnings = []
+        identity = IdentityIndex(merge_identities(
+            [RawActor(name=c.author_name, email=c.author_email) for c in commits]
+        ))
+        ingestion = emit_vcs_events(commits, identity, snapshot_branch(repo.path, "main"),
+                                    warnings=warnings)
+        assert {e.file_path for e in ingestion.events} == {"keep.txt"}
+        assert warnings == ["file 'y' present at head but absent from history"]
+        report = run_analysis(repo.path).report
+        assert report["warnings"] == warnings
+        # a live file is reported, with no author, like one absent from history
+        assert report["files"][1] == {"path": "y", "authors": [], "top_doa": 0.0}
+
     def test_delete_ends_the_file_segment(self, mkrepo):
         repo = mkrepo()
         repo.commit("first life", {"f.txt": "v1\n"}, author=ALICE, day=0)
