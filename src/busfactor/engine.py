@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError, InputDataError
 from .inputs import warn
@@ -39,20 +39,40 @@ BASELINE_AC_WEIGHT = 0.321
 ALGORITHMS = ("multimodal", "baseline")
 
 
-@dataclass
 class FileLedger:
     """Credit of one file, grouped the way scoring consumes it.
 
-    ``meetings`` maps a commit ref to ``[(attendees, timestamp_ms, minutes)]``,
-    one entry per meeting credit of the commit that names the file; each
-    attendee's minutes under one ref are capped at one unit of exposure. The
-    files that one commit's credit names with one file tuple share one list.
+    ``first_authorship`` is ``(timestamp_ms, engineer)`` or None; ``commits``
+    and ``reviews`` map an engineer to timestamps. ``meetings`` maps a commit
+    ref to ``[(attendees, timestamp_ms, minutes)]``, one entry per meeting
+    credit of the commit that names the file; each attendee's minutes under
+    one ref are capped at one unit of exposure. The files that one commit's
+    credit names with one file tuple share one list. A ledger is mutable,
+    and each one built without a dict gets an empty one of its own.
     """
 
-    first_authorship: tuple[int, str] | None = None  # (timestamp_ms, engineer)
-    commits: dict[str, list[int]] = field(default_factory=dict)
-    reviews: dict[str, list[int]] = field(default_factory=dict)
-    meetings: dict[str, list[tuple]] = field(default_factory=dict)
+    __slots__ = ("first_authorship", "commits", "reviews", "meetings")
+
+    def __init__(
+        self,
+        first_authorship: tuple[int, str] | None = None,
+        commits: dict[str, list[int]] | None = None,
+        reviews: dict[str, list[int]] | None = None,
+        meetings: dict[str, list[tuple]] | None = None,
+    ) -> None:
+        self.first_authorship = first_authorship
+        self.commits = {} if commits is None else commits
+        self.reviews = {} if reviews is None else reviews
+        self.meetings = {} if meetings is None else meetings
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FileLedger:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"FileLedger({shown})"
 
     def participants(self) -> list[str]:
         meetings = self.meetings.values()
@@ -198,8 +218,7 @@ def doa_baseline(ledger: FileLedger, engineer_id: str) -> float:
     return _score_file_baseline(ledger, (engineer_id,))[engineer_id]
 
 
-@dataclass
-class DoaTable:
+class DoaTable(NamedTuple):
     """Raw scores for every (engineer, file) pair that has any activity."""
 
     algorithm: str
@@ -287,8 +306,7 @@ def authorship(table: DoaTable, params: AlgorithmParams) -> dict[str, tuple[str,
     return authors
 
 
-@dataclass(frozen=True)
-class BusFactorResult:
+class BusFactorResult(NamedTuple):
     algorithm: str
     bus_factor: int
     key_engineers: tuple[str, ...]
@@ -354,8 +372,7 @@ def bus_factor(
     )
 
 
-@dataclass(frozen=True)
-class Ledgers:
+class Ledgers(NamedTuple):
     """Checked ledgers of one credit set, with the files and the instant to score."""
 
     files: dict[str, FileLedger]
@@ -423,7 +440,7 @@ def analyze(
     if not ledgers.files:
         warn(warnings, "event log is empty; every score is 0 and the bus factor is 0")
     table = score_table(ledgers.files, ledgers.as_of_ms, params, algorithm)
-    table = replace(table, files=ledgers.live_files)
+    table = table._replace(files=ledgers.live_files)
     result = bus_factor(table, params)
     for message in result.warnings:
         warn(warnings, message)

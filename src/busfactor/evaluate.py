@@ -11,21 +11,19 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputDataError
 from .inputs import load_json, warn
 
 
-@dataclass(frozen=True)
-class ProjectPrediction:
+class ProjectPrediction(NamedTuple):
     name: str
     bus_factor: int
     key_engineers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ProjectTruth:
+class ProjectTruth(NamedTuple):
     name: str
     estimates: tuple[float, ...]
     key_engineers: tuple[str, ...]

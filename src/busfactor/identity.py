@@ -11,13 +11,13 @@ that shares no key with any of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InputDataError
 from .model import Engineer
 
-@dataclass(frozen=True)
-class RawActor:
+
+class RawActor(NamedTuple):
     """An identity sighting before merging: display name, email, optional profile ref."""
 
     name: str = ""
@@ -64,7 +64,7 @@ def _distinct_ids(engineers: list[Engineer]) -> list[Engineer]:
             n = 2
             while f"{eng.id}#{n}" in taken:
                 n += 1
-            eng = replace(eng, id=f"{eng.id}#{n}")
+            eng = eng._replace(id=f"{eng.id}#{n}")
             taken.add(eng.id)
         kept.add(eng.id)
         out.append(eng)

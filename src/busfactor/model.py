@@ -11,12 +11,10 @@ downstream checks them again.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import groupby
@@ -46,8 +44,7 @@ KIND_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class Engineer:
+class Engineer(NamedTuple):
     """A canonical developer identity after alias merging.
 
     ``id`` is stable and order-independent: the smallest email, falling back
@@ -288,13 +285,16 @@ def _number(name: str, value, integral: bool = False):
     return int(number) if integral else number
 
 
-@dataclass(frozen=True)
 class AlgorithmParams:
     """Tunable knobs of the scoring and coverage algorithms.
 
     Defaults follow the multimodal model: knowledge decays with e-folding
     time ``decay_days`` and meeting credit per commit is capped at
     ``mte_minutes``.
+
+    Params are built by keyword and immutable; equal params are equal and
+    hash alike. Each class attribute is its field's default, which the
+    estimator's signature reads.
     """
 
     decay_days: float = 220.0
@@ -310,13 +310,16 @@ class AlgorithmParams:
     meeting_window_days: int = 7
     meeting_exclude_keywords: tuple[str, ...] = ("seminar", "reading", "random")
 
-    def __post_init__(self) -> None:
-        coerce = object.__setattr__
+    def __init__(self, **fields) -> None:
+        names = self.field_names()
+        if unknown := fields.keys() - names:
+            raise TypeError(f"AlgorithmParams() got an unexpected keyword argument {min(unknown)!r}")
+        values = {name: fields.get(name, getattr(AlgorithmParams, name)) for name in names}
         for name in _FLOAT_FIELDS:
-            coerce(self, name, _number(name, getattr(self, name)))
-        window = _number("meeting_window_days", self.meeting_window_days, integral=True)
-        coerce(self, "meeting_window_days", window)
-        keywords = self.meeting_exclude_keywords
+            values[name] = _number(name, values[name])
+        window = _number("meeting_window_days", values["meeting_window_days"], integral=True)
+        values["meeting_window_days"] = window
+        keywords = values["meeting_exclude_keywords"]
         if not isinstance(keywords, (list, tuple)) or not all(
             isinstance(k, str) for k in keywords
         ):
@@ -325,7 +328,8 @@ class AlgorithmParams:
             )
         if "" in keywords:
             raise ConfigError("meeting_exclude_keywords must not hold '', which every title contains")
-        coerce(self, "meeting_exclude_keywords", tuple(k.lower() for k in keywords))
+        values["meeting_exclude_keywords"] = tuple(k.lower() for k in keywords)
+        self.__dict__.update(values)
         self._validate()
 
     def _validate(self) -> None:
@@ -343,20 +347,34 @@ class AlgorithmParams:
         if self.meeting_window_days < 0:
             raise ConfigError("meeting_window_days must be >= 0")
 
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of AlgorithmParams")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AlgorithmParams:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        return f"AlgorithmParams({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
+
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
+        return tuple(cls.__annotations__)
 
     def replace(self, **overrides) -> "AlgorithmParams":
         unknown = set(overrides) - set(self.field_names())
         if unknown:
             raise ConfigError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
-        return dataclasses.replace(self, **overrides)
+        return AlgorithmParams(**{**self.__dict__, **overrides})
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["meeting_exclude_keywords"] = list(self.meeting_exclude_keywords)
-        return out
+        return {**self.__dict__, "meeting_exclude_keywords": list(self.meeting_exclude_keywords)}
 
 
 def decay(age_days: float, decay_days: float) -> float:

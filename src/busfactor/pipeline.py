@@ -7,8 +7,8 @@ inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .collab import (
     collect_actors,
@@ -31,8 +31,7 @@ from .model import (
 ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
 
-@dataclass
-class AnalysisRun:
+class AnalysisRun(NamedTuple):
     """One run's report, and the credit it scored, which ``events`` spells out."""
 
     report: dict

@@ -1165,6 +1165,19 @@ def test_cli_import_leaves_the_estimator_and_evaluation_unloaded():
     ]
 
 
+def test_cli_import_skips_the_dataclass_machinery():
+    """``import busfactor.cli`` loads neither ``dataclasses`` nor the ``inspect`` it
+    pulls in, on this interpreter and every other one on PATH."""
+    src = str(Path(busfactor.__file__).resolve().parents[1])
+    code = "import sys, busfactor.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    for python in (sys.executable, *other_interpreters()):
+        proc = subprocess.run(
+            [python, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), (python, proc.stderr)
+
+
 @pytest.mark.parametrize("error, exit_code", [
     (busfactor.BusFactorError, 1),
     (busfactor.ConfigError, 1),

@@ -320,6 +320,38 @@ class TestAlgorithmParams:
         assert isinstance(d["meeting_exclude_keywords"], list)
         assert set(d) == set(AlgorithmParams.field_names())
 
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        p = AlgorithmParams()
+        for name in AlgorithmParams.field_names():
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(p, name))
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p == AlgorithmParams()
+
+    def test_equal_params_are_equal_and_hash_alike(self):
+        a, b = AlgorithmParams(decay_days="150"), AlgorithmParams(decay_days=150)
+        assert a == b and hash(a) == hash(b)
+        assert a != AlgorithmParams() and len({a, b, AlgorithmParams()}) == 2
+
+    def test_replace_returns_a_new_checked_object(self):
+        p = AlgorithmParams()
+        q = p.replace(decay_days=100, meeting_exclude_keywords=["Retro"])
+        assert q is not p and (q.decay_days, q.meeting_exclude_keywords) == (100.0, ("retro",))
+        with pytest.raises(ConfigError, match="^decay_days must be > 0$"):
+            p.replace(decay_days=0)
+        assert p == AlgorithmParams() and p.decay_days == 220.0
+
+    def test_repr_names_every_field(self):
+        p = AlgorithmParams()
+        shown = ", ".join(f"{name}={getattr(p, name)!r}" for name in AlgorithmParams.field_names())
+        assert repr(p) == f"AlgorithmParams({shown})"
+
+    def test_class_attributes_are_the_defaults(self):
+        p = AlgorithmParams()
+        for name in AlgorithmParams.field_names():
+            assert getattr(AlgorithmParams, name) == getattr(p, name), name
+
 
 def test_ms_per_day_constant():
     assert MS_PER_DAY == 86_400_000.0
