@@ -8,7 +8,6 @@ error, 3 repository error.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import logging
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 from .errors import BusFactorError, ConfigError, InputDataError
 from .eventlog import write_event_log
 from .inputs import load_json
-from .model import AlgorithmParams, parse_instant
+from .model import AlgorithmParams, collector_paused, parse_instant
 from .pipeline import (
     ALGORITHM_CHOICES,
     render_evaluation_text,
@@ -204,16 +203,11 @@ def _run_evaluate(args) -> int:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    The command runs with the cyclic garbage collector off, since a run makes
-    no cyclic garbage; the caller's collector state is restored on every exit.
+    The command runs with the cyclic garbage collector paused
+    (``collector_paused``), since a run makes no cyclic garbage.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _main(argv)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _main(argv) -> int:

@@ -10,6 +10,7 @@ the ``Credit`` check once, and its matches carry the checked numbers.
 
 Every actor names an email or a profile ref that is not blank, and resolves
 through an ``IdentityIndex`` that must be built from every actor passed in.
+Equal actor entries of one file parse to one shared ``RawActor``.
 """
 from __future__ import annotations
 
@@ -51,25 +52,41 @@ def _load_array(source, what: str) -> list:
     return data
 
 
-def _parse_actor(obj, where: str) -> RawActor:
+def _parse_actor(obj, seen: dict) -> RawActor:
+    """One actor entry, checked; the actors in ``seen`` are shared by equal entries."""
     if not isinstance(obj, dict):
-        raise InputDataError(f"{where}: actor entries must be objects")
+        raise ValueError("actor entries must be objects")
     name = obj.get("name", "")
     email = obj.get("email", "")
     profile = obj.get("profile_ref")
     for label, value in (("name", name), ("email", email)):
         if not isinstance(value, str):
-            raise InputDataError(f"{where}: actor field {label!r} must be a string")
+            raise ValueError(f"actor field {label!r} must be a string")
     if profile is not None and not isinstance(profile, str):
-        raise InputDataError(f"{where}: actor field 'profile_ref' must be a string")
-    if not email.strip() and not (profile or "").strip():
-        raise InputDataError(f"{where}: actor needs an 'email' or a 'profile_ref'")
-    return RawActor(name=name, email=email, profile_ref=profile)
+        raise ValueError("actor field 'profile_ref' must be a string")
+    actor = seen.get((name, email, profile))
+    if actor is None:  # an equal actor passed the check below
+        if not email.strip() and not (profile or "").strip():
+            raise ValueError("actor needs an 'email' or a 'profile_ref'")
+        actor = seen[name, email, profile] = RawActor(name, email, profile)
+    return actor
+
+
+def _parse_actors(entries: list, where: str, role: str, seen: dict) -> tuple[RawActor, ...]:
+    """A record's actors, each entry checked; an error names it ``{where} {role} #{j}``.
+    Equal entries share one ``RawActor`` from ``seen``, so later stages resolve it once."""
+    actors: list[RawActor] = []
+    try:
+        for obj in entries:
+            actors.append(_parse_actor(obj, seen))
+    except ValueError as exc:
+        raise InputDataError(f"{where} {role} #{len(actors)}: {exc}") from None
+    return tuple(actors)
 
 
 def parse_reviews(source) -> list[ReviewRecord]:
     """Read review metadata, validating shape and field types."""
-    records = []
+    records, seen = [], {}
     for i, obj in enumerate(_load_array(source, "reviews")):
         where = f"review #{i}"
         if not isinstance(obj, dict):
@@ -81,9 +98,7 @@ def parse_reviews(source) -> list[ReviewRecord]:
         records.append(
             ReviewRecord(
                 id=field(obj, "id", str, where),
-                reviewers=tuple(
-                    _parse_actor(r, f"{where} reviewer #{j}") for j, r in enumerate(reviewers)
-                ),
+                reviewers=_parse_actors(reviewers, where, "reviewer", seen),
                 commit_ids=tuple(commit_ids),
                 completed_at_ms=instant(obj, "completed_at", where),
                 state=field(obj, "state", str, where),
@@ -94,7 +109,7 @@ def parse_reviews(source) -> list[ReviewRecord]:
 
 def parse_meetings(source) -> list[MeetingRecord]:
     """Read meeting metadata, validating shape and field types."""
-    records = []
+    records, seen = [], {}
     for i, obj in enumerate(_load_array(source, "meetings")):
         where = f"meeting #{i}"
         if not isinstance(obj, dict):
@@ -111,10 +126,7 @@ def parse_meetings(source) -> list[MeetingRecord]:
         records.append(
             MeetingRecord(
                 id=field(obj, "id", str, where),
-                participants=tuple(
-                    _parse_actor(p, f"{where} participant #{j}")
-                    for j, p in enumerate(participants)
-                ),
+                participants=_parse_actors(participants, where, "participant", seen),
                 start_ms=instant(obj, "start", where),
                 duration_minutes=minutes,
                 title=field(obj, "title", str, where),

@@ -4,7 +4,9 @@ Turns contribution credit into per-engineer, per-file authorship scores and
 walks the greedy removal order to find how many engineers the project can
 lose before less than half of its files retain an author. A file's ledger
 keys meeting credit by commit ref: each bucket holds the meeting credit of
-one commit that names the file.
+one commit that names the file. A scoring pass does its work once per
+distinct value (``_PassMemo``): it decays each timestamp once and weighs each
+distinct bucket content once, however many files and commits hold it.
 
 Two scoring algorithms live here. The multimodal one blends first authorship,
 commits, reviews, and meeting exposure, each exponentially decayed by age.
@@ -125,9 +127,17 @@ def _engineers(ledger: FileLedger, meeting_people: Iterable[Iterable[str]]) -> s
 
 
 class _PassMemo(dict):
-    """One scoring pass's memo of timestamps -> ``decay`` of their age, so
-    ``decay`` and its clock-skew check run once per timestamp, whatever the
-    term, and of each meeting bucket key -> its entries and their weights."""
+    """What one scoring pass works out once per distinct value.
+
+    As a dict it maps each timestamp to ``decay`` of its age, so ``decay``
+    and its clock-skew check run once per timestamp, whatever the term.
+    ``weighed`` maps each meeting bucket's content, the tuple of its
+    ``(attendees, start, minutes)`` entries, to its attendees' capped
+    weights, so a bucket is weighed once however many lists, files or
+    commits hold it. A content key is exact: within a pass the weights
+    depend on nothing else, and ``math.fsum`` rounds correctly whatever the
+    order of its terms.
+    """
 
     def __init__(self, as_of_ms: int, params: AlgorithmParams) -> None:
         self.as_of_ms, self.params, self.weighed = as_of_ms, params, {}
@@ -135,25 +145,25 @@ class _PassMemo(dict):
     def __missing__(self, ts: int) -> float:
         return self.setdefault(ts, decay(age_days(ts, self.as_of_ms), self.params.decay_days))
 
-    def meeting_weights(self, key, entries) -> dict[str, float]:
+    def meeting_weights(self, entries) -> dict[str, float]:
         """Each attendee's ``min(1, sum of minutes * decay / mte)`` over one bucket."""
-        held = self.weighed.get(key)
-        if held is not None and held[0] is entries:
-            return held[1]
+        key = tuple(entries)
+        weights = self.weighed.get(key)
+        if weights is not None:
+            return weights
         terms: defaultdict[str, list[float]] = defaultdict(list)
-        for attendees, ts, minutes in entries:
+        for attendees, ts, minutes in key:
             term = minutes * self[ts]
             for engineer in attendees:
                 terms[engineer].append(term)
-        mte = self.params.mte_minutes  # min(1.0, w), without a call per weight
-        weights = {}
+        mte, fsum, weights = self.params.mte_minutes, math.fsum, {}
         for engineer, decayed in terms.items():
-            try:
-                w = math.fsum(decayed) / mte
+            try:  # the sum of one term is that term
+                w = (decayed[0] if len(decayed) == 1 else fsum(decayed)) / mte
             except OverflowError:  # a sum past the largest float passes every finite mte
                 w = 1.0
-            weights[engineer] = w if w < 1.0 else 1.0
-        self.weighed[key] = (entries, weights)
+            weights[engineer] = w if w < 1.0 else 1.0  # min(1.0, w), without a call per weight
+        self.weighed[key] = weights
         return weights
 
 
@@ -161,27 +171,29 @@ def _score_file_multimodal(
     ledger: FileLedger, params: AlgorithmParams, decayed: _PassMemo
 ) -> dict[str, float]:
     """Scores of everyone on the file."""
-    weights = [decayed.meeting_weights(*bucket) for bucket in ledger.meetings.items()]
+    fsum, log1p, weigh = math.fsum, math.log1p, decayed.meeting_weights
     exposure: defaultdict[str, list[float]] = defaultdict(list)
-    for capped in weights:
-        for engineer, weight in capped.items():
+    for entries in ledger.meetings.values():
+        for engineer, weight in weigh(entries).items():
             exposure[engineer].append(weight)
     fa_ts, fa_engineer = ledger.first_authorship or (None, None)
-    engineers = _engineers(ledger, weights)
+    engineers = _engineers(ledger, (exposure,))
     dl, rv = dict.fromkeys(engineers, 0.0), dict.fromkeys(engineers, 0.0)
     for sums, stamps_of in ((dl, ledger.commits), (rv, ledger.reviews)):
         for e, stamps in stamps_of.items():
-            sums[e] = math.fsum([decayed[ts] for ts in stamps])
-    dl_total, rv_total = math.fsum(dl.values()), math.fsum(rv.values())
-    log_dl_total, log_rv_total = math.log1p(dl_total), math.log1p(rv_total)
+            sums[e] = fsum(map(decayed.__getitem__, stamps))
+    dl_total, rv_total = fsum(dl.values()), fsum(rv.values())
+    log_dl_total, log_rv_total = log1p(dl_total), log1p(rv_total)
+    fa_weight, dl_weight, rv_weight = params.fa_weight, params.dl_weight, params.rv_weight
+    log_dl_weight, log_rv_weight = params.log_dl_weight, params.log_rv_weight
     return {
-        e: math.fsum((
-            params.fa_weight * (decayed[fa_ts] if e == fa_engineer else 0.0),
-            params.dl_weight * dl[e],
-            params.rv_weight * rv[e],
-            math.fsum(exposure.get(e, ())),
-            params.log_dl_weight * (log_dl_total - math.log1p(dl_total - dl[e])),
-            params.log_rv_weight * (log_rv_total - math.log1p(rv_total - rv[e])),
+        e: fsum((
+            fa_weight * (decayed[fa_ts] if e == fa_engineer else 0.0),
+            dl_weight * dl[e],
+            rv_weight * rv[e],
+            fsum(exposure.get(e, ())),
+            log_dl_weight * (log_dl_total - log1p(dl_total - dl[e])),
+            log_rv_weight * (log_rv_total - log1p(rv_total - rv[e])),
         ))
         for e in engineers
     }
@@ -288,18 +300,18 @@ def authorship(table: DoaTable, params: AlgorithmParams) -> dict[str, tuple[str,
     relative share of the file's top scorer.
     """
     authors: dict[str, tuple[str, ...]] = {}
+    raw, baseline = table.raw, table.algorithm == "baseline"
+    doa_threshold, norm_threshold = params.doa_threshold, params.norm_threshold
     for path in table.files:
         peak = table.file_max.get(path, 0.0)
         chosen = []
         for e in table.file_engineers.get(path, ()):
-            score = table.raw[(e, path)]
-            if table.algorithm == "baseline":
-                ok = score > BASELINE_INTERCEPT and score > params.norm_threshold * peak
-            else:
-                ok = (
-                    score >= params.doa_threshold
-                    and table.normalized(e, path) >= params.norm_threshold
-                )
+            score = raw[e, path]
+            if baseline:
+                ok = score > BASELINE_INTERCEPT and score > norm_threshold * peak
+            else:  # the normalized score as DoaTable.normalized computes it
+                share = 0.0 if peak <= 0.0 else min(1.0, max(0.0, score / peak))
+                ok = score >= doa_threshold and share >= norm_threshold
             if ok:
                 chosen.append(e)
         authors[path] = tuple(chosen)

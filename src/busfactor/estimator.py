@@ -12,7 +12,7 @@ import inspect
 from .engine import analyze, checked_as_of, prepare_ledgers
 from .errors import InputDataError
 from .eventlog import events_from_records
-from .model import AlgorithmParams, event_credit, parse_instant
+from .model import AlgorithmParams, collector_paused, event_credit, parse_instant
 
 
 class BusFactorEstimator:
@@ -100,14 +100,16 @@ class BusFactorEstimator:
         all six ``eventlog.FIELDS``; errors name a record as ``X[i]``. Each
         event is scored as its one-engineer, one-file ``event_credit``.
         ``live_files`` restricts and completes the file universe; without it
-        the universe is whatever the events mention.
+        the universe is whatever the events mention. Conversion and scoring
+        run with the collector paused (``collector_paused``).
         """
         if X is None:
             raise InputDataError("expected a collection of contribution events, got None")
-        events = events_from_records((f"X[{i}]", item) for i, item in enumerate(X))
-        params = self._algorithm_params()
-        ledgers = prepare_ledgers(event_credit(events), live_files, self._resolve_as_of())
-        table, result = analyze(ledgers, params, self.algorithm)
+        with collector_paused():
+            events = events_from_records((f"X[{i}]", item) for i, item in enumerate(X))
+            params = self._algorithm_params()
+            ledgers = prepare_ledgers(event_credit(events), live_files, self._resolve_as_of())
+            table, result = analyze(ledgers, params, self.algorithm)
         self.params_ = params
         self.doa_ = table
         self.result_ = result

@@ -128,13 +128,26 @@ def default_branch(repo_path) -> str:
     return _query(repo_path, "symbolic-ref", "--short", "-q", "HEAD") or "HEAD"
 
 
-def _resolve_head(repo_path, branch: str) -> str | None:
-    """Head commit of the branch, or None for an unborn (empty) branch."""
-    head = _query(repo_path, "rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}")
+def _resolve_head(repo_path, branch: str) -> tuple[str, str | None]:
+    """The project's name and the head commit of the branch, None for an unborn (empty) branch.
+
+    One ``rev-parse`` prints the repository's common git directory, even
+    when the branch does not resolve, and then the head. The project is
+    named after that directory, or after its parent when it is a ``.git``,
+    so a work tree, any directory in it, its ``.git``, a linked worktree
+    and a bare repository all name the repository.
+    """
+    code, out = _git(
+        repo_path, "rev-parse", "--verify", "--quiet", "--path-format=absolute",
+        "--git-common-dir", f"{branch}^{{commit}}", allowed=(1,),
+    )
+    git_dir, head = out[:-1].rsplit("\n", 1) if code == 0 else (out[:-1], None)
+    parent, name = os.path.split(git_dir)
+    project = os.path.basename(parent) if name == ".git" else name
     if head is not None:
-        return head
+        return project, head
     if _query(repo_path, "symbolic-ref", "-q", "HEAD") in (f"refs/heads/{branch}", branch):
-        return None
+        return project, None
     raise RepositoryError(f"branch {branch!r} not found in {repo_path}")
 
 
@@ -232,7 +245,17 @@ def _intersect_parent_diffs(
     return changes
 
 
-def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
+class History(list):
+    """A branch's commits, and ``project``, the name of their repository."""
+
+    __slots__ = ("project",)
+
+    def __init__(self, commits, project: str) -> None:
+        super().__init__(commits)
+        self.project = project
+
+
+def traverse_branch(repo_path, branch: str | None = None) -> History:
     """All commits reachable from the branch head, parents before children.
 
     The order is a deterministic depth-first topological order ending with
@@ -241,9 +264,9 @@ def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
     ``git log`` lists every commit, a merge once per parent, with its names
     in UTF-8 and its paths relative to the root, whatever the user's config.
     """
-    head = _resolve_head(repo_path, branch or default_branch(repo_path))
+    project, head = _resolve_head(repo_path, branch or default_branch(repo_path))
     if head is None:
-        return []
+        return History((), project)
     _, out = _git(
         repo_path, "log", head, "--name-status", "-z", "--root", "--diff-merges=separate",
         "--encoding=UTF-8", "--no-relative", f"--find-renames={RENAME_THRESHOLD}",
@@ -262,7 +285,8 @@ def traverse_branch(repo_path, branch: str | None = None) -> list[CommitRecord]:
             CommitRecord,
             (commit_id, email, name, int(epoch) * 1000, parent_ids, tuple(changes)),
         )
-    return [records[commit_id] for commit_id in _dfs_topological(head, parents_of)]
+    order = _dfs_topological(head, parents_of)
+    return History((records[commit_id] for commit_id in order), project)
 
 
 def snapshot_branch(repo_path, head: str | None) -> BranchSnapshot:

@@ -6,8 +6,8 @@ key, transitively. One rule (``_keys``) gives an actor's keys: its
 normalized email and its stripped profile ref, each unless blank, and with
 neither (a commit author with an empty email) its stripped name. Merging
 unions by those keys, and an ``IdentityIndex`` built from the engineers
-resolves an actor by the first of them it indexes, and raises for an actor
-that shares no key with any of them.
+resolves an actor by the first of them it indexes, once per distinct actor,
+and raises for an actor that shares no key with any of them.
 """
 from __future__ import annotations
 
@@ -142,14 +142,20 @@ class IdentityIndex:
             # an engineer with neither key was merged by name
             keys = keys or [("name", n) for n in eng.names or ("",)]
             self._ids.update(dict.fromkeys(keys, eng.id))
+        self._found: dict[RawActor, str] = {}  # each actor resolved so far -> its id
 
     def resolve(self, actor: RawActor) -> str:
         """The engineer id of the first key of ``actor`` (``_keys``) the index holds.
 
-        Raises InputDataError for an actor the index was not built from.
+        An actor is looked up once and remembered. Raises InputDataError for
+        an actor the index was not built from, on every call.
         """
+        found = self._found.get(actor)
+        if found is not None:
+            return found
         for key in _keys(actor):
             found = self._ids.get(key)
             if found is not None:
+                self._found[actor] = found
                 return found
         raise InputDataError(f"{actor!r} is not in the identity index")

@@ -11,10 +11,12 @@ downstream checks them again.
 """
 from __future__ import annotations
 
+import gc
 import math
 import re
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import groupby
@@ -198,6 +200,20 @@ def event_credit(events) -> list[Credit]:
     return [tuple.__new__(Credit, (one.get(e) or one.setdefault(e, (e,)), ref, ts, magnitude,
                                    one.get(p) or one.setdefault(p, (p,)), kind))
             for kind, e, p, ts, magnitude, ref in events]
+
+
+@contextmanager
+def collector_paused():
+    """Run a block with the cyclic garbage collector off; the caller's state
+    comes back on every exit. The records a run builds hold no cycles, and
+    the collector would only rescan them again and again as they pile up."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 _TIMESTAMP = attrgetter("timestamp_ms")

@@ -7,7 +7,6 @@ inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import NamedTuple
 
 from .collab import (
@@ -101,8 +100,9 @@ def run_analysis(
     leave older than an ancestor) and of the review and meeting credit kept
     for them, so repeated runs on unchanged inputs agree byte for byte. The
     report's ``as_of`` is null only for an unborn branch without
-    ``as_of_ms``. In ``both`` mode the two embedded result documents match
-    what single-algorithm runs emit.
+    ``as_of_ms``. Its project is the repository's name, however ``repo_path``
+    reaches the repository (``History.project``). In ``both`` mode the two
+    embedded result documents match what single-algorithm runs emit.
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise ConfigError(
@@ -144,7 +144,7 @@ def run_analysis(
     ledgers = prepare_ledgers(credit, snapshot.live_files, as_of_ms)
     # every commit dates the run, so only an unborn branch has no default instant
     as_of = None if as_of_ms is None and not commits else format_instant(ledgers.as_of_ms)
-    project = Path(repo_path).resolve().name
+    project = commits.project
 
     def single(algo: str) -> dict:
         warnings = list(ingest_warnings)

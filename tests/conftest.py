@@ -1,4 +1,5 @@
 """Shared test fixtures: scripted git repositories with pinned timestamps."""
+import gc
 import os
 import subprocess
 from pathlib import Path
@@ -83,6 +84,14 @@ class GitRepo:
 
     def head(self) -> str:
         return self.git("rev-parse", "HEAD").strip()
+
+
+@pytest.fixture
+def collector():
+    """Give the collector back in the state the test found it."""
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
 
 
 @pytest.fixture

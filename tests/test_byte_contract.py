@@ -1,8 +1,11 @@
-"""The report and event dump of two generated workloads, pinned by sha256.
+"""The report and event dump of generated workloads, pinned by sha256.
 
-The workloads are the small shape of perfbench/test_perfbench.py, which has
+Two workloads are the small shape of perfbench/test_perfbench.py, which has
 merges, renames, reviews (some unmerged) and meetings (some excluded), run
-with ``--algorithm both --dump-events``. The report is the program's contract:
+with ``--algorithm both --dump-events``. One is the benchmark's ``collab``
+workload of seed 1, whose meeting buckets share much of their content, run
+as the ``collab`` and ``collab-dump`` workloads run it. The report is the
+program's contract:
 a change that moves one byte of either output fails here, unless it fixes a
 documented defect and updates the digests. The generator writes its
 repository with ``git fast-import``, so the digests hold for the git that
@@ -34,6 +37,18 @@ DIGESTS = {
         "ceca3e2871bd2c869728a149b12a4cbf18442ea342f4aa8d100fc2cc7dc512f5",
     ),
 }
+
+# the benchmark's collab shape (perfbench/run.py) at seed 1: the report of a
+# default run, then the report and dump of --algorithm both --dump-events
+COLLAB = dict(
+    commits=2_000, files=200, authors=30, step_s=7200,
+    reviews=1_200, unmerged_share=0.1, meetings=240, excluded_share=0.05, attendees=(4, 10),
+)
+COLLAB_DIGESTS = (
+    "73a59f982c87b5e514041d595130d56226787ebb89a80d24463cdd98b7faa986",
+    "fda5c37367291b4d415540a49151761a63c4625cdb601fac5c3a63bca9da0196",
+    "9633d4f8019a2c072302d79596e81cc23b7993a0c90a042e6cd83e471934254b",
+)
 
 
 def load_workloads(monkeypatch):
@@ -94,3 +109,15 @@ def test_the_dump_drives_the_estimator_to_the_report(seed, monkeypatch, tmp_path
             {"path": p, "authors": list(est.authors_[p]), "top_doa": est.doa_.file_max.get(p, 0.0)}
             for p in paths
         ] == [{k: f[k] for k in ("path", "authors", "top_doa")} for f in doc["files"]]
+
+
+def test_the_benchmark_collab_workload_is_pinned(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    w = workloads.generate(workloads.Shape(**COLLAB), 1, tmp_path / "in")
+    inputs = ["--repo", str(w.repo), "--reviews", str(w.reviews), "--meetings", str(w.meetings)]
+    assert main(["analyze", *inputs, "--output", str(tmp_path / "collab.json")]) == 0
+    dump = ["--dump-events", str(tmp_path / "events.jsonl")]
+    both = [*inputs, "--algorithm", "both", *dump, "--output", str(tmp_path / "collab-dump.json")]
+    assert main(["analyze", *both]) == 0
+    outputs = ("collab.json", "collab-dump.json", "events.jsonl")
+    assert tuple(sha256(tmp_path / name) for name in outputs) == COLLAB_DIGESTS

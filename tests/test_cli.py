@@ -1294,14 +1294,6 @@ def test_a_lone_surrogate_in_the_evaluation_report_is_one_line(capsys, tmp_path,
     assert not target.exists()
 
 
-@pytest.fixture
-def collector():
-    """Give the collector back in the state the test found it."""
-    collecting = gc.isenabled()
-    yield
-    (gc.enable if collecting else gc.disable)()
-
-
 @pytest.mark.parametrize("caller_collects", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("error, exit_code", [
     (None, 0),

@@ -97,6 +97,34 @@ class TestParsing:
         with pytest.raises(InputDataError, match=message):
             parse_reviews(reviews_json(broken))
 
+    @pytest.mark.parametrize("malformed, problem", [
+        ("not an object", "actor entries must be objects"),
+        ({"name": "Bob", "email": "bob@example.com", "profile_ref": 5},
+         "actor field 'profile_ref' must be a string"),
+        ({"name": ["Bob"], "email": "bob@example.com"}, "actor field 'name' must be a string"),
+        ({"name": "Bob", "email": " "}, "actor needs an 'email' or a 'profile_ref'"),
+    ], ids=["not-an-object", "profile-ref", "name", "blank-email"])
+    def test_a_malformed_actor_after_an_equal_valid_one_fails_naming_its_entry(
+        self, malformed, problem
+    ):
+        bob = {"name": "Bob", "email": "bob@example.com"}
+        review = dict(REVIEW, reviewers=[bob, bob, malformed])
+        with pytest.raises(InputDataError, match=rf"^review #1 reviewer #2: {problem}$"):
+            parse_reviews(reviews_json(REVIEW, review))
+        meeting = dict(MEETING, participants=[bob, malformed])
+        with pytest.raises(InputDataError, match=rf"^meeting #1 participant #1: {problem}$"):
+            parse_meetings(reviews_json(dict(MEETING, participants=[bob]), meeting))
+
+    def test_equal_actors_are_one_shared_record(self):
+        bob = {"name": "Bob", "email": "bob@example.com"}
+        twice = dict(REVIEW, reviewers=[bob, dict(bob)])
+        first, second = parse_reviews(reviews_json(twice, REVIEW))
+        assert first.reviewers[0] is first.reviewers[1] is second.reviewers[0]
+        # equal values only: another name is another actor
+        renamed = dict(REVIEW, reviewers=[bob, dict(bob, name="B")])
+        [record] = parse_reviews(reviews_json(renamed))
+        assert record.reviewers == (RawActor("Bob", bob["email"]), RawActor("B", bob["email"]))
+
     def test_meeting_duration_must_be_positive(self):
         broken = dict(MEETING, duration_minutes=0)
         with pytest.raises(InputDataError, match="duration_minutes"):

@@ -476,6 +476,51 @@ def test_credit_other_than_meetings_builds_the_ledgers_of_its_events(credit):
     assert build_ledgers(iter(credit)) == build_ledgers(credit)
 
 
+@st.composite
+def shared_bucket_credit(draw):
+    """Meeting credit of several commits whose buckets hold one content.
+
+    Each commit draws its entries from a few contents of a small record
+    pool, so records repeat within a bucket and contents repeat across
+    commits, each time in a new order. A commit's credit names one of two
+    file tuples, so the bucket of a file in both joins two groups. Minutes
+    far apart make a running sum inexact, and 1e308 overflows a float sum."""
+    entry = st.tuples(
+        st.lists(engineer_ids, min_size=1, max_size=3, unique=True).map(tuple),
+        timestamps,
+        st.sampled_from([1e-12, 0.1, 45.0, 2.0**53, 1e308]) | meeting_minutes,
+    )
+    pool = draw(st.lists(entry, min_size=1, max_size=4))
+    contents = draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=4), min_size=1, max_size=2
+    ))
+    file_tuples = st.lists(st.sampled_from(FILES), min_size=1, max_size=3, unique=True).map(tuple)
+    credit = []
+    for ref in COMMIT_REFS:
+        groups = draw(st.lists(file_tuples, min_size=1, max_size=2))
+        for attendees, ts, minutes in draw(st.permutations(draw(st.sampled_from(contents)))):
+            credit.append(Credit(attendees, ref, ts, minutes, draw(st.sampled_from(groups))))
+        if draw(st.booleans()):
+            credit.append(Credit(("e0",), ref, AS_OF, 1.0, groups[0], EventKind.COMMIT))
+    return credit
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_bucket_credit(), exact_params)
+def test_buckets_of_one_content_score_as_if_weighed_apart(credit, params):
+    ledgers = build_ledgers(credit)
+    table = score_table(ledgers, AS_OF, params)
+    # every bucket its own list, so no two share a list
+    apart = {
+        path: FileLedger(led.first_authorship, led.commits, led.reviews,
+                         {ref: list(entries) for ref, entries in led.meetings.items()})
+        for path, led in ledgers.items()
+    }
+    assert score_table(apart, AS_OF, params).raw == table.raw
+    for (engineer, path), score in table.raw.items():
+        assert score == doa_reference(ledgers[path], engineer, AS_OF, params)
+
+
 class TestTableAndAuthorship:
     def test_normalized_bounds_and_argmax(self):
         table = make_table({("a", "f"): 4.0, ("b", "f"): 3.1})

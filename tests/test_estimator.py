@@ -1,8 +1,10 @@
+import gc
 import inspect
 import math
 
 import pytest
 
+import busfactor.estimator
 from busfactor import BusFactorEstimator
 from busfactor.errors import ClockSkewError, ConfigError, InputDataError
 from busfactor.model import AlgorithmParams, ContributionEvent, EventKind
@@ -35,6 +37,27 @@ class TestFit:
         assert est.n_files_ == 20
         assert est.result_.algorithm == "multimodal"
         assert set(est.authors_) == {e.file_path for e in quarter_events()}
+
+    @pytest.mark.parametrize("caller_collects", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["fits", "raises"])
+    def test_fit_converts_and_scores_without_the_collector_and_restores_it(
+        self, monkeypatch, collector, caller_collects, bad
+    ):
+        seen = []
+        real_credit = busfactor.estimator.event_credit
+
+        def recording_credit(events):
+            seen.append(gc.isenabled())
+            return real_credit(events)
+
+        monkeypatch.setattr(busfactor.estimator, "event_credit", recording_credit)
+        (gc.enable if caller_collects else gc.disable)()
+        if bad:  # every event is newer than the instant, which the ledger check finds
+            with pytest.raises(ClockSkewError):
+                BusFactorEstimator(as_of=day_ms(0) - 1).fit(quarter_events())
+        else:
+            assert BusFactorEstimator().fit(quarter_events()).bus_factor_ == 3
+        assert (seen, gc.isenabled()) == ([False], caller_collects)
 
     def test_none_is_an_input_error(self):
         message = r"^expected a collection of contribution events, got None$"

@@ -1,4 +1,4 @@
-"""The report does not depend on where in the work tree ``--repo`` points or
+"""The report does not depend on where in the repository ``--repo`` points or
 on the user's git configuration, nor on whether the user asks git to flush
 its output (``GIT_FLUSH=1``).
 
@@ -63,14 +63,37 @@ def use_git_config(monkeypatch, tmp_path, *settings) -> None:
 
 def test_subdirectory_repo_means_the_whole_repository(tmp_path, monkeypatch, nested_repo):
     use_git_config(monkeypatch, tmp_path)
-    whole = json.loads(report_bytes(tmp_path, nested_repo.path))
-    from_subdirectory = json.loads(report_bytes(tmp_path, nested_repo.path / "d"))
-    assert from_subdirectory["project"] == "d"
+    whole = report_bytes(tmp_path, nested_repo.path)
+    assert report_bytes(tmp_path, nested_repo.path / "d") == whole
+    whole = json.loads(whole)
     assert whole["project"] == "nested"
-    assert from_subdirectory == {**whole, "project": "d"}
     assert whole["warnings"] == []
     assert [f["path"] for f in whole["files"]] == ["d/moved.txt", "d/sp ace.txt", "d/é.txt"]
     assert whole["key_engineers"] == ["zoe@example.com"]
+
+
+def test_every_way_into_the_repository_names_it(tmp_path, monkeypatch, nested_repo):
+    """The project is the repository: a work tree, a directory in it, its
+    ``.git``, a linked worktree and a bare clone all report its name."""
+    use_git_config(monkeypatch, tmp_path)
+    nested_repo.git("worktree", "add", "-q", "--detach", str(tmp_path / "linked"))
+    bare = tmp_path / "bare.git"
+    subprocess.run(["git", "clone", "-q", "--bare", str(nested_repo.path), str(bare)], check=True)
+    reports = {
+        where: json.loads(report_bytes(tmp_path, path))
+        for where, path in [
+            ("root", nested_repo.path),
+            ("subdirectory", nested_repo.path / "d"),
+            (".git", nested_repo.path / ".git"),
+            ("linked worktree", tmp_path / "linked"),
+            ("bare clone", bare),
+        ]
+    }
+    projects = {where: report.pop("project") for where, report in reports.items()}
+    assert projects == {**dict.fromkeys(projects, "nested"), "bare clone": "bare.git"}
+    # the linked worktree is detached, so its branch reads HEAD
+    reports["linked worktree"]["branch"] = "main"
+    assert all(report == reports["root"] for report in reports.values())
 
 
 @pytest.mark.parametrize("where", ["root", "subdirectory"])

@@ -228,6 +228,16 @@ class TestIdentityIndex:
             index.resolve(actor)
         assert "\n" not in str(raised.value)
 
+    def test_an_actor_outside_the_index_raises_on_every_call(self):
+        index = IdentityIndex(merge_identities([RawActor(name="A", email="a@example.com")]))
+        known, unknown = RawActor(email="A@example.com"), RawActor(email="zed@example.com")
+        for _ in range(3):
+            assert index.resolve(known) == "a@example.com"
+            with pytest.raises(InputDataError, match="zed@example.com"):
+                index.resolve(unknown)
+        # an equal actor is the same actor
+        assert index.resolve(RawActor(email="A@example.com")) == "a@example.com"
+
     @pytest.mark.parametrize("emit", ["vcs", "review", "meeting"])
     def test_emitters_reject_an_actor_outside_the_index(self, emit):
         index = IdentityIndex(merge_identities([RawActor(name="A", email="a@example.com")]))
