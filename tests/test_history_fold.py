@@ -145,12 +145,15 @@ def _fixed_history() -> History:
     return History(commits, 8)
 
 
-def build(history: History, path: Path) -> dict[int, str]:
-    """Write the history into a new repository at ``path``: commit index -> id."""
+def build(history: History, path: Path, *, epoch: int = EPOCH0, authors=AUTHORS) -> dict[int, str]:
+    """Write the history into a new repository at ``path``: commit index -> id.
+
+    Commit times count hours after ``epoch``; ``authors`` names each author index.
+    """
     stream = []
     for i, commit in enumerate(history.commits):
-        name, email = AUTHORS[commit.author]
-        when = f"{EPOCH0 + commit.hour * 3600} +0000"
+        name, email = authors[commit.author]
+        when = f"{epoch + commit.hour * 3600} +0000"
         stream.append(
             f"commit refs/heads/build\nmark :{i + 1}\n"
             f"author {name} <{email}> {when}\ncommitter {name} <{email}> {when}\n"
