@@ -3,10 +3,12 @@
 from importlib import import_module
 
 from .collab import (
+    MeetingBucket,
     emit_meeting_events,
     emit_review_events,
     filter_meetings,
     filter_reviews,
+    meeting_buckets,
     parse_meetings,
     parse_reviews,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "IdentityIndex",
     "InputDataError",
     "Ledgers",
+    "MeetingBucket",
     "RawActor",
     "RepositoryError",
     "analyze",
@@ -114,6 +117,7 @@ __all__ = [
     "format_instant",
     "load_predictions",
     "load_truth",
+    "meeting_buckets",
     "merge_identities",
     "parse_instant",
     "parse_meetings",

@@ -3,10 +3,15 @@
 Both channels arrive as JSON arrays and are joined to the commit history:
 reviews attach to the exact commits they approved, meetings attach to the
 commits their attendees authored nearby in time. A commit is its COMMIT
-credit in ``commit_index``, authored by ``engineers[0]``. Each channel
-produces one credit per (review or meeting, commit) match, which stands for
-its events on the head-live files of that commit; a record's numbers pass
-the ``Credit`` check once, and its matches carry the checked numbers.
+credit in ``commit_index``, authored by ``engineers[0]``. A review yields one
+credit per reviewed commit, which stands for its events on the head-live
+files of that commit. Meetings have one matcher: it lists each attendee's
+meetings by start and bisects them once per commit, so a commit gets one
+``MeetingBucket``, and commits that see the same meetings share its list.
+The scoring path takes the buckets as they are; ``emit_meeting_events``
+spells them out as one credit per (meeting, commit) match, for the event
+log. A record's numbers pass the ``Credit`` check once, and its matches
+carry the checked numbers.
 
 Every actor names an email or a profile ref that is not blank, and resolves
 through an ``IdentityIndex`` that must be built from every actor passed in.
@@ -15,6 +20,8 @@ Equal actor entries of one file parse to one shared ``RawActor``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputDataError
@@ -206,6 +213,75 @@ def emit_review_events(
     return credit
 
 
+class MeetingBucket(NamedTuple):
+    """The meetings of one commit: each one its author attended within the window.
+
+    ``entries`` holds one ``(attendees, start_ms, minutes)`` per meeting, in
+    start order; it stands for a meeting event of every attendee on every
+    one of ``file_paths``. Commits whose author sees the same meetings
+    share one ``entries`` list.
+    """
+
+    commit_ref: str
+    file_paths: tuple[str, ...]
+    entries: list[tuple[tuple[str, ...], int, float]]
+
+
+_START = itemgetter(1)
+
+
+def _match_meetings(meetings, commit_index, identity, window_days):
+    """Each meeting's ``(attendees, start_ms, minutes)`` entry, in input order,
+    and the bucket of each commit with live files that an entry matches."""
+    rows, attended = [], defaultdict(list)
+    for _, participants, start, minutes, _ in meetings:
+        _, _, start, minutes, _, _ = Credit((), "", start, minutes, (), EventKind.MEETING)
+        row = (_resolve_ids(participants, identity), start, minutes)
+        rows.append(row)
+        for attendee in row[0]:
+            attended[attendee].append(row)
+    if not attended:
+        return rows, []  # nothing to join: skip the history
+    by_start = {}  # attendee -> their rows and the rows' starts, in start order
+    for attendee, theirs in attended.items():
+        theirs.sort(key=_START)  # stable: input order among equal starts
+        by_start[attendee] = theirs, [start for _, start, _ in theirs]
+    window_ms = window_days * int(MS_PER_DAY)
+    shared: dict[tuple[str, int, int], list] = {}
+    buckets, new = [], tuple.__new__
+    for commit_id, (engineers, _, ts, _, paths, _) in commit_index.items():
+        seen = by_start.get(engineers[0]) if paths else None
+        if seen is None:
+            continue
+        theirs, stamps = seen
+        lo = bisect_left(stamps, ts - window_ms)
+        hi = bisect_right(stamps, ts + window_ms, lo)
+        if lo < hi:
+            window = shared.get((engineers[0], lo, hi))
+            if window is None:
+                window = shared[engineers[0], lo, hi] = theirs[lo:hi]
+            buckets.append(new(MeetingBucket, (commit_id, paths, window)))
+    return rows, buckets
+
+
+def meeting_buckets(
+    meetings: list[MeetingRecord],
+    commit_index: dict[str, Credit],
+    identity: IdentityIndex,
+    *,
+    window_days: int = AlgorithmParams.meeting_window_days,
+) -> list[MeetingBucket]:
+    """One bucket per commit whose author attended a meeting near in time.
+
+    A commit relates to a meeting when its author attended and the meeting
+    started within the window around the commit timestamp; a commit without
+    live files relates to none. Each entry carries the meeting's
+    deduplicated attendees in input order, and ``start_ms`` and
+    ``duration_minutes`` must pass the ``Credit`` check, matched or not.
+    """
+    return _match_meetings(meetings, commit_index, identity, window_days)[1]
+
+
 def emit_meeting_events(
     meetings: list[MeetingRecord],
     commit_index: dict[str, Credit],
@@ -213,37 +289,23 @@ def emit_meeting_events(
     *,
     window_days: int = AlgorithmParams.meeting_window_days,
 ) -> list[Credit]:
-    """Meeting credit for commits authored by attendees near in time.
+    """The ``meeting_buckets`` spelled out as one credit per (meeting, commit) match.
 
-    A commit relates to a meeting when its author attended and the meeting
-    started within the window around the commit timestamp; the match is one
-    credit of the meeting's duration to every attendee. Each credit carries
-    the meeting's deduplicated attendees in input order and the commit's
-    own ``file_paths`` tuple (a commit without live files earns none). The
-    credit comes meeting by meeting in input order, each meeting's commits
-    by timestamp, then commit id. ``start_ms`` and ``duration_minutes`` must
-    pass the ``Credit`` check, matched or not.
+    A match is a credit of the meeting's duration to every attendee, on the
+    commit's own ``file_paths`` tuple. The credit comes meeting by meeting
+    in input order, each meeting's commits by timestamp, then commit id.
     """
-    if not meetings:
-        return []  # nothing to join: skip sorting the history
-    window_ms = window_days * int(MS_PER_DAY)
-    timeline = sorted(  # commit ids are unique, so no two credits are compared
-        (commit.timestamp_ms, commit_id, commit)
-        for commit_id, commit in commit_index.items()
-        if commit.file_paths
-    )
-    stamps = [ts for ts, _, _ in timeline]
-    credit: list[Credit] = []
+    rows, buckets = _match_meetings(meetings, commit_index, identity, window_days)
+    hits: dict[int, list] = {id(row): [] for row in rows}
+    for _, ref, paths, window in sorted(  # commit ids are unique: no two windows are compared
+        (commit_index[ref].timestamp_ms, ref, paths, window) for ref, paths, window in buckets
+    ):
+        for row in window:
+            hits[id(row)].append((ref, paths))
     new, meeting_kind = tuple.__new__, EventKind.MEETING
-    for _, participants, start, minutes, _ in meetings:
-        _, _, start, minutes, _, _ = Credit((), "", start, minutes, (), meeting_kind)
-        attendees = _resolve_ids(participants, identity)
-        authors = set(attendees)
-        lo = bisect_left(stamps, start - window_ms)
-        hi = bisect_right(stamps, start + window_ms)
-        credit.extend(
-            new(Credit, (attendees, commit_id, start, minutes, commit.file_paths, meeting_kind))
-            for _, commit_id, commit in timeline[lo:hi]
-            if commit.engineers[0] in authors
-        )
-    return credit
+    return [
+        new(Credit, (attendees, ref, start, minutes, paths, meeting_kind))
+        for row in rows
+        for attendees, start, minutes in (row,)
+        for ref, paths in hits[id(row)]
+    ]

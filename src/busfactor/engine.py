@@ -3,10 +3,13 @@
 Turns contribution credit into per-engineer, per-file authorship scores and
 walks the greedy removal order to find how many engineers the project can
 lose before less than half of its files retain an author. A file's ledger
-keys meeting credit by commit ref: each bucket holds the meeting credit of
-one commit that names the file. A scoring pass does its work once per
-distinct value (``_PassMemo``): it decays each timestamp once and weighs each
-distinct bucket content once, however many files and commits hold it.
+keys meetings by commit ref: each bucket lists the meetings of one commit
+that names the file. The pipeline hands over the meeting join's buckets as
+they are, one shared list per window; meeting credit, the estimator's way
+in, is grouped into the same shape. A scoring pass does its work once per
+distinct value (``_PassMemo``): it decays each timestamp once and weighs
+each bucket list once, and each distinct bucket content once, however many
+files and commits hold it.
 
 Two scoring algorithms live here. The multimodal one blends first authorship,
 commits, reviews, and meeting exposure, each exponentially decayed by age.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterable
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError, InputDataError
@@ -47,9 +51,9 @@ class FileLedger:
     ``first_authorship`` is ``(timestamp_ms, engineer)`` or None; ``commits``
     and ``reviews`` map an engineer to timestamps. ``meetings`` maps a commit
     ref to ``[(attendees, timestamp_ms, minutes)]``, one entry per meeting
-    credit of the commit that names the file; each attendee's minutes under
-    one ref are capped at one unit of exposure. The files that one commit's
-    credit names with one file tuple share one list. A ledger is mutable,
+    of the commit that names the file; each attendee's minutes under one
+    ref are capped at one unit of exposure. The files of one bucket share
+    its list, and so may the buckets of other commits. A ledger is mutable,
     and each one built without a dict gets an empty one of its own.
     """
 
@@ -81,14 +85,17 @@ class FileLedger:
         return sorted(_engineers(self, [a for entries in meetings for a, _, _ in entries]))
 
 
-def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
+def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str, FileLedger]:
     """Group credit by file, reading it once and rejecting duplicate first authorships.
 
     Every credit counts as the events ``credit_events`` spells out of it.
-    MEETING credit is grouped by commit and file tuple; each file of a group
-    gets its ``(engineers, start, minutes)`` entries as the one shared list,
-    joined only where two groups of a commit, or one twice, name the file.
-    The ``Credit`` constructor has checked each credit's kind and numbers.
+    MEETING credit is grouped by commit and file tuple into a bucket of
+    ``(engineers, start, minutes)`` entries. Each bucket, these and the
+    ``(commit_ref, file_paths, entries)`` of ``meetings`` alike, is filed
+    under its commit ref in the ledger of each of its files as the one
+    shared list, joined only where two buckets of a commit, or one twice,
+    name the file. The ``Credit`` constructor has checked each credit's kind
+    and numbers, and the meeting join each bucket's.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     groups: defaultdict[tuple, list] = defaultdict(list)  # (ref, file tuple) -> meeting entries
@@ -110,11 +117,11 @@ def build_ledgers(credit: Iterable[Credit]) -> dict[str, FileLedger]:
                             f"file {path!r} has more than one first_authorship event"
                         )
                     ledgers[path].first_authorship = (timestamp_ms, engineer)
-    for (ref, paths), entries in groups.items():
+    buckets = [(ref, paths, entries) for (ref, paths), entries in groups.items()]
+    for ref, paths, entries in chain(buckets, meetings):
         for path in paths:
-            meetings = ledgers[path].meetings
-            held = meetings.get(ref)
-            meetings[ref] = entries if held is None else held + entries
+            held = (of_file := ledgers[path].meetings).get(ref)
+            of_file[ref] = entries if held is None else held + entries
     return dict(ledgers)
 
 
@@ -131,28 +138,36 @@ class _PassMemo(dict):
 
     As a dict it maps each timestamp to ``decay`` of its age, so ``decay``
     and its clock-skew check run once per timestamp, whatever the term.
-    ``weighed`` maps each meeting bucket's content, the tuple of its
-    ``(attendees, start, minutes)`` entries, to its attendees' capped
-    weights, so a bucket is weighed once however many lists, files or
-    commits hold it. A content key is exact: within a pass the weights
-    depend on nothing else, and ``math.fsum`` rounds correctly whatever the
-    order of its terms.
+    ``meeting_weights`` weighs a bucket list into its attendees' capped
+    weights once: ``held`` finds a list again by identity (the meeting join
+    shares one list among the files and commits of a window), and
+    ``weighed`` by content, the tuple of its ``(attendees, start, minutes)``
+    entries (the estimator's per-file lists of equal meetings). A content
+    key is exact: within a pass the weights depend on nothing else, and
+    ``math.fsum`` rounds correctly whatever the order of its terms.
     """
 
     def __init__(self, as_of_ms: int, params: AlgorithmParams) -> None:
-        self.as_of_ms, self.params, self.weighed = as_of_ms, params, {}
+        self.as_of_ms, self.params, self.weighed, self.held = as_of_ms, params, {}, {}
 
     def __missing__(self, ts: int) -> float:
         return self.setdefault(ts, decay(age_days(ts, self.as_of_ms), self.params.decay_days))
 
     def meeting_weights(self, entries) -> dict[str, float]:
         """Each attendee's ``min(1, sum of minutes * decay / mte)`` over one bucket."""
+        held = self.held.get(id(entries))
+        if held is not None:
+            return held[1]
         key = tuple(entries)
         weights = self.weighed.get(key)
-        if weights is not None:
-            return weights
+        if weights is None:
+            weights = self.weighed[key] = self._weigh(key)
+        self.held[id(entries)] = entries, weights  # holding the list keeps its id unique
+        return weights
+
+    def _weigh(self, entries: tuple) -> dict[str, float]:
         terms: defaultdict[str, list[float]] = defaultdict(list)
-        for attendees, ts, minutes in key:
+        for attendees, ts, minutes in entries:
             term = minutes * self[ts]
             for engineer in attendees:
                 terms[engineer].append(term)
@@ -163,7 +178,6 @@ class _PassMemo(dict):
             except OverflowError:  # a sum past the largest float passes every finite mte
                 w = 1.0
             weights[engineer] = w if w < 1.0 else 1.0  # min(1.0, w), without a call per weight
-        self.weighed[key] = weights
         return weights
 
 
@@ -403,31 +417,47 @@ def checked_as_of(as_of_ms, name: str = "as_of_ms") -> int | None:
 
 
 def prepare_ledgers(
-    credit: Iterable[Credit], live_files=None, as_of_ms: int | None = None
+    credit: Iterable[Credit], live_files=None, as_of_ms: int | None = None, meetings=()
 ) -> Ledgers:
-    """Build the ledgers of ``credit`` once, then check them.
+    """Build the ledgers of ``credit`` and of the ``meetings`` buckets once, then check them.
 
-    ``credit`` that is not a list or a tuple is read into a list once.
-    ``live_files`` is the set of files the project currently contains; the
-    credit must only name those, and the smallest file outside them is
-    named. When omitted it is inferred from the files the ledgers hold.
-    ``as_of_ms`` must be an int, as a credit timestamp must; it defaults to
-    the newest credit timestamp (a credit with no files counts too), or 0
-    with none. Anything newer than it is a clock-skew error naming the first
-    event of ``canonical_blocks`` of the late credit.
+    ``credit`` and ``meetings`` that are not a list or a tuple are read into
+    a list once. A bucket of ``meetings`` (a ``collab.MeetingBucket``, or
+    any ``(commit_ref, file_paths, entries)``) counts as the MEETING credit
+    of each of its entries on its files. ``live_files`` is the set of files
+    the project currently contains; the credit must only name those, and
+    the smallest file outside them is named. When omitted it is inferred
+    from the files the ledgers hold. ``as_of_ms`` must be an int, as a
+    credit timestamp must; it defaults to the newest credit timestamp or
+    meeting start (a credit with no files counts too), or 0 with none.
+    Anything newer than it is a clock-skew error naming the first event of
+    ``canonical_blocks`` of the late credit; a late meeting's credit is
+    spelled out only then.
     """
     as_of_ms = checked_as_of(as_of_ms)
     if not isinstance(credit, (list, tuple)):
         credit = list(credit)
-    files = build_ledgers(credit)
+    if not isinstance(meetings, (list, tuple)):
+        meetings = list(meetings)
+    files = build_ledgers(credit, meetings)
     live_files = sorted(files if live_files is None else set(live_files))
     if stray := files.keys() - live_files:
         raise InputDataError(
             f"event references file {min(stray)!r} that is not a live file of the analyzed branch"
         )
+    lists = {id(entries): entries for _, _, entries in meetings}.values()
+    starts = {start for entries in lists for _, start, _ in entries}
     if as_of_ms is None:
-        as_of_ms = max((c.timestamp_ms for c in credit), default=0)
+        as_of_ms = max(chain((c.timestamp_ms for c in credit), starts), default=0)
     late = [c for c in credit if c.timestamp_ms > as_of_ms]
+    if starts and max(starts) > as_of_ms:
+        new, meeting_kind = tuple.__new__, EventKind.MEETING
+        late += (
+            new(Credit, (attendees, ref, start, minutes, paths, meeting_kind))
+            for ref, paths, entries in meetings
+            for attendees, start, minutes in entries
+            if start > as_of_ms
+        )
     for timestamp_ms, kind, engineer, paths in canonical_blocks(late, lambda path, _: path):
         raise ClockSkewError(
             f"event at {timestamp_ms} ({kind.value} by {engineer!r} on {paths[0]!r}) "

@@ -15,6 +15,7 @@ from .collab import (
     emit_review_events,
     filter_meetings,
     filter_reviews,
+    meeting_buckets,
     parse_meetings,
     parse_reviews,
 )
@@ -31,20 +32,32 @@ ALGORITHM_CHOICES = (*ALGORITHMS, "both")
 
 
 class AnalysisRun(NamedTuple):
-    """One run's report, and the credit it scored, which ``events`` spells out."""
+    """One run's report, the credit it scored, and the meeting join, which
+    ``events`` spells out with the credit."""
 
     report: dict
-    credit: list[Credit]  # every channel's, in channel order
+    credit: list[Credit]  # every channel's but the meetings', in channel order
+    # the arguments of emit_meeting_events: meetings, commit index, identity, window days
+    meeting_join: tuple | None = None
 
     @property
     def events(self) -> CanonicalEvents:
         """Every contribution event of the run in canonical order, built lazily.
 
-        The events are spelled out of ``canonical_blocks`` one timestamp at
-        a time, so the whole log is never held at once; meetings tied on the
-        whole sort key keep their input order.
+        The meeting credit is spelled out by ``emit_meeting_events`` only
+        here, after the credit of the other channels. The events are spelled
+        out of ``canonical_blocks`` one timestamp at a time, so the whole
+        log is never held at once; meetings tied on the whole sort key keep
+        their input order.
         """
-        return CanonicalEvents(self.credit)
+        credit = self.credit
+        if self.meeting_join is not None:
+            meetings, commit_index, identity, window_days = self.meeting_join
+            credit = [
+                *credit,
+                *emit_meeting_events(meetings, commit_index, identity, window_days=window_days),
+            ]
+        return CanonicalEvents(credit)
 
 
 def _report_doc(
@@ -93,12 +106,14 @@ def run_analysis(
     """Ingest every requested channel, score, and assemble the report.
 
     The branch head is resolved once: the snapshot lists the tree of the
-    commit the traversal ended with. Every channel yields ``Credit``, and
-    the ledgers are built from it once for every algorithm. ``prepare_ledgers``
-    defaults ``as_of_ms`` to the newest credit timestamp: that of every
-    commit in the history (not the head's, which a rebase or cherry-pick can
-    leave older than an ancestor) and of the review and meeting credit kept
-    for them, so repeated runs on unchanged inputs agree byte for byte. The
+    commit the traversal ended with. Git history and reviews yield
+    ``Credit``, meetings one bucket per commit window (``meeting_buckets``),
+    and the ledgers are built from them once for every algorithm.
+    ``prepare_ledgers`` defaults ``as_of_ms`` to the newest timestamp: that
+    of every commit in the history (not the head's, which a rebase or
+    cherry-pick can leave older than an ancestor), of the review credit and
+    of the meetings matched to them, so repeated runs on unchanged inputs
+    agree byte for byte. The
     report's ``as_of`` is null only for an unborn branch without
     ``as_of_ms``. Its project is the repository's name, however ``repo_path``
     reaches the repository (``History.project``). In ``both`` mode the two
@@ -135,13 +150,10 @@ def run_analysis(
     identity = IdentityIndex(merge_identities(actors))
 
     vcs = emit_vcs_events(commits, identity, snapshot, warnings=ingest_warnings)
-    index = vcs.commit_index
-    credit = [
-        *vcs.credit,
-        *emit_review_events(reviews, index, identity, warnings=ingest_warnings),
-        *emit_meeting_events(meetings, index, identity, window_days=params.meeting_window_days),
-    ]
-    ledgers = prepare_ledgers(credit, snapshot.live_files, as_of_ms)
+    index, window_days = vcs.commit_index, params.meeting_window_days
+    credit = [*vcs.credit, *emit_review_events(reviews, index, identity, warnings=ingest_warnings)]
+    buckets = meeting_buckets(meetings, index, identity, window_days=window_days)
+    ledgers = prepare_ledgers(credit, snapshot.live_files, as_of_ms, buckets)
     # every commit dates the run, so only an unborn branch has no default instant
     as_of = None if as_of_ms is None and not commits else format_instant(ledgers.as_of_ms)
     project = commits.project
@@ -163,7 +175,7 @@ def run_analysis(
         }
     else:
         report = single(algorithm)
-    return AnalysisRun(report=report, credit=credit)
+    return AnalysisRun(report, credit, (meetings, index, identity, window_days))
 
 
 def to_json(document: dict) -> str:
