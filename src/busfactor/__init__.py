@@ -3,12 +3,10 @@
 from importlib import import_module
 
 from .collab import (
-    MeetingBucket,
     emit_meeting_events,
     emit_review_events,
     filter_meetings,
     filter_reviews,
-    meeting_buckets,
     parse_meetings,
     parse_reviews,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "IdentityIndex",
     "InputDataError",
     "Ledgers",
-    "MeetingBucket",
     "RawActor",
     "RepositoryError",
     "analyze",
@@ -117,7 +114,6 @@ __all__ = [
     "format_instant",
     "load_predictions",
     "load_truth",
-    "meeting_buckets",
     "merge_identities",
     "parse_instant",
     "parse_meetings",

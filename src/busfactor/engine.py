@@ -421,10 +421,10 @@ def prepare_ledgers(
 ) -> Ledgers:
     """Build the ledgers of ``credit`` and of the ``meetings`` buckets once, then check them.
 
-    ``credit`` and ``meetings`` that are not a list or a tuple are read into
-    a list once. A bucket of ``meetings`` (a ``collab.MeetingBucket``, or
-    any ``(commit_ref, file_paths, entries)``) counts as the MEETING credit
-    of each of its entries on its files. ``live_files`` is the set of files
+    ``credit`` that is not a list or a tuple is read into a list once. A
+    bucket of the ``meetings`` list (a ``collab.MeetingBucket``, or any
+    ``(commit_ref, file_paths, entries)``) counts as the MEETING credit of
+    each of its entries on its files. ``live_files`` is the set of files
     the project currently contains; the credit must only name those, and
     the smallest file outside them is named. When omitted it is inferred
     from the files the ledgers hold. ``as_of_ms`` must be an int, as a
@@ -437,16 +437,13 @@ def prepare_ledgers(
     as_of_ms = checked_as_of(as_of_ms)
     if not isinstance(credit, (list, tuple)):
         credit = list(credit)
-    if not isinstance(meetings, (list, tuple)):
-        meetings = list(meetings)
     files = build_ledgers(credit, meetings)
     live_files = sorted(files if live_files is None else set(live_files))
     if stray := files.keys() - live_files:
         raise InputDataError(
             f"event references file {min(stray)!r} that is not a live file of the analyzed branch"
         )
-    lists = {id(entries): entries for _, _, entries in meetings}.values()
-    starts = {start for entries in lists for _, start, _ in entries}
+    starts = {start for _, _, entries in meetings for _, start, _ in entries}
     if as_of_ms is None:
         as_of_ms = max(chain((c.timestamp_ms for c in credit), starts), default=0)
     late = [c for c in credit if c.timestamp_ms > as_of_ms]
