@@ -296,16 +296,13 @@ def emit_meeting_events(
     in input order, each meeting's commits by timestamp, then commit id.
     """
     rows, buckets = _match_meetings(meetings, commit_index, identity, window_days)
-    hits: dict[int, list] = {id(row): [] for row in rows}
+    of_row: dict[int, list[Credit]] = {id(row): [] for row in rows}
+    new, meeting_kind = tuple.__new__, EventKind.MEETING
     for _, ref, paths, window in sorted(  # commit ids are unique: no two windows are compared
         (commit_index[ref].timestamp_ms, ref, paths, window) for ref, paths, window in buckets
     ):
         for row in window:
-            hits[id(row)].append((ref, paths))
-    new, meeting_kind = tuple.__new__, EventKind.MEETING
-    return [
-        new(Credit, (attendees, ref, start, minutes, paths, meeting_kind))
-        for row in rows
-        for attendees, start, minutes in (row,)
-        for ref, paths in hits[id(row)]
-    ]
+            attendees, start, minutes = row
+            credit = new(Credit, (attendees, ref, start, minutes, paths, meeting_kind))
+            of_row[id(row)].append(credit)
+    return [credit for row in rows for credit in of_row[id(row)]]
