@@ -113,11 +113,11 @@ def run_analysis(
     of every commit in the history (not the head's, which a rebase or
     cherry-pick can leave older than an ancestor), of the review credit and
     of the meetings matched to them, so repeated runs on unchanged inputs
-    agree byte for byte. The
-    report's ``as_of`` is null only for an unborn branch without
-    ``as_of_ms``. Its project is the repository's name, however ``repo_path``
-    reaches the repository (``History.project``). In ``both`` mode the two
-    embedded result documents match what single-algorithm runs emit.
+    agree byte for byte. The report's ``as_of`` is null only for an unborn
+    branch without ``as_of_ms``. Its project is the repository's name,
+    however ``repo_path`` reaches the repository (``History.project``). In
+    ``both`` mode the two embedded result documents match what
+    single-algorithm runs emit.
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise ConfigError(
