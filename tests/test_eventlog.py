@@ -255,6 +255,23 @@ FA, COMMIT, REVIEW, MEETING = EventKind
 ])
 # strings json escapes or ASCII-escapes
 @example([Credit((" \U0001f600", 'é"'), "\x00é", -1, 1e16, ('"\\', "/\x7f"))])
+# two meetings at one instant with one engineers tuple, other refs and paths
+@example([
+    Credit(("b@x.io", "a@x.io"), "c2", T, 30.0, ("src/b.py", "src/c.py")),
+    Credit(("b@x.io", "a@x.io"), "c1", T, 45.0, ("src/c.py", "src/a.py")),
+])
+# and a third whose engineers overlap theirs, so one engineer sits in two groups
+@example([
+    Credit(("b@x.io", "a@x.io"), "c2", T, 30.0, ("src/b.py", "src/c.py")),
+    Credit(("a@x.io", "c@x.io", "a@x.io"), "c0", T, 15.0, ("src/c.py",)),
+    Credit(("b@x.io", "a@x.io"), "c1", T, 45.0, ("src/c.py", "src/a.py")),
+])
+# one engineers tuple under two kinds at one instant
+@example([
+    Credit(("b@x.io", "a@x.io"), "c1", T, 1.0, ("src/a.py",), REVIEW),
+    Credit(("b@x.io", "a@x.io"), "c1", T, 30.0, ("src/a.py",)),
+    Credit(("b@x.io", "a@x.io"), "c0", T, 1.0, ("src/b.py",), REVIEW),
+])
 def test_events_and_dump_follow_the_canonical_order_of_the_credit(credit):
     expected = canonical_order(credit_events(credit))
     run = AnalysisRun(report={}, credit=credit)
