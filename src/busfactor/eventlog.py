@@ -19,6 +19,10 @@ from .inputs import field
 from .model import CanonicalEvents, ContributionEvent, EventKind, canonical_blocks
 
 FIELDS = ContributionEvent._fields
+#: The most characters ``write_event_log`` hands the sink at once (the log is
+#: ASCII, so bytes too), well under the 128 KiB at which malloc maps fresh
+#: pages for each string and its encoding, and unmaps them when freed.
+WRITE_BYTES = 1 << 16
 
 
 def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | Path) -> None:
@@ -29,9 +33,11 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
     ``canonical_blocks`` of ``AnalysisRun.events``, a ``CanonicalEvents``,
     which builds no event and formats each cell once for every block that
     shares it, or else a block per event, read one at a time, so a one-pass
-    stream is never held whole. A line has the bytes ``json.dumps`` gives
-    the record with compact separators: strings ASCII-escaped, and numbers
-    as ``repr`` prints the plain ints and floats the record constructors store.
+    stream is never held whole. Each head is formatted once a call. A line
+    has the bytes ``json.dumps`` gives the record with compact separators:
+    strings ASCII-escaped, and numbers as ``repr`` prints the plain ints and
+    floats the record constructors store. The lines go to ``sink`` in writes
+    of at most ``WRITE_BYTES``, unless one block alone is longer.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
@@ -43,20 +49,25 @@ def write_event_log(events: Iterable[ContributionEvent], sink: IO[str] | str | P
         return (f'{q(path)},"timestamp_ms":{source.timestamp_ms!r},'
                 f'"magnitude":{source.magnitude!r},"commit_ref":{q(source.commit_ref)}}}\n')
 
+    @functools.cache  # once per kind and engineer, not per block
+    def head(kind: EventKind, engineer: str) -> str:
+        return f'{{"kind":{q(kind)},"engineer_id":{q(engineer)},"file_path":'
+
     if isinstance(events, CanonicalEvents):
         blocks = canonical_blocks(events.credit, cell)
     else:
         blocks = ((e.timestamp_ms, e.kind, e.engineer_id, [cell(e.file_path, e)]) for e in events)
     parts: list[str] = []
-    lines = 0
+    size = 0
     for _, kind, engineer, cells in blocks:
-        head = f'{{"kind":{q(kind)},"engineer_id":{q(engineer)},"file_path":'
-        parts += head, head.join(cells)  # every cell ends its line
-        lines += len(cells)
-        if lines >= 4096:  # one write per few thousand lines
+        start = head(kind, engineer)
+        text = start.join(cells)  # every cell ends its line
+        if parts and size + len(start) + len(text) > WRITE_BYTES:
             sink.write("".join(parts))
             parts.clear()
-            lines = 0
+            size = 0
+        parts += start, text
+        size += len(start) + len(text)
     sink.write("".join(parts))
 
 

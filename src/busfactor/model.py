@@ -228,27 +228,43 @@ def canonical_blocks(credit, cell) -> Iterator[tuple[int, EventKind, str, list]]
     for the credit it comes from and its file. The credit is sorted stably
     by timestamp, and the cells of one block by ``(path, commit_ref)``, ties
     in input order, so the blocks spell out exactly ``canonical_order`` of
-    ``credit_events(credit)``. Blocks with the same credit share one list
-    (all attendees of a meeting do), which is built once.
+    ``credit_events(credit)``. The credit of one timestamp is grouped by kind
+    and engineers tuple first (all matches of a meeting share one), and each
+    group's index list goes to its engineers. An engineer in several groups,
+    or twice in one tuple, gets those lists concatenated instead, repeats
+    kept, so a repeated engineer's cells come twice, as ``credit_events``
+    spells them; the cells sort by index last, so the order of the
+    concatenation does not matter. Blocks that share a list share its
+    cells, which are built once.
     """
     for timestamp_ms, group in groupby(sorted(credit, key=_TIMESTAMP), key=_TIMESTAMP):
         group = list(group)
-        members: dict[tuple[int, str], list[int]] = {}
+        c = group[0]
+        if len(group) == 1 and len(set(c.engineers)) == len(c.engineers):
+            # one credit with no engineer twice: every block is its cells by path
+            if cells := [cell(path, c) for path in sorted(c.file_paths)]:
+                for engineer in sorted(c.engineers):
+                    yield timestamp_ms, c.kind, engineer, cells
+            continue
+        groups: dict[tuple[int, tuple[str, ...]], list[int]] = {}
         for i, c in enumerate(group):
-            rank = KIND_ORDER[c.kind]
-            for engineer in c.engineers:
-                members.setdefault((rank, engineer), []).append(i)
-        shared: dict[tuple[int, ...], list] = {}
+            groups.setdefault((KIND_ORDER[c.kind], c.engineers), []).append(i)
+        members: dict[tuple[int, str], list[int]] = {}
+        for (rank, engineers), indices in groups.items():
+            for engineer in engineers:
+                held = members.get((rank, engineer))
+                members[rank, engineer] = indices if held is None else held + indices
+        shared: dict[int, list] = {}  # by the id of a list that members holds
         for rank, engineer in sorted(members):
-            key = tuple(members[rank, engineer])
-            cells = shared.get(key)
+            indices = members[rank, engineer]
+            cells = shared.get(id(indices))
             if cells is None:
                 rows = sorted(
-                    (path, group[i].commit_ref, i) for i in key for path in group[i].file_paths
+                    (path, group[i].commit_ref, i) for i in indices for path in group[i].file_paths
                 )
-                cells = shared[key] = [cell(path, group[i]) for path, _, i in rows]
+                cells = shared[id(indices)] = [cell(path, group[i]) for path, _, i in rows]
             if cells:
-                yield timestamp_ms, group[key[0]].kind, engineer, cells
+                yield timestamp_ms, group[indices[0]].kind, engineer, cells
 
 
 def _event_cell(path: str, credit: Credit) -> tuple:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import eventlog_reference
 from busfactor.errors import InputDataError
-from busfactor.eventlog import FIELDS, events_from_records, read_event_log, write_event_log
+from busfactor.eventlog import (
+    FIELDS,
+    WRITE_BYTES,
+    events_from_records,
+    read_event_log,
+    write_event_log,
+)
 from busfactor.model import (
     CanonicalEvents,
     ContributionEvent,
@@ -283,6 +290,57 @@ def test_events_and_dump_follow_the_canonical_order_of_the_credit(credit):
     assert sink.getvalue() == reference.getvalue()
     assert_reads_back(sink.getvalue(), expected)
 
+
+
+class RecordingSink:
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+def long_log_credit() -> list[Credit]:
+    """Credit of a few thousand lines over many writes: engineers sit in
+    several credits of one instant, and two blocks are longer than
+    ``WRITE_BYTES`` alone, a meeting's on many files and a commit's on one
+    file whose path alone is longer."""
+    rng = random.Random(7)
+    engineers = [f"dev{n}@x.io" for n in range(8)]
+    paths = [f"src/pkg{n % 7}/module_{n:03d}.py" for n in range(60)]
+    credit = []
+    for t in range(40):
+        for n in range(4):
+            kind = rng.choice(list(EventKind))
+            credit.append(Credit(
+                tuple(rng.sample(engineers, rng.randint(1, 5))), f"c{t}-{n}", day_ms(t),
+                rng.choice([30.0, 45]) if kind is MEETING else 1.0,
+                tuple(rng.sample(paths, rng.randint(1, 10))), kind,
+            ))
+    wide = tuple(f"src/wide/{n:04d}/" + "w" * 60 + ".py" for n in range(900))
+    credit.append(Credit(("dev1@x.io", "dev2@x.io"), "c-wide", day_ms(20), 60.0, wide))
+    credit.append(Credit(("dev3@x.io",), "c-long", day_ms(21), 1.0, ("L" * WRITE_BYTES,), COMMIT))
+    return credit
+
+
+def test_writes_cross_chunks_within_the_bound():
+    credit = long_log_credit()
+    events = list(CanonicalEvents(credit))
+    assert len(events) > 4000
+    reference = io.StringIO()
+    eventlog_reference.write_event_log(events, reference)
+    # the blocks of the credit, and a block per event
+    for written, blocks_over in ((CanonicalEvents(credit), 3), (iter(events), 1)):
+        sink = RecordingSink()
+        write_event_log(written, sink)
+        assert "".join(sink.writes) == reference.getvalue()
+        assert len(sink.writes) > 5
+        over = [text for text in sink.writes if len(text) > WRITE_BYTES]
+        assert len(over) == blocks_over  # two attendees of the wide meeting, the long path
+        for text in over:  # each is one block alone: one instant, kind and engineer
+            records = [json.loads(line) for line in text.splitlines()]
+            assert len({(r["timestamp_ms"], r["kind"], r["engineer_id"]) for r in records}) == 1
+            assert blocks_over == 3 or len(records) == 1
 
 @pytest.mark.parametrize("minutes", [math.nan, math.inf, 0, True])
 def test_meeting_credit_with_bad_minutes_is_rejected(minutes):
