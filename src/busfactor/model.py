@@ -239,13 +239,6 @@ def canonical_blocks(credit, cell) -> Iterator[tuple[int, EventKind, str, list]]
     """
     for timestamp_ms, group in groupby(sorted(credit, key=_TIMESTAMP), key=_TIMESTAMP):
         group = list(group)
-        c = group[0]
-        if len(group) == 1 and len(set(c.engineers)) == len(c.engineers):
-            # one credit with no engineer twice: every block is its cells by path
-            if cells := [cell(path, c) for path in sorted(c.file_paths)]:
-                for engineer in sorted(c.engineers):
-                    yield timestamp_ms, c.kind, engineer, cells
-            continue
         groups: dict[tuple[int, tuple[str, ...]], list[int]] = {}
         for i, c in enumerate(group):
             groups.setdefault((KIND_ORDER[c.kind], c.engineers), []).append(i)
