@@ -268,7 +268,7 @@ FA, COMMIT, REVIEW, MEETING = EventKind
     Credit(("b@x.io", "a@x.io"), "c2", T, 30.0, ("src/b.py", "src/c.py")),
     Credit(("b@x.io", "a@x.io"), "c1", T, 45.0, ("src/c.py", "src/a.py")),
 ])
-# and a third whose engineers overlap theirs, so one engineer sits in two groups
+# and a third that overlaps their engineers and repeats one, so index lists concatenate
 @example([
     Credit(("b@x.io", "a@x.io"), "c2", T, 30.0, ("src/b.py", "src/c.py")),
     Credit(("a@x.io", "c@x.io", "a@x.io"), "c0", T, 15.0, ("src/c.py",)),
