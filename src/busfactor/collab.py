@@ -5,13 +5,13 @@ reviews attach to the exact commits they approved, meetings attach to the
 commits their attendees authored nearby in time. A commit is its COMMIT
 credit in ``commit_index``, authored by ``engineers[0]``. A review yields one
 credit per reviewed commit, which stands for its events on the head-live
-files of that commit. Meetings have one matcher: it lists each attendee's
-meetings by start and bisects them once per commit, so a commit gets one
-``MeetingBucket``, and commits that see the same meetings share its list.
-The scoring path takes the buckets as they are; ``emit_meeting_events``
-spells them out as one credit per (meeting, commit) match, for the event
-log. A record's numbers pass the ``Credit`` check once, and its matches
-carry the checked numbers.
+files of that commit. Meetings have one matcher, ``meeting_buckets``: it
+lists each attendee's meetings by start and bisects them once per commit,
+so a commit gets one ``MeetingBucket``, and commits that see the same
+meetings share its list. The scoring path takes the buckets as they are;
+``emit_meeting_events`` spells them out through ``model.bucket_credit``, for
+the event log. A record's numbers pass the ``Credit`` check once, and its
+matches carry the checked numbers.
 
 Every actor names an email or a profile ref that is not blank, and resolves
 through an ``IdentityIndex`` that must be built from every actor passed in.
@@ -32,6 +32,7 @@ from .model import (
     AlgorithmParams,
     Credit,
     EventKind,
+    bucket_credit,
     check_meeting_minutes,
 )
 
@@ -216,10 +217,10 @@ def emit_review_events(
 class MeetingBucket(NamedTuple):
     """The meetings of one commit: each one its author attended within the window.
 
-    ``entries`` holds one ``(attendees, start_ms, minutes)`` per meeting, in
-    start order; it stands for a meeting event of every attendee on every
-    one of ``file_paths``. Commits whose author sees the same meetings
-    share one ``entries`` list.
+    ``entries`` holds one ``(attendees, start_ms, minutes)`` per meeting, by
+    start, ties in input order; it stands for a meeting event of every
+    attendee on every one of ``file_paths``. Commits whose author sees the
+    same meetings share one ``entries`` list.
     """
 
     commit_ref: str
@@ -230,19 +231,31 @@ class MeetingBucket(NamedTuple):
 _START = itemgetter(1)
 
 
-def _match_meetings(meetings, commit_index, identity, window_days):
-    """Each meeting's ``(attendees, start_ms, minutes)`` entry, in input order,
-    and the bucket of each commit with live files that an entry matches."""
-    rows, attended = [], defaultdict(list)
+def meeting_buckets(
+    meetings: list[MeetingRecord],
+    commit_index: dict[str, Credit],
+    identity: IdentityIndex,
+    *,
+    window_days: int = AlgorithmParams.meeting_window_days,
+) -> list[MeetingBucket]:
+    """One bucket per commit whose author attended a meeting near in time,
+    in ``commit_index`` order.
+
+    A commit relates to a meeting when its author attended and the meeting
+    started within the window around the commit timestamp; a commit without
+    live files relates to none. Each entry carries the meeting's
+    deduplicated attendees in input order, and ``start_ms`` and
+    ``duration_minutes`` must pass the ``Credit`` check, matched or not.
+    """
+    attended = defaultdict(list)  # attendee -> the entries of their meetings
     for _, participants, start, minutes, _ in meetings:
         _, _, start, minutes, _, _ = Credit((), "", start, minutes, (), EventKind.MEETING)
-        row = (_resolve_ids(participants, identity), start, minutes)
-        rows.append(row)
-        for attendee in row[0]:
-            attended[attendee].append(row)
+        entry = (_resolve_ids(participants, identity), start, minutes)
+        for attendee in entry[0]:
+            attended[attendee].append(entry)
     if not attended:
-        return rows, []  # nothing to join: skip the history
-    by_start = {}  # attendee -> their rows and the rows' starts, in start order
+        return []  # nothing to join: skip the history
+    by_start = {}  # attendee -> their entries and the entries' starts, in start order
     for attendee, theirs in attended.items():
         theirs.sort(key=_START)  # stable: input order among equal starts
         by_start[attendee] = theirs, [start for _, start, _ in theirs]
@@ -261,25 +274,7 @@ def _match_meetings(meetings, commit_index, identity, window_days):
             if window is None:
                 window = shared[engineers[0], lo, hi] = theirs[lo:hi]
             buckets.append(new(MeetingBucket, (commit_id, paths, window)))
-    return rows, buckets
-
-
-def meeting_buckets(
-    meetings: list[MeetingRecord],
-    commit_index: dict[str, Credit],
-    identity: IdentityIndex,
-    *,
-    window_days: int = AlgorithmParams.meeting_window_days,
-) -> list[MeetingBucket]:
-    """One bucket per commit whose author attended a meeting near in time.
-
-    A commit relates to a meeting when its author attended and the meeting
-    started within the window around the commit timestamp; a commit without
-    live files relates to none. Each entry carries the meeting's
-    deduplicated attendees in input order, and ``start_ms`` and
-    ``duration_minutes`` must pass the ``Credit`` check, matched or not.
-    """
-    return _match_meetings(meetings, commit_index, identity, window_days)[1]
+    return buckets
 
 
 def emit_meeting_events(
@@ -289,20 +284,11 @@ def emit_meeting_events(
     *,
     window_days: int = AlgorithmParams.meeting_window_days,
 ) -> list[Credit]:
-    """The ``meeting_buckets`` spelled out as one credit per (meeting, commit) match.
-
-    A match is a credit of the meeting's duration to every attendee, on the
-    commit's own ``file_paths`` tuple. The credit comes meeting by meeting
-    in input order, each meeting's commits by timestamp, then commit id.
+    """The ``meeting_buckets`` spelled out by ``bucket_credit``: one credit per
+    (meeting, commit) match, of the meeting's duration to every attendee, on
+    the commit's own ``file_paths`` tuple. The credit comes in bucket order:
+    commit by commit in ``commit_index`` order, each commit's meetings by
+    start, in input order among equal starts.
     """
-    rows, buckets = _match_meetings(meetings, commit_index, identity, window_days)
-    of_row: dict[int, list[Credit]] = {id(row): [] for row in rows}
-    new, meeting_kind = tuple.__new__, EventKind.MEETING
-    for _, ref, paths, window in sorted(  # commit ids are unique: no two windows are compared
-        (commit_index[ref].timestamp_ms, ref, paths, window) for ref, paths, window in buckets
-    ):
-        for row in window:
-            attendees, start, minutes = row
-            credit = new(Credit, (attendees, ref, start, minutes, paths, meeting_kind))
-            of_row[id(row)].append(credit)
-    return [credit for row in rows for credit in of_row[id(row)]]
+    buckets = meeting_buckets(meetings, commit_index, identity, window_days=window_days)
+    return list(bucket_credit(buckets))

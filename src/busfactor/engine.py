@@ -6,10 +6,10 @@ lose before less than half of its files retain an author. A file's ledger
 keys meetings by commit ref: each bucket lists the meetings of one commit
 that names the file. The pipeline hands over the meeting join's buckets as
 they are, one shared list per window; meeting credit, the estimator's way
-in, is grouped into the same shape. A scoring pass does its work once per
-distinct value (``_PassMemo``): it decays each timestamp once and weighs
-each bucket list once, and each distinct bucket content once, however many
-files and commits hold it.
+in, is filed per file, as commit and review credit are. A scoring pass
+does its work once per distinct value (``_PassMemo``): it decays each
+timestamp once and weighs each bucket list once, and each distinct bucket
+content once, however many files and commits hold it.
 
 Two scoring algorithms live here. The multimodal one blends first authorship,
 commits, reviews, and meeting exposure, each exponentially decayed by age.
@@ -32,6 +32,7 @@ from .model import (
     Credit,
     EventKind,
     age_days,
+    bucket_credit,
     canonical_blocks,
     checked_timestamp,
     decay,
@@ -52,9 +53,10 @@ class FileLedger:
     and ``reviews`` map an engineer to timestamps. ``meetings`` maps a commit
     ref to ``[(attendees, timestamp_ms, minutes)]``, one entry per meeting
     of the commit that names the file; each attendee's minutes under one
-    ref are capped at one unit of exposure. The files of one bucket share
-    its list, and so may the buckets of other commits. A ledger is mutable,
-    and each one built without a dict gets an empty one of its own.
+    ref are capped at one unit of exposure. The files of a join's bucket
+    share its list, and so may other commits' buckets; MEETING credit fills
+    each file's own. A ledger is mutable, and each one built without a dict
+    gets an empty one of its own.
     """
 
     __slots__ = ("first_authorship", "commits", "reviews", "meetings")
@@ -89,20 +91,21 @@ def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str
     """Group credit by file, reading it once and rejecting duplicate first authorships.
 
     Every credit counts as the events ``credit_events`` spells out of it.
-    MEETING credit is grouped by commit and file tuple into a bucket of
-    ``(engineers, start, minutes)`` entries. Each bucket, these and the
-    ``(commit_ref, file_paths, entries)`` of ``meetings`` alike, is filed
-    under its commit ref in the ledger of each of its files as the one
-    shared list, joined only where two buckets of a commit, or one twice,
-    name the file. The ``Credit`` constructor has checked each credit's kind
-    and numbers, and the meeting join each bucket's.
+    MEETING credit files its ``(engineers, start, minutes)`` entry under its
+    commit ref in the ledger of each of its files, as COMMIT and REVIEW credit
+    file their timestamps. The ``(commit_ref, file_paths, entries)`` buckets
+    of ``meetings`` are filed there as the one shared list, joined only where
+    a file already holds entries under the ref. The ``Credit`` constructor
+    has checked each credit's kind and numbers, and the meeting join each
+    bucket's.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
-    groups: defaultdict[tuple, list] = defaultdict(list)  # (ref, file tuple) -> meeting entries
     for engineers, ref, timestamp_ms, minutes, paths, kind in credit:
         if kind is EventKind.MEETING:
             if engineers:  # else it spells out no event
-                groups[ref, tuple(paths)].append((engineers, timestamp_ms, minutes))
+                entry = (engineers, timestamp_ms, minutes)
+                for path in paths:
+                    ledgers[path].meetings.setdefault(ref, []).append(entry)
         elif kind is EventKind.COMMIT or kind is EventKind.REVIEW:
             for engineer in engineers:
                 for path in paths:
@@ -117,8 +120,7 @@ def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str
                             f"file {path!r} has more than one first_authorship event"
                         )
                     ledgers[path].first_authorship = (timestamp_ms, engineer)
-    buckets = [(ref, paths, entries) for (ref, paths), entries in groups.items()]
-    for ref, paths, entries in chain(buckets, meetings):
+    for ref, paths, entries in meetings:
         for path in paths:
             held = (of_file := ledgers[path].meetings).get(ref)
             of_file[ref] = entries if held is None else held + entries
@@ -431,8 +433,8 @@ def prepare_ledgers(
     credit timestamp must; it defaults to the newest credit timestamp or
     meeting start (a credit with no files counts too), or 0 with none.
     Anything newer than it is a clock-skew error naming the first event of
-    ``canonical_blocks`` of the late credit; a late meeting's credit is
-    spelled out only then.
+    ``canonical_blocks`` of the late credit; ``bucket_credit`` spells out a
+    late bucket entry only then.
     """
     as_of_ms = checked_as_of(as_of_ms)
     if not isinstance(credit, (list, tuple)):
@@ -448,13 +450,7 @@ def prepare_ledgers(
         as_of_ms = max(chain((c.timestamp_ms for c in credit), starts), default=0)
     late = [c for c in credit if c.timestamp_ms > as_of_ms]
     if starts and max(starts) > as_of_ms:
-        new, meeting_kind = tuple.__new__, EventKind.MEETING
-        late += (
-            new(Credit, (attendees, ref, start, minutes, paths, meeting_kind))
-            for ref, paths, entries in meetings
-            for attendees, start, minutes in entries
-            if start > as_of_ms
-        )
+        late += (c for c in bucket_credit(meetings) if c.timestamp_ms > as_of_ms)
     for timestamp_ms, kind, engineer, paths in canonical_blocks(late, lambda path, _: path):
         raise ClockSkewError(
             f"event at {timestamp_ms} ({kind.value} by {engineer!r} on {paths[0]!r}) "

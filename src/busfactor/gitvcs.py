@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import subprocess
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import RepositoryError
@@ -323,8 +324,8 @@ def emit_vcs_events(
     """Fold ordered commits into contribution credit for head-live files.
 
     Every Added or content-changing entry credits its commit's author; the
-    earliest add of a file identity (earliest timestamp, commit id breaking
-    ties) additionally yields the first authorship. Renames move accumulated
+    earliest add of a file identity (earliest timestamp, then first in fold
+    order) additionally yields the first authorship. Renames move accumulated
     history to the new path without adding knowledge; files absent from the
     head snapshot are dropped. A live file whose history earns no credit
     (absent from it, or only a pure rename of a path a sibling branch
@@ -382,7 +383,7 @@ def emit_vcs_events(
             warn(warnings, f"file {path!r} present at head but absent from history")
             continue
         if entry.adds:
-            ts, commit_id, author = min(entry.adds)
+            ts, commit_id, author = min(entry.adds, key=itemgetter(0))
             credit.append(new(Credit, (author, commit_id, ts, 1.0, (path,), first)))
         for touched in entry.commits:
             touched.append(path)

@@ -5,7 +5,8 @@ days derived from millisecond differences. All types are immutable value
 objects, safe to share across workers. A ``ContributionEvent`` is a tuple
 of the event log's fields; ``SORT_KEY`` is the canonical order,
 ``canonical_blocks`` puts the events of credit in it without spelling each
-one out, and ``event_credit`` turns events into ``Credit``. The two record
+one out, ``event_credit`` turns events into ``Credit``, and ``bucket_credit``
+meeting buckets. The two record
 constructors own a contribution's kind, timestamp and magnitude: nothing
 downstream checks them again.
 """
@@ -191,6 +192,16 @@ def credit_events(credit) -> Iterator[ContributionEvent]:
         for engineer in engineers:
             for path in paths:
                 yield new(event, (kind, engineer, path, timestamp_ms, magnitude, ref))
+
+
+def bucket_credit(buckets) -> Iterator[Credit]:
+    """The MEETING credit of ``(commit_ref, file_paths, entries)`` buckets: one
+    per ``(attendees, start_ms, minutes)`` entry, bucket by bucket, on the
+    bucket's files. The meeting join checked each entry's numbers."""
+    new, meeting = tuple.__new__, EventKind.MEETING
+    for ref, paths, entries in buckets:
+        for attendees, start, minutes in entries:
+            yield new(Credit, (attendees, ref, start, minutes, paths, meeting))
 
 
 def event_credit(events) -> list[Credit]:

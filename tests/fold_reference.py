@@ -9,6 +9,7 @@ new one. The events and each commit's live files are then read off the lists
 of the files live at head. Intentionally simple and slow.
 """
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass
@@ -46,7 +47,7 @@ def fold(commits, diffs, author_of, live_files) -> Fold:
             continue
         adds = [(ts, commit, who) for added, who, ts, commit in touches[path] if added]
         if adds:
-            ts, commit, who = min(adds)
+            ts, commit, who = min(adds, key=itemgetter(0))  # the first of the earliest
             events.append((ts, "first_authorship", who, path, commit))
         for _, who, ts, commit in touches[path]:
             events.append((ts, "commit", who, path, commit))

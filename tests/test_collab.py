@@ -278,7 +278,7 @@ class TestMeetingEvents:
         assert all(e.timestamp_ms == day_ms(3) for e in events)
         assert all(e.commit_ref == "c1" for e in events)
 
-    def test_credit_in_meeting_order_carries_the_commits_own_files(self):
+    def test_credit_in_bucket_order_carries_the_commits_own_files(self):
         # meeting input order: late, then two early ones that share a start
         meetings = parse_meetings(reviews_json(
             dict(MEETING, id="late", start=day_ms(5)),
@@ -286,15 +286,23 @@ class TestMeetingEvents:
             dict(MEETING, id="early-2", start=day_ms(1), duration_minutes=20,
                  participants=[{"email": "carol@example.com"}, {"email": "alice@example.com"}]),
         ))
-        index = commit_index()
+        # alice's c3 sees the same meetings; it comes after c1 in the index,
+        # though it is older
+        index = dict(
+            commit_index(),
+            c3=commit_credit("alice@example.com", "c3", day_ms(-1), ("src/d.py",)),
+        )
         identity = make_index(
             RawActor(email="alice@example.com"), RawActor(email="carol@example.com")
         )
         credit = emit_meeting_events(meetings, index, identity)
-        assert [(c.timestamp_ms, c.magnitude, c.engineers) for c in credit] == [
-            (day_ms(5), 45.0, ("alice@example.com", "carol@example.com")),
-            (day_ms(1), 10.0, ("alice@example.com", "carol@example.com")),
-            (day_ms(1), 20.0, ("carol@example.com", "alice@example.com")),
+        # commit by commit in index order, each commit's meetings by start,
+        # in input order among equal starts
+        early_1 = (day_ms(1), 10.0, ("alice@example.com", "carol@example.com"))
+        early_2 = (day_ms(1), 20.0, ("carol@example.com", "alice@example.com"))
+        late = (day_ms(5), 45.0, ("alice@example.com", "carol@example.com"))
+        assert [(c.commit_ref, c.timestamp_ms, c.magnitude, c.engineers) for c in credit] == [
+            (ref, *meeting) for ref in ("c1", "c3") for meeting in (early_1, early_2, late)
         ]
         assert all(c.file_paths is index[c.commit_ref].file_paths for c in credit)
 

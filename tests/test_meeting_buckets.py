@@ -146,3 +146,14 @@ def test_meeting_credit_is_the_reference_join_and_each_bucket_by_commit(
         assert bucket.file_paths is commit_index[bucket.commit_ref].file_paths
         starts = [start for _, start, _ in bucket.entries]
         assert starts == sorted(starts)
+        # the entries of one start are the author's meetings of that start,
+        # in input order: the order the event dump keeps for ties
+        author, attended = commit_index[bucket.commit_ref].engineers[0], []
+        for r in records:
+            attendees = tuple(dict.fromkeys(map(identity.resolve, r.participants)))
+            if author in attendees:
+                attended.append((attendees, r.start_ms, r.duration_minutes))
+        for start in set(starts):
+            assert [e for e in bucket.entries if e[1] == start] == [
+                e for e in attended if e[1] == start
+            ]

@@ -15,17 +15,15 @@ test_pipeline_reference.py does, and compares the report bytes of
 
 A commit id hashes its author and time, so reports name commits by their
 index in the drawn history before they are compared. The shift and the
-relabel change every commit id, and ``emit_vcs_events`` gives the first
-authorship of a path that two commits add at one instant to the smaller
-commit id: their histories have distinct commit times, and the tied case is
-pinned below as a known failure.
+relabel change every commit id; the first authorship of a path that two
+commits add at one instant goes to the first of them in fold order, which
+no commit id decides, and the tied case is pinned below.
 """
 import json
 import re
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from busfactor.errors import ClockSkewError
@@ -43,16 +41,6 @@ RELABEL = {"alice": "ann", "bob": "ben", "carol": "cyd", "dave": "dan"}
 LOCAL_PART = re.compile(r"(alice|bob|carol|dave)(?=@)", re.IGNORECASE)
 
 as_of_st = st.one_of(st.none(), st.integers(-2, 400).map(hour))  # some before the last event
-
-
-@st.composite
-def untied_histories(draw):
-    """Histories whose commits all have distinct times, in any order."""
-    history = draw(histories())
-    hours = draw(st.permutations(range(len(history.commits))))
-    return history._replace(commits=tuple(
-        commit._replace(hour=h) for commit, h in zip(history.commits, hours)
-    ))
 
 
 def relabel(text: str) -> str:
@@ -101,16 +89,14 @@ def assert_shift_moves_only_as_of(history, reviews, meetings, as_of_ms):
 
 
 @settings(max_examples=15, deadline=None)
-@given(untied_histories(), reviews_st, meetings_st, as_of_st)
+@given(histories(), reviews_st, meetings_st, as_of_st)
 def test_shifting_every_instant_moves_only_as_of(history, reviews, meetings, as_of_ms):
     assert_shift_moves_only_as_of(history, reviews, meetings, as_of_ms)
 
 
-@pytest.mark.xfail(strict=True, reason="the first author of a path added twice at one "
-                   "instant is the commit with the smaller id, which the shift changes")
 def test_shifting_a_tie_of_two_adds_of_one_path_moves_only_as_of():
-    # the shrunk example: alice and bob add f3.txt on two branches at one
-    # instant; alice's version is merged, and either may be the first author
+    # alice and bob add f3.txt on two branches at one instant, and alice's
+    # version is merged: her add comes first in fold order, whatever the ids
     base = {f"f{i}.txt": body(f"v{i}") for i in range(3)}
     history = History((
         Commit((), base, 0, 0),
@@ -149,7 +135,7 @@ def test_the_relabel_keeps_the_order_of_every_id():
 
 
 @settings(max_examples=15, deadline=None)
-@given(untied_histories(), reviews_st, meetings_st, as_of_st)
+@given(histories(), reviews_st, meetings_st, as_of_st)
 def test_an_order_preserving_relabel_of_emails_relabels_only_the_ids(
     history, reviews, meetings, as_of_ms
 ):
