@@ -19,8 +19,6 @@ from .engine import (
     authorship,
     build_ledgers,
     bus_factor,
-    doa_baseline,
-    doa_multimodal,
     prepare_ledgers,
     score_table,
 )
@@ -102,8 +100,6 @@ __all__ = [
     "canonical_order",
     "credit_events",
     "decay",
-    "doa_baseline",
-    "doa_multimodal",
     "emit_meeting_events",
     "emit_review_events",
     "emit_vcs_events",

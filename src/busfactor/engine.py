@@ -82,10 +82,6 @@ class FileLedger:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"FileLedger({shown})"
 
-    def participants(self) -> list[str]:
-        meetings = self.meetings.values()
-        return sorted(_engineers(self, [a for entries in meetings for a, _, _ in entries]))
-
 
 def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str, FileLedger]:
     """Group credit by file, reading it once and rejecting duplicate first authorships.
@@ -183,11 +179,9 @@ class _PassMemo(dict):
         return weights
 
 
-def _score_file_multimodal(
-    ledger: FileLedger, params: AlgorithmParams, decayed: _PassMemo
-) -> dict[str, float]:
-    """Scores of everyone on the file."""
-    fsum, log1p, weigh = math.fsum, math.log1p, decayed.meeting_weights
+def _score_file_multimodal(ledger: FileLedger, decayed: _PassMemo) -> dict[str, float]:
+    """Scores of everyone on the file, under the pass's params."""
+    fsum, log1p, weigh, params = math.fsum, math.log1p, decayed.meeting_weights, decayed.params
     exposure: defaultdict[str, list[float]] = defaultdict(list)
     for entries in ledger.meetings.values():
         for engineer, weight in weigh(entries).items():
@@ -215,8 +209,10 @@ def _score_file_multimodal(
     }
 
 
-def _score_file_baseline(ledger: FileLedger, engineers: Iterable[str]) -> dict[str, float]:
-    """Baseline scores of ``engineers``, from the file's commit counts alone."""
+def _score_file_baseline(ledger: FileLedger) -> dict[str, float]:
+    """Baseline scores of everyone on the file, from its commit counts alone."""
+    meetings = ledger.meetings.values()
+    engineers = _engineers(ledger, (a for entries in meetings for a, _, _ in entries))
     first_author = ledger.first_authorship[1] if ledger.first_authorship is not None else None
     counts = {e: len(stamps) for e, stamps in ledger.commits.items()}
     total = sum(counts.values())
@@ -227,23 +223,6 @@ def _score_file_baseline(ledger: FileLedger, engineers: Iterable[str]) -> dict[s
         - BASELINE_AC_WEIGHT * math.log1p(total - counts.get(e, 0))
         for e in engineers
     }
-
-
-def doa_multimodal(
-    ledger: FileLedger, engineer_id: str, as_of_ms: int, params: AlgorithmParams
-) -> float:
-    """Decayed multimodal degree of authorship of one engineer on one file.
-
-    An engineer with no events on the file scores exactly 0.0: every own
-    term vanishes and the crowd terms cancel.
-    """
-    scores = _score_file_multimodal(ledger, params, _PassMemo(as_of_ms, params))
-    return scores.get(engineer_id, 0.0)
-
-
-def doa_baseline(ledger: FileLedger, engineer_id: str) -> float:
-    """Commit-count regression score; no decay, reviews and meetings ignored."""
-    return _score_file_baseline(ledger, (engineer_id,))[engineer_id]
 
 
 class DoaTable(NamedTuple):
@@ -273,6 +252,12 @@ def score_table(
     params: AlgorithmParams,
     algorithm: str = "multimodal",
 ) -> DoaTable:
+    """Raw scores of everyone with an event on each file, under ``algorithm``.
+
+    An engineer with no events on a file scores exactly 0.0 (every own term
+    vanishes and the crowd terms cancel), as ``raw_score`` reads a pair the
+    table does not hold.
+    """
     if algorithm not in ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
@@ -282,13 +267,14 @@ def score_table(
     file_engineers: dict[str, tuple[str, ...]] = {}
     decayed = _PassMemo(as_of_ms, params)
     total = 0.0  # of every score so far, so no engineer's sum in bus_factor overflows
-    for path in sorted(ledgers):
+    files = tuple(sorted(ledgers))
+    for path in files:
         ledger = ledgers[path]
         try:
             if algorithm == "baseline":
-                scores = _score_file_baseline(ledger, ledger.participants())
+                scores = _score_file_baseline(ledger)
             else:
-                scores = _score_file_multimodal(ledger, params, decayed)
+                scores = _score_file_multimodal(ledger, decayed)
             total = math.fsum((total, *scores.values()))
         except (OverflowError, ValueError):  # a sum past the largest float, or inf - inf
             total = math.inf
@@ -303,7 +289,7 @@ def score_table(
         file_max=file_max,
         file_engineers=file_engineers,
         engineers=tuple(sorted({e for e, _ in raw})),
-        files=tuple(sorted(ledgers)),
+        files=files,
     )
 
 
@@ -325,9 +311,8 @@ def authorship(table: DoaTable, params: AlgorithmParams) -> dict[str, tuple[str,
             score = raw[e, path]
             if baseline:
                 ok = score > BASELINE_INTERCEPT and score > norm_threshold * peak
-            else:  # the normalized score as DoaTable.normalized computes it
-                share = 0.0 if peak <= 0.0 else min(1.0, max(0.0, score / peak))
-                ok = score >= doa_threshold and share >= norm_threshold
+            else:
+                ok = score >= doa_threshold and table.normalized(e, path) >= norm_threshold
             if ok:
                 chosen.append(e)
         authors[path] = tuple(chosen)
@@ -423,8 +408,8 @@ def prepare_ledgers(
 ) -> Ledgers:
     """Build the ledgers of ``credit`` and of the ``meetings`` buckets once, then check them.
 
-    ``credit`` that is not a list or a tuple is read into a list once. A
-    bucket of the ``meetings`` list (a ``collab.MeetingBucket``, or any
+    ``credit`` or ``meetings`` that is not a list or a tuple is read into a
+    list once. A bucket of ``meetings`` (a ``collab.MeetingBucket``, or any
     ``(commit_ref, file_paths, entries)``) counts as the MEETING credit of
     each of its entries on its files. ``live_files`` is the set of files
     the project currently contains; the credit must only name those, and
@@ -439,6 +424,8 @@ def prepare_ledgers(
     as_of_ms = checked_as_of(as_of_ms)
     if not isinstance(credit, (list, tuple)):
         credit = list(credit)
+    if not isinstance(meetings, (list, tuple)):
+        meetings = list(meetings)
     files = build_ledgers(credit, meetings)
     live_files = sorted(files if live_files is None else set(live_files))
     if stray := files.keys() - live_files:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .errors import InputDataError
@@ -114,8 +114,8 @@ def _norm(label: str) -> str:
 
 
 def evaluate_predictions(
-    predictions: list[ProjectPrediction],
-    truth: list[ProjectTruth],
+    predictions: Iterable[ProjectPrediction],
+    truth: Iterable[ProjectTruth],
     *,
     warnings: list[str] | None = None,
 ) -> dict:
@@ -124,8 +124,9 @@ def evaluate_predictions(
     Projects present only on one side are dropped with a warning; no shared
     project at all is an error. Key-person metrics pool every (project,
     engineer) decision across projects; truth projects that name no key
-    engineers are left out of that pooling.
+    engineers are left out of that pooling. Each side is read once.
     """
+    predictions, truth = list(predictions), list(truth)
     truth_by_name = {_norm(t.name): t for t in truth}
     matched: list[tuple[ProjectPrediction, ProjectTruth]] = []
     for prediction in predictions:

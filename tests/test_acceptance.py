@@ -12,7 +12,7 @@ import time
 import pytest
 
 from busfactor.cli import main
-from busfactor.engine import FileLedger, bus_factor, doa_baseline, doa_multimodal
+from busfactor.engine import FileLedger, bus_factor, score_table
 from busfactor.evaluate import ProjectPrediction, ProjectTruth, evaluate_predictions
 from busfactor.identity import RawActor, merge_identities
 from busfactor.model import AlgorithmParams, decay
@@ -24,6 +24,11 @@ from greedy_reference import make_table, naive_walk
 PARAMS = AlgorithmParams()
 HALF_LIFE_DAYS = 220.0 * math.log(2)
 HALF_LIFE_MS = round(HALF_LIFE_DAYS * 86_400_000)
+
+
+def doa(led, engineer, as_of_ms, params, algorithm="multimodal") -> float:
+    """The raw score of ``engineer`` on ``led``, scored alone."""
+    return score_table({"f": led}, as_of_ms, params, algorithm).raw_score(engineer, "f")
 
 
 @contextlib.contextmanager
@@ -41,13 +46,15 @@ def criterion(number: int, label: str):
 def test_criterion_1_formula_oracles():
     with criterion(1, "formula oracles within 1e-9"):
         fresh = FileLedger(first_authorship=(day_ms(0), "a"), commits={"a": [day_ms(0)]})
-        assert doa_multimodal(fresh, "a", day_ms(0), PARAMS) == pytest.approx(
+        assert doa(fresh, "a", day_ms(0), PARAMS) == pytest.approx(
             5.663553233343869, abs=1e-9
         )
-        assert doa_multimodal(fresh, "a", day_ms(0) + HALF_LIFE_MS, PARAMS) == pytest.approx(
+        assert doa(fresh, "a", day_ms(0) + HALF_LIFE_MS, PARAMS) == pytest.approx(
             2.9731162594595946, abs=1e-9
         )
-        assert doa_baseline(fresh, "a") == pytest.approx(4.555, abs=1e-9)
+        assert doa(fresh, "a", day_ms(0), PARAMS, algorithm="baseline") == pytest.approx(
+            4.555, abs=1e-9
+        )
         # knowledge halves after one half-life, about five months
         assert decay(HALF_LIFE_DAYS, 220.0) == pytest.approx(0.5, abs=1e-6)
 
@@ -74,7 +81,7 @@ def test_criterion_2_zero_activity_cancellation():
                         for _ in range(rng.randint(1, 3))
                     )
             led = FileLedger(first_authorship, commits, reviews, meetings)
-            assert abs(doa_multimodal(led, "uninvolved", day_ms(1000), PARAMS)) <= 1e-9
+            assert abs(doa(led, "uninvolved", day_ms(1000), PARAMS)) <= 1e-9
 
 
 def test_criterion_3_golden_fixtures(
@@ -252,7 +259,7 @@ def test_criterion_7_property_invariants():
                 for _ in range(rng.randint(1, 6))
             ]
             led = FileLedger(meetings={"c": minutes})
-            assert doa_multimodal(led, "m", day_ms(1000), PARAMS) <= 1.0 + 1e-12
+            assert doa(led, "m", day_ms(1000), PARAMS) <= 1.0 + 1e-12
 
         # shifting every timestamp by the same delta changes nothing
         for _ in range(50):
@@ -270,8 +277,8 @@ def test_criterion_7_property_invariants():
             )
             for engineer in ("a", "b"):
                 assert math.isclose(
-                    doa_multimodal(led, engineer, day_ms(500), PARAMS),
-                    doa_multimodal(moved, engineer, day_ms(500) + delta, PARAMS),
+                    doa(led, engineer, day_ms(500), PARAMS),
+                    doa(moved, engineer, day_ms(500) + delta, PARAMS),
                     rel_tol=1e-12,
                     abs_tol=1e-12,
                 )

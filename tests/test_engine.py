@@ -13,8 +13,6 @@ from busfactor.engine import (
     authorship,
     build_ledgers,
     bus_factor,
-    doa_baseline,
-    doa_multimodal,
     prepare_ledgers,
     score_table,
 )
@@ -38,6 +36,11 @@ AS_OF = day_ms(1000)
 HALF_LIFE_MS = round(220.0 * math.log(2) * 86_400_000)
 
 
+def doa(led, engineer, as_of_ms=AS_OF, params=PARAMS, algorithm="multimodal") -> float:
+    """The raw score of ``engineer`` on ``led``, scored alone."""
+    return score_table({"f": led}, as_of_ms, params, algorithm).raw_score(engineer, "f")
+
+
 def ledger(fa=None, commits=None, reviews=None, meetings=None) -> FileLedger:
     return FileLedger(
         first_authorship=fa,
@@ -51,13 +54,13 @@ class TestMultimodalFormula:
     def test_sole_creator_fresh_commit(self):
         led = ledger(fa=(AS_OF, "a"), commits={"a": [AS_OF]})
         expected = 4.0 + 2.4 * math.log(2)
-        assert doa_multimodal(led, "a", AS_OF, PARAMS) == pytest.approx(expected, abs=1e-9)
+        assert doa(led, "a", AS_OF, PARAMS) == pytest.approx(expected, abs=1e-9)
 
     def test_sole_creator_after_one_half_life(self):
         born = AS_OF - HALF_LIFE_MS
         led = ledger(fa=(born, "a"), commits={"a": [born]})
         expected = 3.0 * 0.5 + 0.5 + 2.4 * math.log(1.5)
-        assert doa_multimodal(led, "a", AS_OF, PARAMS) == pytest.approx(expected, abs=1e-9)
+        assert doa(led, "a", AS_OF, PARAMS) == pytest.approx(expected, abs=1e-9)
 
     def test_zero_activity_engineer_scores_exactly_zero(self):
         led = ledger(
@@ -66,7 +69,7 @@ class TestMultimodalFormula:
             reviews={"b": [day_ms(4)]},
             meetings={"c1": [(("a",), day_ms(2), 120.0)]},
         )
-        assert doa_multimodal(led, "ghost", AS_OF, PARAMS) == 0.0
+        assert doa(led, "ghost", AS_OF, PARAMS) == 0.0
 
     def test_zero_activity_cancellation_randomized_ledgers(self):
         rng = random.Random(7)
@@ -89,12 +92,12 @@ class TestMultimodalFormula:
                         for _ in range(rng.randint(1, 3))
                     )
             led = ledger(fa=fa, commits=commits, reviews=reviews, meetings=meetings)
-            assert abs(doa_multimodal(led, "absent", AS_OF, PARAMS)) <= 1e-9
+            assert abs(doa(led, "absent", AS_OF, PARAMS)) <= 1e-9
 
     def test_review_contribution(self):
         led = ledger(reviews={"r": [AS_OF]})
         expected = 0.5 + 1.2 * math.log(2)
-        assert doa_multimodal(led, "r", AS_OF, PARAMS) == pytest.approx(expected, abs=1e-9)
+        assert doa(led, "r", AS_OF, PARAMS) == pytest.approx(expected, abs=1e-9)
 
     def test_crowd_terms_shared_between_channels(self):
         # a committed long ago, b reviewed recently: each sees the other's
@@ -104,18 +107,18 @@ class TestMultimodalFormula:
         d = math.exp(-730 / 220)
         expected_a = 3.0 * d + d + 2.4 * (math.log1p(d) - math.log1p(0.0))
         expected_b = 0.5 + 1.2 * math.log(2)
-        assert doa_multimodal(led, "a", AS_OF, PARAMS) == pytest.approx(expected_a, abs=1e-9)
-        assert doa_multimodal(led, "b", AS_OF, PARAMS) == pytest.approx(expected_b, abs=1e-9)
+        assert doa(led, "a", AS_OF, PARAMS) == pytest.approx(expected_a, abs=1e-9)
+        assert doa(led, "b", AS_OF, PARAMS) == pytest.approx(expected_b, abs=1e-9)
 
 
 class TestMeetingTerm:
     def test_long_meeting_saturates_at_one(self):
         led = ledger(meetings={"c1": [(("m",), AS_OF, 600.0)]})
-        assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(1.0, abs=1e-12)
+        assert doa(led, "m", AS_OF, PARAMS) == pytest.approx(1.0, abs=1e-12)
 
     def test_meeting_minutes_decay(self):
         led = ledger(meetings={"c1": [(("m",), AS_OF - HALF_LIFE_MS, 240.0)]})
-        assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(0.5, abs=1e-9)
+        assert doa(led, "m", AS_OF, PARAMS) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("mte", [1e-3, 240.0, 1.7e308])
     def test_a_bucket_whose_sum_passes_the_largest_float_weighs_one(self, mte):
@@ -125,13 +128,13 @@ class TestMeetingTerm:
         led = ledger(meetings={"c1": [(("m",), AS_OF, 1e308), (("m", "n"), AS_OF, 1e308)]})
         for engineer in ("m", "n"):
             expected = doa_reference(led, engineer, AS_OF, params)
-            assert doa_multimodal(led, engineer, AS_OF, params) == expected
+            assert doa(led, engineer, AS_OF, params) == expected
         assert doa_reference(led, "m", AS_OF, params) == 1.0
         assert score_table({"f": led}, AS_OF, params).raw[("m", "f")] == 1.0
 
     def test_each_commit_bucket_caps_independently(self):
         led = ledger(meetings={"c1": [(("m",), AS_OF, 600.0)], "c2": [(("m",), AS_OF, 600.0)]})
-        assert doa_multimodal(led, "m", AS_OF, PARAMS) == pytest.approx(2.0, abs=1e-12)
+        assert doa(led, "m", AS_OF, PARAMS) == pytest.approx(2.0, abs=1e-12)
 
     def test_credit_folds_into_one_list_per_commit(self):
         files = ("a.txt", "b.txt")
@@ -261,17 +264,17 @@ class TestMeetingTerm:
     )
     def test_single_commit_meeting_credit_never_exceeds_one(self, items):
         led = ledger(meetings={"c1": [(("m",), day_ms(day), minutes) for day, minutes in items]})
-        assert doa_multimodal(led, "m", AS_OF, PARAMS) <= 1.0 + 1e-12
+        assert doa(led, "m", AS_OF, PARAMS) <= 1.0 + 1e-12
 
 
 class TestBaselineFormula:
     def test_creator_single_commit(self):
         led = ledger(fa=(day_ms(0), "a"), commits={"a": [day_ms(0)]})
-        assert doa_baseline(led, "a") == pytest.approx(4.555, abs=1e-9)
+        assert doa(led, "a", algorithm="baseline") == pytest.approx(4.555, abs=1e-9)
 
     def test_non_creator_without_commits(self):
         led = ledger(fa=(day_ms(0), "a"), reviews={"b": [day_ms(1)]})
-        assert doa_baseline(led, "b") == pytest.approx(3.293, abs=1e-12)
+        assert doa(led, "b", algorithm="baseline") == pytest.approx(3.293, abs=1e-12)
 
     def test_non_creator_five_commits_against_ten(self):
         led = ledger(
@@ -279,13 +282,13 @@ class TestBaselineFormula:
             commits={"a": [day_ms(0)] * 10, "b": [day_ms(1)] * 5},
         )
         expected = 3.293 + 0.164 * 5 - 0.321 * math.log(11)
-        assert doa_baseline(led, "b") == pytest.approx(expected, abs=1e-9)
-        assert doa_baseline(led, "b") == pytest.approx(3.343275617431723, abs=1e-9)
+        assert doa(led, "b", algorithm="baseline") == pytest.approx(expected, abs=1e-9)
+        assert doa(led, "b", algorithm="baseline") == pytest.approx(3.343275617431723, abs=1e-9)
 
     def test_time_plays_no_role(self):
         recent = ledger(fa=(AS_OF, "a"), commits={"a": [AS_OF]})
         ancient = ledger(fa=(day_ms(0), "a"), commits={"a": [day_ms(0)]})
-        assert doa_baseline(recent, "a") == doa_baseline(ancient, "a")
+        assert doa(recent, "a", algorithm="baseline") == doa(ancient, "a", algorithm="baseline")
 
     def test_reviews_and_meetings_ignored(self):
         bare = ledger(commits={"a": [day_ms(0)]})
@@ -294,7 +297,7 @@ class TestBaselineFormula:
             reviews={"a": [day_ms(1)], "b": [day_ms(2)]},
             meetings={"c": [(("a",), day_ms(3), 500.0)]},
         )
-        assert doa_baseline(bare, "a") == doa_baseline(noisy, "a")
+        assert doa(bare, "a", algorithm="baseline") == doa(noisy, "a", algorithm="baseline")
 
 
 engineer_ids = st.sampled_from(["e0", "e1", "e2"])
@@ -324,11 +327,11 @@ ledger_strategy = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(ledger_strategy, timestamps)
 def test_one_more_commit_never_hurts_its_author(led, new_ts):
-    before_own = doa_multimodal(led, "e0", AS_OF, PARAMS)
-    before_other = doa_multimodal(led, "e1", AS_OF, PARAMS)
+    before_own = doa(led, "e0", AS_OF, PARAMS)
+    before_other = doa(led, "e1", AS_OF, PARAMS)
     led.commits.setdefault("e0", []).append(new_ts)
-    after_own = doa_multimodal(led, "e0", AS_OF, PARAMS)
-    after_other = doa_multimodal(led, "e1", AS_OF, PARAMS)
+    after_own = doa(led, "e0", AS_OF, PARAMS)
+    after_other = doa(led, "e1", AS_OF, PARAMS)
     assert after_own >= before_own - 1e-12
     assert after_other <= before_other + 1e-12
 
@@ -351,18 +354,22 @@ def test_shifting_all_timestamps_changes_nothing(led, delta_days):
         },
     )
     for engineer in ("e0", "e1", "e2"):
-        original = doa_multimodal(led, engineer, AS_OF, PARAMS)
-        moved = doa_multimodal(shifted, engineer, AS_OF + delta, PARAMS)
+        original = doa(led, engineer, AS_OF, PARAMS)
+        moved = doa(shifted, engineer, AS_OF + delta, PARAMS)
         assert math.isclose(original, moved, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
-@given(ledger_strategy)
-def test_single_engineer_score_is_the_table_score(led):
-    table = score_table({"f": led}, AS_OF, PARAMS)
-    for engineer in led.participants():
-        assert doa_multimodal(led, engineer, AS_OF, PARAMS) == table.raw[(engineer, "f")]
-    assert doa_multimodal(led, "nobody", AS_OF, PARAMS) == 0.0
+@given(ledger_strategy, st.lists(ledger_strategy, max_size=3))
+def test_a_ledger_scores_alone_as_it_does_among_others(led, others):
+    # one pass memo serves every file of a table; no file may change another's scores
+    ledgers = {"f": led, **{f"g{i}": other for i, other in enumerate(others)}}
+    for algorithm in ALGORITHMS:
+        alone = score_table({"f": led}, AS_OF, PARAMS, algorithm)
+        among = score_table(ledgers, AS_OF, PARAMS, algorithm)
+        assert alone.raw == {key: score for key, score in among.raw.items() if key[1] == "f"}
+        assert alone.file_max == {"f": among.file_max["f"]}
+        assert among.raw_score("nobody", "f") == 0.0
 
 
 # Weights and decays many orders of magnitude apart, so that a running float
@@ -385,7 +392,7 @@ exact_params = st.builds(
 @given(ledger_strategy, exact_params)
 def test_score_is_the_exactly_rounded_sum_of_its_terms(led, params):
     for engineer in ("e0", "e1", "e2"):
-        assert doa_multimodal(led, engineer, AS_OF, params) == doa_reference(
+        assert doa(led, engineer, AS_OF, params) == doa_reference(
             led, engineer, AS_OF, params
         )
 
@@ -795,3 +802,16 @@ def test_credit_read_once_is_checked_like_its_list():
     for passed in (credit, iter(credit), tuple(credit)):
         with pytest.raises(ClockSkewError, match=late):
             prepare_ledgers(passed, None, 5)
+
+
+def test_buckets_read_once_are_checked_like_their_list():
+    credit = [Credit(("a",), "c0", 0, 1.0, ("f.txt",), EventKind.FIRST_AUTHORSHIP)]
+    buckets = [("c1", ("f.txt",), [(("a", "b"), 500, 30.0)])]
+    expected = prepare_ledgers(credit, None, None, buckets)
+    assert expected.as_of_ms == 500
+    late = "^event at 500 \\(meeting by 'a' on 'f.txt'\\) is newer than the analysis instant 100;"
+    for passed in (buckets, tuple(buckets), iter(buckets)):
+        assert prepare_ledgers(credit, None, None, passed) == expected
+    for passed in (buckets, tuple(buckets), iter(buckets)):
+        with pytest.raises(ClockSkewError, match=late):
+            prepare_ledgers(credit, None, 100, passed)

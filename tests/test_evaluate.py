@@ -163,6 +163,17 @@ class TestMetrics:
         assert any("only-predicted" in w for w in warnings)
         assert any("only-truth" in w for w in warnings)
 
+    def test_iterators_give_the_document_and_warnings_of_their_lists(self):
+        predictions = [pred("a", 1, ["x"])]
+        ground = [truth("a", [1.0], ["x"]), truth("b", [2.0], ["y"])]
+        listed: list[str] = []
+        expected = evaluate_predictions(predictions, ground, warnings=listed)
+        assert listed == ["ground-truth project 'b' has no prediction; excluded"]
+        read_once: list[str] = []
+        report = evaluate_predictions(iter(predictions), iter(ground), warnings=read_once)
+        assert report == expected
+        assert read_once == listed
+
     def test_no_shared_projects_is_an_error(self):
         with pytest.raises(InputDataError, match="share no projects"):
             evaluate_predictions([pred("a", 1)], [truth("b", [1.0])])
