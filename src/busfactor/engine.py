@@ -23,6 +23,7 @@ import math
 from collections import defaultdict
 from collections.abc import Iterable
 from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError, InputDataError
@@ -46,20 +47,18 @@ BASELINE_AC_WEIGHT = 0.321
 ALGORITHMS = ("multimodal", "baseline")
 
 
-class FileLedger:
+class FileLedger(SimpleNamespace):
     """Credit of one file, grouped the way scoring consumes it.
 
     ``first_authorship`` is ``(timestamp_ms, engineer)`` or None; ``commits``
     and ``reviews`` map an engineer to timestamps. ``meetings`` maps a commit
-    ref to ``[(attendees, timestamp_ms, minutes)]``, one entry per meeting
-    of the commit that names the file; each attendee's minutes under one
-    ref are capped at one unit of exposure. The files of a join's bucket
-    share its list, and so may other commits' buckets; MEETING credit fills
-    each file's own. A ledger is mutable, and each one built without a dict
-    gets an empty one of its own.
+    ref to a sequence of ``(attendees, timestamp_ms, minutes)``, one per
+    meeting of the commit that names the file; each attendee's minutes under
+    one ref are capped at one unit of exposure. A join's bucket shares its
+    entries among its files, and maybe other commits; MEETING credit fills
+    each file's own list. A ledger is a mutable ``SimpleNamespace``: equal to
+    one with equal fields, picklable, and with a fresh dict for each not given.
     """
-
-    __slots__ = ("first_authorship", "commits", "reviews", "meetings")
 
     def __init__(
         self,
@@ -68,19 +67,10 @@ class FileLedger:
         reviews: dict[str, list[int]] | None = None,
         meetings: dict[str, list[tuple]] | None = None,
     ) -> None:
-        self.first_authorship = first_authorship
-        self.commits = {} if commits is None else commits
-        self.reviews = {} if reviews is None else reviews
-        self.meetings = {} if meetings is None else meetings
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FileLedger:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"FileLedger({shown})"
+        super().__init__(first_authorship=first_authorship,
+                         commits={} if commits is None else commits,
+                         reviews={} if reviews is None else reviews,
+                         meetings={} if meetings is None else meetings)
 
 
 def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str, FileLedger]:
@@ -90,10 +80,10 @@ def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str
     MEETING credit files its ``(engineers, start, minutes)`` entry under its
     commit ref in the ledger of each of its files, as COMMIT and REVIEW credit
     file their timestamps. The ``(commit_ref, file_paths, entries)`` buckets
-    of ``meetings`` are filed there as the one shared list, joined only where
-    a file already holds entries under the ref. The ``Credit`` constructor
-    has checked each credit's kind and numbers, and the meeting join each
-    bucket's.
+    of ``meetings`` are filed there as they are, joined into a list only
+    where a file already holds entries under the ref, and skipped when no
+    entry names an attendee. The ``Credit`` constructor has checked each
+    credit's kind and numbers, and the meeting join each bucket's.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
     for engineers, ref, timestamp_ms, minutes, paths, kind in credit:
@@ -117,9 +107,11 @@ def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str
                         )
                     ledgers[path].first_authorship = (timestamp_ms, engineer)
     for ref, paths, entries in meetings:
+        if not any(attendees for attendees, _, _ in entries):
+            continue  # its credit spells out no event
         for path in paths:
             held = (of_file := ledgers[path].meetings).get(ref)
-            of_file[ref] = entries if held is None else held + entries
+            of_file[ref] = entries if held is None else [*held, *entries]
     return dict(ledgers)
 
 
@@ -410,16 +402,16 @@ def prepare_ledgers(
 
     ``credit`` or ``meetings`` that is not a list or a tuple is read into a
     list once. A bucket of ``meetings`` (a ``collab.MeetingBucket``, or any
-    ``(commit_ref, file_paths, entries)``) counts as the MEETING credit of
-    each of its entries on its files. ``live_files`` is the set of files
-    the project currently contains; the credit must only name those, and
-    the smallest file outside them is named. When omitted it is inferred
-    from the files the ledgers hold. ``as_of_ms`` must be an int, as a
-    credit timestamp must; it defaults to the newest credit timestamp or
-    meeting start (a credit with no files counts too), or 0 with none.
-    Anything newer than it is a clock-skew error naming the first event of
-    ``canonical_blocks`` of the late credit; ``bucket_credit`` spells out a
-    late bucket entry only then.
+    ``(commit_ref, file_paths, entries)``, entries in any sequence) counts as
+    the MEETING credit of each of its entries on its files, and so files
+    nothing if they name no attendee. ``live_files`` is the set of files the
+    project currently contains; the credit must only name those, and the
+    smallest file outside them is named. When omitted it is inferred from the
+    files the ledgers hold. ``as_of_ms`` must be an int, as a credit timestamp
+    must; it defaults to the newest credit timestamp or meeting start (a credit
+    with no files counts too), or 0 with none. Anything newer than it is a
+    clock-skew error naming the first event of ``canonical_blocks`` of the late
+    credit; ``bucket_credit`` spells out a late bucket entry only then.
     """
     as_of_ms = checked_as_of(as_of_ms)
     if not isinstance(credit, (list, tuple)):

@@ -22,6 +22,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import ClockSkewError, ConfigError
@@ -321,16 +322,16 @@ def _number(name: str, value, integral: bool = False):
     return int(number) if integral else number
 
 
-class AlgorithmParams:
+class AlgorithmParams(SimpleNamespace):
     """Tunable knobs of the scoring and coverage algorithms.
 
     Defaults follow the multimodal model: knowledge decays with e-folding
     time ``decay_days`` and meeting credit per commit is capped at
     ``mte_minutes``.
 
-    Params are built by keyword and immutable; equal params are equal and
-    hash alike. Each class attribute is its field's default, which the
-    estimator's signature reads.
+    Params are built by keyword and immutable; as a ``SimpleNamespace``,
+    equal params are equal, and they hash alike. Each class attribute is its
+    field's default, which the estimator's signature reads.
     """
 
     decay_days: float = 220.0
@@ -388,16 +389,8 @@ class AlgorithmParams:
 
     __delattr__ = __setattr__
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AlgorithmParams:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
     def __hash__(self) -> int:
         return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self) -> str:
-        return f"AlgorithmParams({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -408,6 +401,8 @@ class AlgorithmParams:
         if unknown:
             raise ConfigError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
         return AlgorithmParams(**{**self.__dict__, **overrides})
+
+    __replace__ = replace  # copy.replace: SimpleNamespace's own would skip the checks
 
     def as_dict(self) -> dict:
         return {**self.__dict__, "meeting_exclude_keywords": list(self.meeting_exclude_keywords)}

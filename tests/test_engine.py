@@ -22,6 +22,7 @@ from busfactor.model import (
     ContributionEvent,
     Credit,
     EventKind,
+    bucket_credit,
     credit_events,
     event_credit,
 )
@@ -523,6 +524,43 @@ def test_buckets_of_one_content_score_as_if_weighed_apart(credit, params):
     assert score_table(apart, AS_OF, params).raw == table.raw
     for (engineer, path), score in table.raw.items():
         assert score == doa_reference(ledgers[path], engineer, AS_OF, params)
+
+
+@st.composite
+def meeting_credit_and_buckets(draw):
+    """MEETING credit and meeting buckets over 3 files, 2 refs and 3 people.
+
+    A bucket's entries come as a list or a tuple, and may be none or name
+    no attendee; two buckets, or a bucket and credit, may share a file and
+    a ref."""
+    entry = st.tuples(attendee_tuples, timestamps, meeting_minutes)
+    refs = st.sampled_from(COMMIT_REFS[:2])
+    paths = st.lists(st.sampled_from(FILES), min_size=1, max_size=3, unique=True).map(tuple)
+    credit = [
+        Credit(attendees, ref, ts, minutes, files)
+        for (attendees, ts, minutes), ref, files in draw(
+            st.lists(st.tuples(entry, refs, paths), max_size=4)
+        )
+    ]
+    entries = st.lists(entry, max_size=3)
+    buckets = draw(st.lists(st.tuples(refs, paths, entries | entries.map(tuple)), max_size=4))
+    return credit, buckets
+
+
+@settings(max_examples=300, deadline=None)
+@given(meeting_credit_and_buckets())
+def test_a_bucket_files_what_its_meeting_credit_files(drawn):
+    credit, buckets = drawn
+    built = build_ledgers(credit, buckets)
+    spelled = build_ledgers(credit + list(bucket_credit(buckets)))
+    assert built.keys() == spelled.keys()
+    # scores, not lists: a kept bucket may hold an entry naming no attendee,
+    # which weighs nothing
+    for algorithm in ALGORITHMS:
+        got, want = (score_table(led, AS_OF, PARAMS, algorithm) for led in (built, spelled))
+        assert got.raw == want.raw
+        assert got.file_max == want.file_max
+        assert got.file_engineers == want.file_engineers
 
 
 class TestTableAndAuthorship:

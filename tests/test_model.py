@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from busfactor.engine import FileLedger
 from busfactor.errors import ClockSkewError, ConfigError
 from busfactor.eventlog import FIELDS, write_event_log
 from busfactor.model import (
@@ -351,6 +352,34 @@ class TestAlgorithmParams:
         p = AlgorithmParams()
         for name in AlgorithmParams.field_names():
             assert getattr(AlgorithmParams, name) == getattr(p, name), name
+
+
+def round_trips(record) -> list:
+    """``record`` through every pickle protocol, ``copy.copy`` and ``copy.deepcopy``."""
+    pickled = [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [*pickled, copy.copy(record), copy.deepcopy(record)]
+
+
+def test_params_and_ledgers_survive_pickle_and_copy():
+    params = AlgorithmParams(decay_days=150, meeting_exclude_keywords=["Retro"])
+    ledger = FileLedger((day_ms(0), "a"), {"a": [day_ms(0)]}, {"b": [day_ms(1)]},
+                        {"c1": [(("a", "b"), day_ms(2), 30.0)]})
+    for record in (params, ledger):
+        for clone in round_trips(record):
+            assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
+    for clone in round_trips(params):
+        assert hash(clone) == hash(params)
+        with pytest.raises(AttributeError):
+            clone.decay_days = 1.0
+    # copy.replace (3.13+) checks the result as replace does
+    replace = getattr(copy, "replace", AlgorithmParams.__replace__)
+    assert replace(params, decay_days=100) == params.replace(decay_days=100)
+    with pytest.raises(ConfigError, match="^decay_days must be > 0$"):
+        replace(params, decay_days=0)
+    deep = copy.deepcopy(ledger)
+    for name in ("commits", "reviews", "meetings"):
+        assert getattr(deep, name) is not getattr(ledger, name)
 
 
 def test_ms_per_day_constant():
