@@ -44,7 +44,6 @@ from .model import (
     EventKind,
     canonical_blocks,
     canonical_order,
-    credit_events,
     decay,
     event_credit,
     format_instant,
@@ -98,7 +97,6 @@ __all__ = [
     "bus_factor",
     "canonical_blocks",
     "canonical_order",
-    "credit_events",
     "decay",
     "emit_meeting_events",
     "emit_review_events",

@@ -76,7 +76,7 @@ class FileLedger(SimpleNamespace):
 def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str, FileLedger]:
     """Group credit by file, reading it once and rejecting duplicate first authorships.
 
-    Every credit counts as the events ``credit_events`` spells out of it.
+    Every credit counts as its events, one per engineer and file.
     MEETING credit files its ``(engineers, start, minutes)`` entry under its
     commit ref in the ledger of each of its files, as COMMIT and REVIEW credit
     file their timestamps. The ``(commit_ref, file_paths, entries)`` buckets

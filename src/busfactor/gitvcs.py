@@ -24,7 +24,7 @@ from .errors import RepositoryError
 from .identity import IdentityIndex, RawActor, normalize_email
 from .inputs import warn
 # canonical_order is not called here; perfbench/probes.py wraps this binding
-from .model import ContributionEvent, Credit, EventKind, canonical_order, credit_events
+from .model import CanonicalEvents, ContributionEvent, Credit, EventKind, canonical_order
 
 RENAME_THRESHOLD = "60%"
 
@@ -73,8 +73,8 @@ class VcsIngestion(NamedTuple):
 
     @property
     def events(self) -> list[ContributionEvent]:
-        """The credit spelled out, in its order (not sorted)."""
-        return list(credit_events(self.credit))
+        """The credit spelled out, in canonical order."""
+        return list(CanonicalEvents(self.credit))
 
 
 def _git(repo_path, *args: str, allowed: tuple[int, ...] = ()) -> tuple[int, str]:

@@ -3,9 +3,9 @@
 Timestamps are UTC epoch milliseconds throughout; decay ages are fractional
 days derived from millisecond differences. All types are immutable value
 objects, safe to share across workers. A ``ContributionEvent`` is a tuple
-of the event log's fields; ``SORT_KEY`` is the canonical order,
-``canonical_blocks`` puts the events of credit in it without spelling each
-one out, ``event_credit`` turns events into ``Credit``, and ``bucket_credit``
+of the event log's fields; ``canonical_blocks`` defines the canonical order
+and puts the events of credit in it without spelling each one out,
+``event_credit`` turns events into ``Credit``, and ``bucket_credit``
 meeting buckets. The two record
 constructors own a contribution's kind, timestamp and magnitude: nothing
 downstream checks them again.
@@ -101,12 +101,6 @@ class ContributionEvent(_EventFields):
         return cls(*fields)
 
 
-def SORT_KEY(event: ContributionEvent) -> tuple:
-    """The canonical order of events: (timestamp, kind rank, engineer, file, commit)."""
-    kind, engineer_id, file_path, timestamp_ms, _, commit_ref = event
-    return timestamp_ms, KIND_ORDER[kind], engineer_id, file_path, commit_ref
-
-
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -119,11 +113,6 @@ def check_meeting_minutes(minutes) -> None:
             where = "above the largest float" if minutes > 0 else "below 0"
             shown = f"{type(minutes).__name__} {where}"
         raise ValueError(f"magnitude must be a finite number > 0 for meeting events, got {shown}")
-
-
-def canonical_order(events) -> list[ContributionEvent]:
-    """Sort events by ``SORT_KEY``; events that tie on it keep their order."""
-    return sorted(events, key=SORT_KEY)
 
 
 def checked_timestamp(value, name: str = "timestamp_ms") -> int:
@@ -161,7 +150,7 @@ class Credit(_CreditFields):
     """One contribution of ``engineers`` to the files of one commit, from any channel.
 
     It stands for a ``kind`` event of each engineer on each of ``file_paths``;
-    ``credit_events`` spells those events out. ``magnitude`` is a meeting's
+    ``CanonicalEvents`` spells those events out. ``magnitude`` is a meeting's
     minutes, and 1.0 for every other kind. The constructor checks ``kind``,
     ``timestamp_ms`` and ``magnitude`` by the rule events follow, and
     ``_make``, ``_replace``, pickle and copy go through it.
@@ -182,19 +171,6 @@ class Credit(_CreditFields):
         return cls(*fields)
 
 
-def credit_events(credit) -> Iterator[ContributionEvent]:
-    """The events of each credit: one per engineer and file, engineer by engineer.
-
-    The rows skip the event constructor: each holds its credit's kind,
-    timestamp and magnitude, which the ``Credit`` constructor checked.
-    """
-    new, event = tuple.__new__, ContributionEvent
-    for engineers, ref, timestamp_ms, magnitude, paths, kind in credit:
-        for engineer in engineers:
-            for path in paths:
-                yield new(event, (kind, engineer, path, timestamp_ms, magnitude, ref))
-
-
 def bucket_credit(buckets) -> Iterator[Credit]:
     """The MEETING credit of ``(commit_ref, file_paths, entries)`` buckets: one
     per ``(attendees, start_ms, minutes)`` entry, bucket by bucket, on the
@@ -206,8 +182,8 @@ def bucket_credit(buckets) -> Iterator[Credit]:
 
 
 def event_credit(events) -> list[Credit]:
-    """The one-engineer, one-file credit of each event, in order: ``credit_events``
-    inverted. The credit of one engineer, or of one file, shares its 1-tuple."""
+    """The one-engineer, one-file credit of each event, in order. The credit of
+    one engineer, or of one file, shares its 1-tuple."""
     one: dict[str, tuple[str]] = {}
     return [tuple.__new__(Credit, (one.get(e) or one.setdefault(e, (e,)), ref, ts, magnitude,
                                    one.get(p) or one.setdefault(p, (p,)), kind))
@@ -235,19 +211,23 @@ def canonical_blocks(credit, cell) -> Iterator[tuple[int, EventKind, str, list]]
     """The events of ``credit`` in canonical order, as ``(timestamp_ms, kind,
     engineer_id, cells)`` blocks.
 
-    A block holds the events of one timestamp, kind and engineer, in
-    ``SORT_KEY`` order; ``cells`` has one ``cell(path, credit)`` per event,
-    for the credit it comes from and its file. The credit is sorted stably
-    by timestamp, and the cells of one block by ``(path, commit_ref)``, ties
-    in input order, so the blocks spell out exactly ``canonical_order`` of
-    ``credit_events(credit)``. The credit of one timestamp is grouped by kind
-    and engineers tuple first (all matches of a meeting share one), and each
+    A credit stands for one event per engineer and file. The canonical
+    order puts events by timestamp, then kind rank (``KIND_ORDER``), then
+    engineer, file and commit ref; events that tie on all five keep their
+    input order. ``tests/order_reference.py`` spells it as a stable key sort.
+
+    A block holds the events of one timestamp, kind and engineer, in that
+    order; ``cells`` has one ``cell(path, credit)`` per event, for the
+    credit it comes from and its file. The credit is sorted stably by
+    timestamp, and the cells of one block by ``(path, commit_ref)``, ties in
+    input order. The credit of one timestamp is grouped by kind and
+    engineers tuple first (all matches of a meeting share one), and each
     group's index list goes to its engineers. An engineer in several groups,
     or twice in one tuple, gets those lists concatenated instead, repeats
-    kept, so a repeated engineer's cells come twice, as ``credit_events``
-    spells them; the cells sort by index last, so the order of the
-    concatenation does not matter. Blocks that share a list share its
-    cells, which are built once.
+    kept, so a repeated engineer's cells come twice, once per appearance;
+    the cells sort by index last, so the order of the concatenation does
+    not matter. Blocks that share a list share its cells, which are built
+    once.
     """
     for timestamp_ms, group in groupby(sorted(credit, key=_TIMESTAMP), key=_TIMESTAMP):
         group = list(group)
@@ -295,6 +275,11 @@ class CanonicalEvents:
         for timestamp_ms, kind, engineer, cells in canonical_blocks(self.credit, _event_cell):
             for path, ref, magnitude in cells:
                 yield new(event, (kind, engineer, path, timestamp_ms, magnitude, ref))
+
+
+def canonical_order(events) -> list[ContributionEvent]:
+    """``events`` in canonical order, as new events equal to them."""
+    return list(CanonicalEvents(event_credit(events)))
 
 
 _WEIGHT_FIELDS = ("fa_weight", "dl_weight", "rv_weight", "log_dl_weight", "log_rv_weight")

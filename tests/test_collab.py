@@ -17,7 +17,8 @@ from busfactor.collab import (
 )
 from busfactor.errors import InputDataError
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import Credit, EventKind, credit_events
+from busfactor.model import Credit, EventKind
+from order_reference import credit_events
 
 from conftest import day_ms
 

@@ -23,12 +23,12 @@ from busfactor.model import (
     Credit,
     EventKind,
     bucket_credit,
-    credit_events,
     event_credit,
 )
 
 from conftest import day_ms
 from greedy_reference import make_table, naive_walk
+from order_reference import credit_events
 from score_reference import doa_reference
 
 PARAMS = AlgorithmParams()

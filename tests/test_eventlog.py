@@ -22,11 +22,10 @@ from busfactor.model import (
     ContributionEvent,
     Credit,
     EventKind,
-    canonical_order,
-    credit_events,
 )
 from busfactor.pipeline import AnalysisRun
 from eventlog_reference import event_to_record
+from order_reference import canonical_order, credit_events
 
 from conftest import day_ms
 

@@ -24,9 +24,9 @@ from hypothesis import example, given, settings, strategies as st
 import fold_reference
 from busfactor.gitvcs import emit_vcs_events, snapshot_branch, traverse_branch
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import canonical_order
 from conftest import ALICE, BOB, CAROL, EPOCH0
 from git_reference import diff_commit, merge_diff
+from order_reference import canonical_order
 
 AUTHORS = (ALICE, BOB, CAROL)
 NAMES = tuple(f"f{i}.txt" for i in range(6))

@@ -23,10 +23,9 @@ from busfactor.collab import MeetingRecord, emit_meeting_events, meeting_buckets
 from busfactor.estimator import BusFactorEstimator
 from busfactor.eventlog import read_event_log, write_event_log
 from busfactor.identity import IdentityIndex, merge_identities
-from busfactor.model import (
-    AlgorithmParams, Credit, EventKind, canonical_order, credit_events,
-)
+from busfactor.model import AlgorithmParams, Credit, EventKind
 from busfactor.pipeline import run_analysis
+from order_reference import canonical_order, credit_events
 
 from conftest import ALICE, BOB, CAROL, day_ms
 from test_meeting_fold import ACTORS, commits_st, instant, meetings_st

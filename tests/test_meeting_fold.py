@@ -27,10 +27,9 @@ from busfactor.errors import ClockSkewError
 from busfactor.eventlog import write_event_log
 from busfactor.gitvcs import emit_vcs_events, snapshot_branch, traverse_branch
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import (
-    AlgorithmParams, Credit, EventKind, canonical_order, credit_events, event_credit,
-)
+from busfactor.model import AlgorithmParams, Credit, EventKind, event_credit
 from busfactor.pipeline import AnalysisRun
+from order_reference import canonical_order, credit_events
 
 from conftest import ALICE, BOB, day_ms
 

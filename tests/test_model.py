@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import order_reference
 from busfactor.engine import FileLedger
 from busfactor.errors import ClockSkewError, ConfigError
 from busfactor.eventlog import FIELDS, write_event_log
 from busfactor.model import (
     KIND_ORDER,
     MS_PER_DAY,
-    SORT_KEY,
     AlgorithmParams,
     CanonicalEvents,
     ContributionEvent,
@@ -29,6 +29,7 @@ from busfactor.model import (
 )
 
 from conftest import day_ms
+from order_reference import SORT_KEY
 
 
 class TestDecay:
@@ -81,6 +82,24 @@ class TestInstants:
     def test_format_round_trips(self):
         for text in ("2024-01-01T00:00:00Z", "2024-06-15T12:34:56Z", "2024-06-15T12:34:56.789Z"):
             assert format_instant(parse_instant(text)) == text
+
+
+def _tie_heavy_event(kind, engineer_id, file_path, timestamp_ms, minutes, commit_ref):
+    magnitude = minutes if kind is EventKind.MEETING else 1.0
+    return ContributionEvent(kind, engineer_id, file_path, timestamp_ms, magnitude, commit_ref)
+
+
+#: pools of events of every kind on 2 engineers, 2 files, 2 timestamps and 2
+#: refs, sampled with repeats below; meetings that differ only in minutes tie
+#: on the whole order, so only input order tells them apart
+EVENT_POOLS = st.lists(
+    st.builds(
+        _tie_heavy_event, st.sampled_from(EventKind), st.sampled_from(["a", "b"]),
+        st.sampled_from(["f", "g"]), st.sampled_from([day_ms(0), day_ms(1)]),
+        st.sampled_from([15, 30.0, 45.5]), st.sampled_from(["c1", "c2"]),
+    ),
+    min_size=1, max_size=6,
+)
 
 
 class TestContributionEvent:
@@ -165,6 +184,12 @@ class TestContributionEvent:
         b = ContributionEvent(EventKind.COMMIT, "b", "a.txt", day_ms(0))
         a2 = ContributionEvent(EventKind.COMMIT, "a", "b.txt", day_ms(0))
         assert canonical_order([b, a, a2]) == [a2, a, b]
+
+    @given(EVENT_POOLS.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)))
+    def test_canonical_order_equals_the_key_sort(self, events):
+        ordered = canonical_order(events)
+        assert ordered == order_reference.canonical_order(events)
+        assert all(type(e) is ContributionEvent for e in ordered)
 
 
 def _event(kind, timestamp_ms, magnitude):

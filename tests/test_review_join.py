@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import review_reference
 from busfactor.collab import ReviewRecord, emit_review_events, filter_reviews
 from busfactor.identity import IdentityIndex, RawActor, merge_identities
-from busfactor.model import Credit, EventKind, canonical_order, credit_events
+from busfactor.model import Credit, EventKind
+from order_reference import canonical_order, credit_events
 
 from conftest import day_ms
 
