@@ -2,63 +2,32 @@
 
 from importlib import import_module
 
-from .collab import (
-    emit_meeting_events,
-    emit_review_events,
-    filter_meetings,
-    filter_reviews,
-    parse_meetings,
-    parse_reviews,
-)
-from .engine import (
-    BusFactorResult,
-    DoaTable,
-    FileLedger,
-    Ledgers,
-    analyze,
-    authorship,
-    build_ledgers,
-    bus_factor,
-    prepare_ledgers,
-    score_table,
-)
-from .errors import (
-    BusFactorError,
-    ClockSkewError,
-    ConfigError,
-    InputDataError,
-    RepositoryError,
-)
-from .eventlog import read_event_log, write_event_log
-from .gitvcs import (
-    emit_vcs_events,
-    snapshot_branch,
-    traverse_branch,
-)
-from .identity import Engineer, IdentityIndex, RawActor, merge_identities
-from .model import (
-    AlgorithmParams,
-    CanonicalEvents,
-    ContributionEvent,
-    Credit,
-    EventKind,
-    canonical_blocks,
-    canonical_order,
-    decay,
-    event_credit,
-    format_instant,
-    parse_instant,
-)
-from .pipeline import AnalysisRun, run_analysis, to_json
-
 __version__ = "0.1.0"
 
-# served on first use, so that importing the package (and the CLI) skips them
+# Every public name is served on first use from the submodule that holds it,
+# so that `import busfactor` loads no submodule: `python -m busfactor` turns
+# the cyclic collector off before the first one is imported (`__main__.run`).
 _LAZY = {
-    "BusFactorEstimator": "estimator",
-    "evaluate_predictions": "evaluate",
-    "load_predictions": "evaluate",
-    "load_truth": "evaluate",
+    name: module
+    for module, names in {
+        "collab": ("emit_meeting_events", "emit_review_events", "filter_meetings",
+                   "filter_reviews", "parse_meetings", "parse_reviews"),
+        "engine": ("BusFactorResult", "DoaTable", "FileLedger", "Ledgers", "analyze",
+                   "authorship", "build_ledgers", "bus_factor", "prepare_ledgers",
+                   "score_table"),
+        "errors": ("BusFactorError", "ClockSkewError", "ConfigError", "InputDataError",
+                   "RepositoryError"),
+        "estimator": ("BusFactorEstimator",),
+        "evaluate": ("evaluate_predictions", "load_predictions", "load_truth"),
+        "eventlog": ("read_event_log", "write_event_log"),
+        "gitvcs": ("emit_vcs_events", "snapshot_branch", "traverse_branch"),
+        "identity": ("IdentityIndex", "RawActor", "merge_identities"),
+        "model": ("AlgorithmParams", "CanonicalEvents", "ContributionEvent", "Credit",
+                  "Engineer", "EventKind", "canonical_blocks", "canonical_order", "decay",
+                  "event_credit", "format_instant", "parse_instant"),
+        "pipeline": ("AnalysisRun", "run_analysis", "to_json"),
+    }.items()
+    for name in names
 }
 
 
@@ -69,6 +38,10 @@ def __getattr__(name: str):
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

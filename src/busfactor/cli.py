@@ -204,7 +204,10 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     The command runs with the cyclic garbage collector paused
-    (``collector_paused``), since a run makes no cyclic garbage.
+    (``collector_paused``), since a run makes no cyclic garbage, and the
+    caller's collector state comes back on every exit. The process entry,
+    ``__main__.run``, turns the collector off before this module is imported
+    and keeps it off to exit.
     """
     with collector_paused():
         return _main(argv)

@@ -86,17 +86,19 @@ def build_ledgers(credit: Iterable[Credit], meetings: Iterable = ()) -> dict[str
     credit's kind and numbers, and the meeting join each bucket's.
     """
     ledgers: defaultdict[str, FileLedger] = defaultdict(FileLedger)
+    # the members once per call: a read through the enum class costs several local reads
+    meeting, commit, review = EventKind.MEETING, EventKind.COMMIT, EventKind.REVIEW
     for engineers, ref, timestamp_ms, minutes, paths, kind in credit:
-        if kind is EventKind.MEETING:
+        if kind is meeting:
             if engineers:  # else it spells out no event
                 entry = (engineers, timestamp_ms, minutes)
                 for path in paths:
                     ledgers[path].meetings.setdefault(ref, []).append(entry)
-        elif kind is EventKind.COMMIT or kind is EventKind.REVIEW:
+        elif kind is commit or kind is review:
             for engineer in engineers:
                 for path in paths:
                     ledger = ledgers[path]
-                    stamps_of = ledger.commits if kind is EventKind.COMMIT else ledger.reviews
+                    stamps_of = ledger.commits if kind is commit else ledger.reviews
                     stamps_of.setdefault(engineer, []).append(timestamp_ms)
         else:  # FIRST_AUTHORSHIP
             for engineer in engineers:

@@ -1314,8 +1314,10 @@ def test_main_runs_the_command_without_the_collector_and_restores_it(
 
     monkeypatch.setattr(busfactor.cli, "run_analysis", recording_run)
     (gc.enable if caller_collects else gc.disable)()
+    frozen = gc.get_freeze_count()
     code, _, _ = run_cli(capsys, "analyze", "--repo", str(single_owner_repo.path))
     assert (code, seen, gc.isenabled()) == (exit_code, [False], caller_collects)
+    assert gc.get_freeze_count() == frozen  # only the process entry freezes
 
 
 @pytest.mark.parametrize("caller_collects", [True, False], ids=["enabled", "disabled"])
