@@ -59,11 +59,6 @@ def test_each_public_name_is_served_from_the_module_that_defines_it():
     assert set(busfactor.__all__) <= set(dir(busfactor))
 
 
-def test_an_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="module 'busfactor' has no attribute 'no_such_name'"):
-        busfactor.no_such_name  # noqa: B018
-
-
 def test_the_script_runs_the_process_entry():
     scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").partition("[project.scripts]")[2]
     target = re.search(r'^busfactor = "([^"]+)"$', scripts, re.M).group(1)
