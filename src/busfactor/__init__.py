@@ -4,9 +4,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Every public name is served on first use from the submodule that holds it,
-# so that `import busfactor` loads no submodule: `python -m busfactor` turns
-# the cyclic collector off before the first one is imported (`__main__.run`).
+# Every public name, and every submodule as an attribute, is served on first
+# use, so that `import busfactor` loads no submodule: `python -m busfactor`
+# turns the cyclic collector off before the first one is imported
+# (`__main__.run`).
 _LAZY = {
     name: module
     for module, names in {
@@ -29,11 +30,14 @@ _LAZY = {
     }.items()
     for name in names
 }
+_SUBMODULES = frozenset({*_LAZY.values(), "cli", "inputs"})
 
 
 def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
+        if name in _SUBMODULES:
+            return import_module(f".{name}", __name__)  # binds itself on the package
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value

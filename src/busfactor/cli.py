@@ -230,7 +230,3 @@ def _main(argv) -> int:
     except BusFactorError as exc:
         sys.stderr.write(f"busfactor: error: {exc}\n")
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

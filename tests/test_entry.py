@@ -59,6 +59,26 @@ def test_each_public_name_is_served_from_the_module_that_defines_it():
     assert set(busfactor.__all__) <= set(dir(busfactor))
 
 
+def test_each_submodule_is_served_as_an_attribute_on_first_use():
+    modules = {path.stem for path in Path(busfactor.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+    assert busfactor._SUBMODULES == modules
+    code = "\n".join([
+        "import json, sys",
+        "import busfactor",
+        "served = {m: getattr(busfactor, m) is sys.modules['busfactor.' + m] for m in sorted(busfactor._SUBMODULES)}",
+        "print(json.dumps(served))",
+    ])
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == dict.fromkeys(sorted(modules), True)
+
+
+def test_only_the_process_entry_runs_as_a_script():
+    package = Path(busfactor.__file__).parent
+    scripts = sorted(p.name for p in package.glob("*.py") if 'if __name__ == "__main__":' in p.read_text(encoding="utf-8"))
+    assert scripts == ["__main__.py"]
+
+
 def test_the_script_runs_the_process_entry():
     scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").partition("[project.scripts]")[2]
     target = re.search(r'^busfactor = "([^"]+)"$', scripts, re.M).group(1)
