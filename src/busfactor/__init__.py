@@ -7,7 +7,8 @@ __version__ = "0.1.0"
 # Every public name, and every submodule as an attribute, is served on first
 # use, so that `import busfactor` loads no submodule: `python -m busfactor`
 # turns the cyclic collector off before the first one is imported
-# (`__main__.run`).
+# (`__main__.run`). This table is the one list of public names: each name ->
+# the module that defines it.
 _LAZY = {
     name: module
     for module, names in {
@@ -30,6 +31,7 @@ _LAZY = {
     }.items()
     for name in names
 }
+__all__ = sorted(_LAZY)
 _SUBMODULES = frozenset({*_LAZY.values(), "cli", "inputs"})
 
 
@@ -47,54 +49,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "AlgorithmParams",
-    "AnalysisRun",
-    "BusFactorError",
-    "BusFactorEstimator",
-    "BusFactorResult",
-    "CanonicalEvents",
-    "ClockSkewError",
-    "ConfigError",
-    "ContributionEvent",
-    "Credit",
-    "DoaTable",
-    "Engineer",
-    "EventKind",
-    "FileLedger",
-    "IdentityIndex",
-    "InputDataError",
-    "Ledgers",
-    "RawActor",
-    "RepositoryError",
-    "analyze",
-    "authorship",
-    "build_ledgers",
-    "bus_factor",
-    "canonical_blocks",
-    "canonical_order",
-    "decay",
-    "emit_meeting_events",
-    "emit_review_events",
-    "emit_vcs_events",
-    "evaluate_predictions",
-    "event_credit",
-    "filter_meetings",
-    "filter_reviews",
-    "format_instant",
-    "load_predictions",
-    "load_truth",
-    "merge_identities",
-    "parse_instant",
-    "parse_meetings",
-    "parse_reviews",
-    "prepare_ledgers",
-    "read_event_log",
-    "run_analysis",
-    "score_table",
-    "snapshot_branch",
-    "to_json",
-    "traverse_branch",
-    "write_event_log",
-]

@@ -129,27 +129,29 @@ def default_branch(repo_path) -> str:
     return _query(repo_path, "symbolic-ref", "--short", "-q", "HEAD") or "HEAD"
 
 
-def _resolve_head(repo_path, branch: str) -> tuple[str, str | None]:
-    """The project's name and the head commit of the branch, None for an unborn (empty) branch.
+def _resolve_head(repo_path, branch: str) -> tuple[str, str | None, bool]:
+    """The project's name, the head commit of the branch (None for an unborn
+    branch) and whether the repository is a shallow clone.
 
-    One ``rev-parse`` prints the repository's common git directory, even
-    when the branch does not resolve, and then the head. The project is
-    named after that directory, or after its parent when it is a ``.git``,
-    so a work tree, any directory in it, its ``.git``, a linked worktree
-    and a bare repository all name the repository.
+    One ``rev-parse`` prints whether the repository is shallow and its common
+    git directory, even when the branch does not resolve, and then the head.
+    The project is named after that directory, or after its parent when it is
+    a ``.git``, so a work tree, any directory in it, its ``.git``, a linked
+    worktree and a bare repository all name the repository.
     """
     code, out = _git(
-        repo_path, "rev-parse", "--verify", "--quiet", "--path-format=absolute",
-        "--git-common-dir", f"{branch}^{{commit}}", allowed=(1,),
+        repo_path, "rev-parse", "--verify", "--is-shallow-repository", "--quiet",
+        "--path-format=absolute", "--git-common-dir", f"{branch}^{{commit}}", allowed=(1,),
     )
-    git_dir, head = out[:-1].rsplit("\n", 1) if code == 0 else (out[:-1], None)
+    shallow, _, out = out[:-1].partition("\n")
+    git_dir, head = out.rsplit("\n", 1) if code == 0 else (out, None)
     parent, name = os.path.split(git_dir)
     project = os.path.basename(parent) if name == ".git" else name
-    if head is not None:
-        return project, head
-    if _query(repo_path, "symbolic-ref", "-q", "HEAD") in (f"refs/heads/{branch}", branch):
-        return project, None
-    raise RepositoryError(f"branch {branch!r} not found in {repo_path}")
+    if head is None and _query(repo_path, "symbolic-ref", "-q", "HEAD") not in (
+        f"refs/heads/{branch}", branch
+    ):
+        raise RepositoryError(f"branch {branch!r} not found in {repo_path}")
+    return project, head, shallow == "true"
 
 
 # the status of an entry with one path and no score -> its kind (a type change
@@ -247,13 +249,16 @@ def _intersect_parent_diffs(
 
 
 class History(list):
-    """A branch's commits, and ``project``, the name of their repository."""
+    """A branch's commits, ``project``, the name of their repository, and
+    ``shallow``, whether it is a shallow clone: git then lists each boundary
+    commit with no parents, so its diff adds its whole tree."""
 
-    __slots__ = ("project",)
+    __slots__ = ("project", "shallow")
 
-    def __init__(self, commits, project: str) -> None:
+    def __init__(self, commits, project: str, shallow: bool) -> None:
         super().__init__(commits)
         self.project = project
+        self.shallow = shallow
 
 
 def traverse_branch(repo_path, branch: str | None = None) -> History:
@@ -265,9 +270,9 @@ def traverse_branch(repo_path, branch: str | None = None) -> History:
     ``git log`` lists every commit, a merge once per parent, with its names
     in UTF-8 and its paths relative to the root, whatever the user's config.
     """
-    project, head = _resolve_head(repo_path, branch or default_branch(repo_path))
+    project, head, shallow = _resolve_head(repo_path, branch or default_branch(repo_path))
     if head is None:
-        return History((), project)
+        return History((), project, shallow)
     _, out = _git(
         repo_path, "log", head, "--name-status", "-z", "--root", "--diff-merges=separate",
         "--encoding=UTF-8", "--no-relative", f"--find-renames={RENAME_THRESHOLD}",
@@ -287,7 +292,7 @@ def traverse_branch(repo_path, branch: str | None = None) -> History:
             (commit_id, email, name, int(epoch) * 1000, parent_ids, tuple(changes)),
         )
     order = _dfs_topological(head, parents_of)
-    return History((records[commit_id] for commit_id in order), project)
+    return History((records[commit_id] for commit_id in order), project, shallow)
 
 
 def snapshot_branch(repo_path, head: str | None) -> BranchSnapshot:

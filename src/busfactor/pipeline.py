@@ -23,6 +23,7 @@ from .engine import ALGORITHMS, analyze, checked_as_of, prepare_ledgers
 from .errors import ConfigError
 from .gitvcs import default_branch, emit_vcs_events, snapshot_branch, traverse_branch
 from .identity import IdentityIndex, RawActor, merge_identities
+from .inputs import warn
 # canonical_order is not called here; perfbench/probes.py wraps this binding
 from .model import (
     INSTANT_RANGE_MS, AlgorithmParams, CanonicalEvents, Credit, canonical_order, format_instant,
@@ -115,7 +116,8 @@ def run_analysis(
     of the meetings matched to them, so repeated runs on unchanged inputs
     agree byte for byte. The report's ``as_of`` is null only for an unborn
     branch without ``as_of_ms``. Its project is the repository's name,
-    however ``repo_path`` reaches the repository (``History.project``). In
+    however ``repo_path`` reaches the repository (``History.project``), and
+    a shallow clone adds one warning that says so (``History.shallow``). In
     ``both`` mode the two embedded result documents match what
     single-algorithm runs emit.
     """
@@ -132,6 +134,12 @@ def run_analysis(
     ingest_warnings: list[str] = []
     branch_name = branch or default_branch(repo_path)
     commits = traverse_branch(repo_path, branch_name)
+    if commits.shallow:
+        warn(
+            ingest_warnings,
+            "the history is shallow: files older than its boundary are credited to the "
+            "boundary commit's author; `git fetch --unshallow` gives the full answer",
+        )
     snapshot = snapshot_branch(repo_path, commits[-1].id if commits else None)
 
     reviews = []

@@ -474,6 +474,18 @@ class TestEmission:
         second = events_of(merge_conflict_repo)
         assert first == second
 
+    def test_gitlink_is_a_live_file_of_the_engineer_who_added_it(self, mkrepo):
+        repo = mkrepo()
+        target = repo.commit("own file", {"a.txt": "a\n"}, author=ALICE, day=0)
+        repo.git("update-index", "--add", "--cacheinfo", f"160000,{target},sub")
+        repo.git("commit", "-q", "-m", "add submodule", author=BOB, day=1)
+        report = run_analysis(repo.path).report
+        assert [(f["path"], f["authors"]) for f in report["files"]] == [
+            ("a.txt", ["alice@example.com"]), ("sub", ["bob@example.com"]),
+        ]
+        assert report["bus_factor"] == 2
+        assert report["warnings"] == []
+
 
 class TestHeadResolution:
     @pytest.mark.parametrize("branch, budget", [(None, 4), ("main", 3)])
@@ -495,6 +507,36 @@ class TestHeadResolution:
         assert len(calls) <= budget, calls
         assert sum("log" in cmd for cmd in calls) == 1, calls
         assert envs == [{**os.environ, "GIT_FLUSH": "0"}] * len(calls)
+
+    @pytest.mark.parametrize("branch, budget", [(None, 4), ("main", 3)])
+    def test_shallow_clone_warns_within_the_git_call_budget(
+        self, monkeypatch, mkrepo, tmp_path, branch, budget
+    ):
+        # a grafted boundary commit has no parents, so its diff adds its whole tree
+        repo = mkrepo("full")
+        for n in range(1, 7):
+            author = (f"dev{n}", f"dev{n}@example.com")
+            repo.commit(f"add f{n}", {f"f{n}.txt": f"{n}\n"}, author=author, day=n)
+        clone = tmp_path / "shallow"
+        repo.git("clone", "-q", "--depth=1", repo.path.as_uri(), str(clone))
+        full = run_analysis(repo.path, branch=branch).report
+        assert (full["bus_factor"], full["warnings"]) == (4, [])
+        calls = []
+        real_run = gitvcs.subprocess.run
+        monkeypatch.setattr(
+            gitvcs.subprocess, "run", lambda cmd, *a, **k: calls.append(cmd) or real_run(cmd, *a, **k)
+        )
+        shallow = run_analysis(clone, branch=branch).report
+        assert len(calls) == budget, calls
+        assert shallow["warnings"] == [
+            "the history is shallow: files older than its boundary are credited to the "
+            "boundary commit's author; `git fetch --unshallow` gives the full answer"
+        ]
+        assert shallow["bus_factor"] == 1
+        assert {a for f in shallow["files"] for a in f["authors"]} == {"dev6@example.com"}
+        assert traverse_branch(clone).shallow and not traverse_branch(repo.path).shallow
+        with pytest.raises(RepositoryError, match=r"^branch 'no-such-branch' not found in "):
+            traverse_branch(clone, "no-such-branch")
 
     def test_unknown_algorithm_is_a_config_error(self, single_owner_repo):
         message = r"^unknown algorithm 'nope'; expected one of multimodal, baseline, both$"
